@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the performance-critical substrates:
-//! SSIM, the codec, the panoramic renderer, frame-cache operations and
-//! the cutoff solver.
+//! SSIM, the codec, the panoramic renderer, frame-cache and fleet-store
+//! operations (including eviction against store size) and the cutoff
+//! solver.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -213,6 +214,73 @@ fn bench_fleet_store(c: &mut Criterion) {
     });
 }
 
+fn bench_store_scaling(c: &mut Criterion) {
+    // Eviction cost against store size: a full `LocalStore` taking one
+    // more 1.5 KB frame (so every insert evicts the globally oldest),
+    // and one `FrameCache` evicting its LRU entry and taking a new one,
+    // at 10^4, 10^5 and 10^6 resident frames. Grid points fill a square
+    // and fall into 8x8 leaves as the serving plane tiles them, so the
+    // store holds n/64 small leaf caches. Victim selection reads list
+    // heads and a per-stripe index, never the entries: the curve is flat.
+    const FRAME_BYTES: u64 = 1500;
+    let frame_at = |i: usize, side: usize| {
+        let (ix, iz) = ((i % side) as i32, (i / side) as i32);
+        FrameMeta {
+            grid: GridPoint::new(ix, iz),
+            pos: Vec2::new(ix as f64 * 0.25, iz as f64 * 0.25),
+            leaf: LeafId(((ix >> 3) as u32) << 16 | (iz >> 3) as u32),
+            near_hash: 1,
+        }
+    };
+    for n in [10_000usize, 100_000, 1_000_000] {
+        let side = (n as f64).sqrt().ceil() as usize;
+
+        let store = SharedFrameStore::new(StoreConfig {
+            capacity_bytes: n as u64 * FRAME_BYTES,
+            ..StoreConfig::default()
+        });
+        for i in 0..n {
+            store.insert(GameId::VikingVillage, frame_at(i, side), FRAME_BYTES);
+        }
+        let mut next = n;
+        c.bench_function(&format!("store_full_insert/{n}"), |bench| {
+            bench.iter(|| {
+                next += 1;
+                store.insert(
+                    GameId::VikingVillage,
+                    frame_at(next, side),
+                    black_box(FRAME_BYTES),
+                )
+            })
+        });
+        assert_eq!(store.len(), n, "every timed insert evicted one frame");
+
+        let mut cache: FrameCache<u64> = FrameCache::new(CacheConfig::infinite(CacheVersion::V3));
+        let put = |cache: &mut FrameCache<u64>, i: usize| {
+            let meta = frame_at(i, side);
+            cache.insert(
+                meta,
+                FrameSource::SelfPrefetch,
+                i as u64,
+                FRAME_BYTES,
+                meta.pos,
+            );
+        };
+        for i in 0..n {
+            put(&mut cache, i);
+        }
+        let mut next = n;
+        c.bench_function(&format!("cache_evict_lru_reinsert/{n}"), |bench| {
+            bench.iter(|| {
+                next += 1;
+                put(&mut cache, next);
+                cache.evict_lru()
+            })
+        });
+        assert_eq!(cache.len(), n);
+    }
+}
+
 fn bench_telemetry(c: &mut Criterion) {
     // The zero-cost-when-disabled gate. `render_all_256x128` above
     // already runs the instrumented hot path with the default disabled
@@ -261,4 +329,5 @@ criterion_group!(
     bench_fleet_store,
     bench_telemetry
 );
-criterion_main!(benches);
+criterion_group!(store_scaling, bench_store_scaling);
+criterion_main!(benches, store_scaling);

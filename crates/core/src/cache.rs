@@ -231,6 +231,10 @@ impl CacheStats {
     }
 }
 
+/// Slot index meaning "none": the end of the recency list or of the
+/// free list.
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug, Clone)]
 struct Entry<T> {
     meta: FrameMeta,
@@ -238,6 +242,17 @@ struct Entry<T> {
     payload: T,
     size_bytes: u64,
     last_access: u64,
+    /// Recency-list neighbours (slot indexes): `prev` is the next less
+    /// recently used entry, `next` the next more recently used one.
+    prev: u32,
+    next: u32,
+}
+
+/// One slab slot: a cached frame, or a link of the free list.
+#[derive(Debug, Clone)]
+enum Slot<T> {
+    Live(Entry<T>),
+    Free { next_free: u32 },
 }
 
 /// The per-client far-BE frame cache.
@@ -245,13 +260,26 @@ struct Entry<T> {
 /// Generic over the payload so the §4.6 trace study can run with `()`
 /// payloads ("there is no need to generate and manipulate the actual far
 /// BE frames") while the full system caches encoded frames.
+///
+/// Entries live in a slab and are threaded onto one recency list, `head`
+/// the least and `tail` the most recently used. Invariant: walking the
+/// list from `head` visits every live entry once, in strictly ascending
+/// `last_access`. It holds because every stamp is a fresh `clock + 1`,
+/// the clock only moves forward ([`FrameCache::advance_clock`] takes a
+/// max), and a stamped entry always goes to the tail. The least recently
+/// used entry is therefore always `head`, with no search.
 #[derive(Debug, Clone)]
 pub struct FrameCache<T> {
     config: CacheConfig,
-    entries: HashMap<u64, Entry<T>>,
-    /// Spatial buckets (2 m cells) of entry keys for similar lookups.
-    buckets: HashMap<(i32, i32), Vec<u64>>,
-    next_id: u64,
+    slots: Vec<Slot<T>>,
+    /// First slot of the free list ([`NIL`] when every slot is live).
+    free: u32,
+    live: usize,
+    head: u32,
+    tail: u32,
+    /// Spatial buckets (2 m cells) of slot indexes for similar lookups,
+    /// each in insertion order.
+    buckets: HashMap<(i32, i32), Vec<u32>>,
     clock: u64,
     bytes: u64,
     stats: CacheStats,
@@ -265,9 +293,12 @@ impl<T> FrameCache<T> {
     pub fn new(config: CacheConfig) -> Self {
         FrameCache {
             config,
-            entries: HashMap::new(),
+            slots: Vec::new(),
+            free: NIL,
+            live: 0,
+            head: NIL,
+            tail: NIL,
             buckets: HashMap::new(),
-            next_id: 0,
             clock: 0,
             bytes: 0,
             stats: CacheStats::default(),
@@ -281,12 +312,12 @@ impl<T> FrameCache<T> {
 
     /// Number of cached frames.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 
     /// Total cached payload bytes.
@@ -306,6 +337,82 @@ impl<T> FrameCache<T> {
         )
     }
 
+    fn entry(&self, slot: u32) -> &Entry<T> {
+        match &self.slots[slot as usize] {
+            Slot::Live(e) => e,
+            Slot::Free { .. } => unreachable!("slot {slot} is linked or bucketed but free"),
+        }
+    }
+
+    fn entry_mut(&mut self, slot: u32) -> &mut Entry<T> {
+        match &mut self.slots[slot as usize] {
+            Slot::Live(e) => e,
+            Slot::Free { .. } => unreachable!("slot {slot} is linked or bucketed but free"),
+        }
+    }
+
+    /// Takes `slot` out of the recency list, joining its neighbours.
+    fn unlink(&mut self, slot: u32) {
+        let (prev, next) = {
+            let e = self.entry(slot);
+            (e.prev, e.next)
+        };
+        match prev {
+            NIL => self.head = next,
+            p => self.entry_mut(p).next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.entry_mut(n).prev = prev,
+        }
+    }
+
+    /// Appends `slot` at the most-recent end of the recency list.
+    fn push_tail(&mut self, slot: u32) {
+        let tail = self.tail;
+        debug_assert!(
+            tail == NIL || self.entry(tail).last_access < self.entry(slot).last_access,
+            "recency list must stay in ascending last_access order"
+        );
+        let e = self.entry_mut(slot);
+        e.prev = tail;
+        e.next = NIL;
+        match tail {
+            NIL => self.head = slot,
+            t => self.entry_mut(t).next = slot,
+        }
+        self.tail = slot;
+    }
+
+    /// Stamps `slot` with a fresh access time and makes it the most
+    /// recently used entry.
+    fn touch(&mut self, slot: u32) -> &mut Entry<T> {
+        self.clock += 1;
+        self.unlink(slot);
+        self.entry_mut(slot).last_access = self.clock;
+        self.push_tail(slot);
+        self.entry_mut(slot)
+    }
+
+    /// Removes the entry in `slot` from the list, its bucket and the
+    /// slab, and returns it. Every removal path ends here.
+    fn remove_slot(&mut self, slot: u32) -> Entry<T> {
+        self.unlink(slot);
+        let freed = Slot::Free {
+            next_free: self.free,
+        };
+        let Slot::Live(e) = std::mem::replace(&mut self.slots[slot as usize], freed) else {
+            unreachable!("slot {slot} was just unlinked, so it is live");
+        };
+        self.free = slot;
+        self.live -= 1;
+        self.bytes -= e.size_bytes;
+        if let Some(v) = self.buckets.get_mut(&Self::bucket_of(e.meta.pos)) {
+            v.retain(|&x| x != slot);
+        }
+        e
+    }
+
     /// Inserts a frame. `player_pos` is the inserting player's current
     /// position, used by FLF eviction. Frames from sources the version
     /// does not admit are dropped (e.g. overheard frames under V1/V3).
@@ -321,75 +428,85 @@ impl<T> FrameCache<T> {
             return;
         }
         self.clock += 1;
-        while self.bytes.saturating_add(size_bytes) > self.config.capacity_bytes
-            && !self.entries.is_empty()
-        {
+        while self.bytes.saturating_add(size_bytes) > self.config.capacity_bytes && self.live > 0 {
             self.evict_one(player_pos);
         }
-        let id = self.next_id;
-        self.next_id += 1;
+        let entry = Slot::Live(Entry {
+            meta,
+            source,
+            payload,
+            size_bytes,
+            last_access: self.clock,
+            prev: NIL,
+            next: NIL,
+        });
+        let slot = match self.free {
+            NIL => {
+                assert!(self.slots.len() < NIL as usize, "frame cache slab is full");
+                self.slots.push(entry);
+                (self.slots.len() - 1) as u32
+            }
+            slot => {
+                let Slot::Free { next_free } =
+                    std::mem::replace(&mut self.slots[slot as usize], entry)
+                else {
+                    unreachable!("slot {slot} is on the free list but live");
+                };
+                self.free = next_free;
+                slot
+            }
+        };
+        self.live += 1;
         self.bytes += size_bytes;
+        self.push_tail(slot);
         self.buckets
             .entry(Self::bucket_of(meta.pos))
             .or_default()
-            .push(id);
-        self.entries.insert(
-            id,
-            Entry {
-                meta,
-                source,
-                payload,
-                size_bytes,
-                last_access: self.clock,
-            },
-        );
+            .push(slot);
     }
 
     fn evict_one(&mut self, player_pos: Vec2) {
         let victim = match self.config.policy {
-            EvictionPolicy::Lru => self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_access)
-                .map(|(&id, _)| id),
-            EvictionPolicy::Flf => self
-                .entries
-                .iter()
-                .max_by(|a, b| {
-                    let da = a.1.meta.pos.distance_sq(player_pos);
-                    let db = b.1.meta.pos.distance_sq(player_pos);
-                    da.partial_cmp(&db).expect("finite distances")
-                })
-                .map(|(&id, _)| id),
+            EvictionPolicy::Lru => self.head,
+            EvictionPolicy::Flf => self.furthest_from(player_pos),
         };
-        if let Some(id) = victim {
-            if let Some(e) = self.entries.remove(&id) {
-                self.bytes -= e.size_bytes;
-                if let Some(v) = self.buckets.get_mut(&Self::bucket_of(e.meta.pos)) {
-                    v.retain(|&x| x != id);
-                }
-                self.stats.evictions += 1;
-            }
+        self.evict_slot(victim);
+    }
+
+    /// Evicts the entry in `victim`, returning its size ([`NIL`]: the
+    /// cache is empty and nothing happens).
+    fn evict_slot(&mut self, victim: u32) -> Option<u64> {
+        if victim == NIL {
+            return None;
         }
+        self.stats.evictions += 1;
+        Some(self.remove_slot(victim).size_bytes)
+    }
+
+    /// The entry furthest from `player_pos` ([`NIL`] when empty); among
+    /// equally far entries the least recently used. FLF depends on where
+    /// the player stands now, so unlike LRU it has to look at every entry.
+    fn furthest_from(&self, player_pos: Vec2) -> u32 {
+        let mut victim = NIL;
+        let mut furthest = f64::NEG_INFINITY;
+        let mut slot = self.head;
+        while slot != NIL {
+            let e = self.entry(slot);
+            let d = e.meta.pos.distance_sq(player_pos);
+            assert!(!d.is_nan(), "finite distances");
+            if d > furthest {
+                victim = slot;
+                furthest = d;
+            }
+            slot = e.next;
+        }
+        victim
     }
 
     /// Looks up a frame for `query`, counting a hit or miss. Returns the
     /// payload of the best (closest) qualifying frame.
     pub fn lookup(&mut self, query: &CacheQuery) -> Option<&T> {
-        let best = self.find_best(query);
-        match best {
-            Some(id) => {
-                self.clock += 1;
-                self.stats.hits += 1;
-                let e = self.entries.get_mut(&id).expect("entry just found");
-                e.last_access = self.clock;
-                Some(&e.payload)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        self.lookup_mut(query).map(|payload| &*payload)
     }
 
     /// [`FrameCache::lookup`] returning a mutable payload reference, so
@@ -397,14 +514,10 @@ impl<T> FrameCache<T> {
     /// recording that a speculatively rendered frame was actually
     /// used). Counts and refreshes recency exactly like `lookup`.
     pub fn lookup_mut(&mut self, query: &CacheQuery) -> Option<&mut T> {
-        let best = self.find_best(query);
-        match best {
-            Some(id) => {
-                self.clock += 1;
+        match self.find_best(query) {
+            Some(slot) => {
                 self.stats.hits += 1;
-                let e = self.entries.get_mut(&id).expect("entry just found");
-                e.last_access = self.clock;
-                Some(&mut e.payload)
+                Some(&mut self.touch(slot).payload)
             }
             None => {
                 self.stats.misses += 1;
@@ -424,7 +537,8 @@ impl<T> FrameCache<T> {
     /// different-sized payload (the byte budget must debit the old size
     /// before crediting the new one).
     pub fn peek_size(&self, query: &CacheQuery) -> Option<u64> {
-        self.find_best(query).map(|id| self.entries[&id].size_bytes)
+        self.find_best(query)
+            .map(|slot| self.entry(slot).size_bytes)
     }
 
     /// Removes the best qualifying frame for `query`, returning its
@@ -432,13 +546,8 @@ impl<T> FrameCache<T> {
     /// [`CacheStats::evictions`] — it is the first half of a
     /// replace-in-place, not a capacity decision.
     pub fn remove_matching(&mut self, query: &CacheQuery) -> Option<u64> {
-        let id = self.find_best(query)?;
-        let e = self.entries.remove(&id).expect("entry just found");
-        self.bytes -= e.size_bytes;
-        if let Some(v) = self.buckets.get_mut(&Self::bucket_of(e.meta.pos)) {
-            v.retain(|&x| x != id);
-        }
-        Some(e.size_bytes)
+        let slot = self.find_best(query)?;
+        Some(self.remove_slot(slot).size_bytes)
     }
 
     /// The cache's logical access clock (monotonic; bumped on insert and
@@ -459,7 +568,7 @@ impl<T> FrameCache<T> {
 
     /// The `last_access` stamp of the least recently used entry, if any.
     pub fn oldest_access(&self) -> Option<u64> {
-        self.entries.values().map(|e| e.last_access).min()
+        self.oldest_entry().map(|(stamp, _)| stamp)
     }
 
     /// The least recently used entry's stamp and payload, if any. A
@@ -467,10 +576,11 @@ impl<T> FrameCache<T> {
     /// against the globally-oldest entry — the one an over-budget
     /// insert would evict.
     pub fn oldest_entry(&self) -> Option<(u64, &T)> {
-        self.entries
-            .values()
-            .min_by_key(|e| e.last_access)
-            .map(|e| (e.last_access, &e.payload))
+        if self.head == NIL {
+            return None;
+        }
+        let e = self.entry(self.head);
+        Some((e.last_access, &e.payload))
     }
 
     /// Evicts the least recently used entry regardless of the configured
@@ -478,32 +588,21 @@ impl<T> FrameCache<T> {
     /// one global LRU across shards (the shard holding the globally
     /// oldest entry is asked to evict).
     pub fn evict_lru(&mut self) -> Option<u64> {
-        let id = self
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_access)
-            .map(|(&id, _)| id)?;
-        let e = self.entries.remove(&id).expect("entry just found");
-        self.bytes -= e.size_bytes;
-        if let Some(v) = self.buckets.get_mut(&Self::bucket_of(e.meta.pos)) {
-            v.retain(|&x| x != id);
-        }
-        self.stats.evictions += 1;
-        Some(e.size_bytes)
+        self.evict_slot(self.head)
     }
 
-    fn find_best(&self, query: &CacheQuery) -> Option<u64> {
+    fn find_best(&self, query: &CacheQuery) -> Option<u32> {
         let radius = query.dist_thresh.max(0.0);
         let reach = (radius / BUCKET_M).ceil() as i32 + 1;
         let (bx, bz) = Self::bucket_of(query.pos);
-        let mut best: Option<(u64, f64)> = None;
+        let mut best: Option<(u32, f64)> = None;
         for dz in -reach..=reach {
             for dx in -reach..=reach {
-                let Some(ids) = self.buckets.get(&(bx + dx, bz + dz)) else {
+                let Some(slots) = self.buckets.get(&(bx + dx, bz + dz)) else {
                     continue;
                 };
-                for &id in ids {
-                    let e = &self.entries[&id];
+                for &slot in slots {
+                    let e = self.entry(slot);
                     let Some(mode) = self.config.version.mode_for(e.source) else {
                         continue;
                     };
@@ -520,18 +619,76 @@ impl<T> FrameCache<T> {
                     }
                     let d = e.meta.pos.distance(query.pos);
                     if best.map(|(_, bd)| d < bd).unwrap_or(true) {
-                        best = Some((id, d));
+                        best = Some((slot, d));
                     }
                 }
             }
         }
-        best.map(|(id, _)| id)
+        best.map(|(slot, _)| slot)
+    }
+}
+
+#[cfg(test)]
+impl<T> FrameCache<T> {
+    /// Panics unless the slab, the recency list, the free list and the
+    /// buckets describe the same set of live entries.
+    fn check_invariants(&self) {
+        let live_slots = self
+            .slots
+            .iter()
+            .filter(|slot| matches!(slot, Slot::Live(_)))
+            .count();
+        assert_eq!(live_slots, self.live, "live counter");
+
+        let (mut listed, mut bytes) = (0, 0);
+        let (mut slot, mut prev) = (self.head, NIL);
+        let mut last_stamp = None;
+        while slot != NIL {
+            let e = self.entry(slot); // panics if the list reaches a free slot
+            assert_eq!(e.prev, prev, "back link of slot {slot}");
+            assert!(last_stamp < Some(e.last_access), "stamps ascend");
+            last_stamp = Some(e.last_access);
+            assert!(e.last_access <= self.clock, "stamp from the future");
+            listed += 1;
+            assert!(listed <= self.live, "recency list cycles");
+            bytes += e.size_bytes;
+            (prev, slot) = (slot, e.next);
+        }
+        assert_eq!(self.tail, prev, "tail");
+        assert_eq!(listed, self.live, "list visits every live entry");
+        assert_eq!(bytes, self.bytes, "byte counter");
+
+        let mut free = 0;
+        let mut slot = self.free;
+        while slot != NIL {
+            let Slot::Free { next_free } = self.slots[slot as usize] else {
+                panic!("live slot {slot} on the free list");
+            };
+            free += 1;
+            assert!(free <= self.slots.len(), "free list cycles");
+            slot = next_free;
+        }
+        assert_eq!(
+            free + self.live,
+            self.slots.len(),
+            "every slot is live or free"
+        );
+
+        let mut bucketed = std::collections::HashSet::new();
+        for (cell, slots) in &self.buckets {
+            for &slot in slots {
+                assert_eq!(Self::bucket_of(self.entry(slot).meta.pos), *cell);
+                assert!(bucketed.insert(slot), "slot {slot} bucketed twice");
+            }
+        }
+        assert_eq!(bucketed.len(), self.live, "buckets hold every live slot");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn meta(ix: i32, iz: i32, leaf: u32, hash: u64) -> FrameMeta {
         FrameMeta {
@@ -762,5 +919,79 @@ mod tests {
         let m = meta(10, 10, 0, 7);
         c.insert(m, FrameSource::SelfPrefetch, 42, 100, m.pos);
         assert_eq!(c.lookup(&query_for(&m, 0.0)), Some(&42));
+    }
+
+    #[derive(Debug, Clone)]
+    enum CacheOp {
+        Insert { ix: i32, iz: i32, size: u64 },
+        Lookup { ix: i32, iz: i32, dist_thresh: f64 },
+        RemoveMatching { ix: i32, iz: i32 },
+        EvictLru,
+        AdvanceClock(u64),
+    }
+
+    fn cache_op() -> impl Strategy<Value = CacheOp> {
+        (0u32..10, -30i32..30, -30i32..30, 1u64..400, 0.0f64..1.5).prop_map(
+            |(kind, ix, iz, size, dist_thresh)| match kind {
+                0..=3 => CacheOp::Insert { ix, iz, size },
+                4..=6 => CacheOp::Lookup {
+                    ix,
+                    iz,
+                    dist_thresh,
+                },
+                7 => CacheOp::RemoveMatching { ix, iz },
+                8 => CacheOp::EvictLru,
+                _ => CacheOp::AdvanceClock(size % 50),
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Fails if a removal path forgets to unlink, or a freed slot
+        /// is reused while a bucket still names it.
+        #[test]
+        fn recency_list_and_buckets_track_the_live_entries(
+            ops in proptest::collection::vec(cache_op(), 1..150),
+            capacity in 400u64..4_000,
+            lru in proptest::bool::ANY,
+        ) {
+            let mut c: FrameCache<u32> = FrameCache::new(CacheConfig {
+                capacity_bytes: capacity,
+                policy: if lru { EvictionPolicy::Lru } else { EvictionPolicy::Flf },
+                version: CacheVersion::V3,
+            });
+            for (i, op) in ops.iter().enumerate() {
+                match *op {
+                    CacheOp::Insert { ix, iz, size } => {
+                        let m = meta(ix, iz, 0, 7);
+                        c.insert(m, FrameSource::SelfPrefetch, i as u32, size, Vec2::ZERO);
+                    }
+                    CacheOp::Lookup { ix, iz, dist_thresh } => {
+                        let before = c.clock();
+                        let hit = c.lookup(&query_for(&meta(ix, iz, 0, 7), dist_thresh)).is_some();
+                        // A hit becomes the most recently used entry.
+                        prop_assert_eq!(c.clock(), before + hit as u64);
+                        if hit {
+                            prop_assert_eq!(c.entry(c.tail).last_access, c.clock());
+                        }
+                    }
+                    CacheOp::RemoveMatching { ix, iz } => {
+                        let len = c.len();
+                        let removed = c.remove_matching(&query_for(&meta(ix, iz, 0, 7), 0.5));
+                        prop_assert_eq!(c.len() + removed.is_some() as usize, len);
+                    }
+                    CacheOp::EvictLru => {
+                        let oldest = c.oldest_access();
+                        let evicted = c.evict_lru();
+                        prop_assert_eq!(evicted.is_some(), oldest.is_some());
+                        prop_assert!(c.oldest_access().is_none() || c.oldest_access() > oldest);
+                    }
+                    CacheOp::AdvanceClock(by) => c.advance_clock(c.clock() + by),
+                }
+                c.check_invariants();
+            }
+        }
     }
 }

@@ -1,15 +1,12 @@
-//! The work-stealing pre-render farm.
+//! The batching pre-render farm.
 //!
 //! Every store miss means the fleet's render server had to produce a
 //! far-BE panorama on demand. The farm turns each such miss into
 //! *speculative* work as well: it pre-renders frames at neighbouring
 //! positions inside the same leaf region, so the next room to walk
-//! through that area hits the store instead of stalling a GPU. Frames
-//! whose triangle loads differ by orders of magnitude make per-job cost
-//! wildly non-uniform, which is exactly the workload
-//! [`coterie_parallel::par_map_ws`] (shared-counter claiming +
-//! per-worker crossbeam deques) exists for — one monster panorama must
-//! not straggle a whole batch.
+//! through that area hits the store instead of stalling a GPU. Jobs
+//! accumulate during an epoch and drain in one serial pass, ranked by
+//! predicted reuse.
 //!
 //! Rendering here is simulated: jobs produce a deterministic cost in
 //! GPU-milliseconds (a function of encoded size), which the fleet
@@ -18,7 +15,6 @@
 
 use crate::store::FrameStore;
 use coterie_core::FrameMeta;
-use coterie_parallel::par_map_ws;
 use coterie_world::{GameId, GridPoint, Vec2};
 
 /// Fixed per-panorama server render overhead, GPU-ms (scheduling,
@@ -57,7 +53,7 @@ pub struct PrerenderJob {
 }
 
 /// Batching pre-render farm. Jobs accumulate during an epoch and are
-/// rendered in one work-stealing sweep at the epoch boundary.
+/// rendered in one sweep at the epoch boundary.
 #[derive(Debug, Default)]
 pub struct PrerenderFarm {
     jobs: Vec<PrerenderJob>,
@@ -148,15 +144,13 @@ impl PrerenderFarm {
         self.rendered
     }
 
-    /// Renders the queued batch with work-stealing parallelism and
-    /// backfills the stores.
+    /// Renders the queued batch and backfills the stores.
     ///
     /// Duplicate jobs (same store, game, leaf and grid point) are
     /// dropped before rendering — concurrent rooms walking the same
     /// area request the same neighbours. Store insertion happens
-    /// serially in job order afterwards, so a fleet that queues jobs in
-    /// room-id order gets identical store contents on every run no
-    /// matter how the render sweep was scheduled across workers.
+    /// serially in job order, so a fleet that queues jobs in room-id
+    /// order gets identical store contents on every run.
     pub fn drain_into(&mut self, stores: &[&dyn FrameStore]) {
         if self.jobs.is_empty() {
             return;
@@ -177,16 +171,13 @@ impl PrerenderFarm {
                 j.meta.grid.iz,
             ))
         });
-        // The render sweep: per-item cost varies with frame size, so
-        // dynamic claiming keeps workers busy even when one leaf's
-        // panoramas dwarf the rest.
-        let costs = par_map_ws(&batch, |job| render_cost_ms(job.bytes));
-        for (job, cost) in batch.iter().zip(&costs) {
+        for job in &batch {
             // The store skips frames already covered (e.g. the mirror
             // neighbour of an adjacent miss): those cost nothing — the
             // server checks the store before rendering.
             if stores[job.store].insert_speculative(job.game, job.meta, job.bytes, job.score) {
-                self.gpu_ms += cost;
+                // "Rendering" is the cost model's multiply-add.
+                self.gpu_ms += render_cost_ms(job.bytes);
                 self.rendered += 1;
             }
         }

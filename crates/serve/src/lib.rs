@@ -18,8 +18,7 @@
 //!   ([`coterie_core::CacheVersion::FLEET`]): any room's frames can
 //!   serve any other room of the same game.
 //! * [`PrerenderFarm`] turns store misses into speculative neighbour
-//!   renders, batched per epoch and swept with the work-stealing
-//!   [`coterie_parallel::par_map_ws`].
+//!   renders, batched per epoch and drained in ranked order.
 //! * [`PosePredictor`] (selected per fleet via
 //!   [`FleetConfig::predictor`]) replaces blind speculation with
 //!   pose-predictive speculation: constant-velocity (`cv`) or

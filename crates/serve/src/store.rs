@@ -20,11 +20,26 @@
 //! The local store stripes by `(game, leaf region)`: lookups only ever
 //! match within one leaf (criterion 2), so a stripe holds everything a
 //! lookup can see and stripes never need to cooperate on reads. Each
-//! stripe is a [`FrameCache`] in the session-free [`CacheVersion::FLEET`]
-//! configuration behind a `parking_lot` mutex. A single global byte
-//! budget spans all stripes; eviction runs one *global* LRU by stamping
-//! every stripe from one atomic clock and always evicting from the
-//! stripe holding the globally oldest entry.
+//! stripe keeps one [`FrameCache`] per `(game, leaf)` in the session-free
+//! [`CacheVersion::FLEET`] configuration behind a `parking_lot` mutex;
+//! a cache that an eviction or a replacement empties is dropped, so the
+//! store holds no more caches than it holds leaves with frames.
+//!
+//! A single global byte budget spans all stripes, and eviction runs one
+//! *global* LRU: every cache is stamped from one atomic clock and the
+//! victim is always the entry with the smallest stamp anywhere. Finding
+//! it costs no scan. Each cache threads its entries onto a recency list,
+//! so its least recently used entry is the list head; each stripe keeps
+//! a `BTreeSet` head index of `(head stamp, game, leaf)`, one key per
+//! cache, fixed up only when an operation changes that cache's head; and
+//! the global victim is the smallest of the stripes' first keys. One
+//! victim costs O(stripes · log leaves), whatever the number of frames.
+//! The index is keyed by the whole triple because stamps are unique only
+//! while operations are serialized: a worker takes its ticket before it
+//! takes the stripe lock, so with several workers two caches can carry
+//! the same head stamp, and a stamp-keyed index would drop one of them
+//! from eviction for good. Equal stamps go to the lowest stripe, then
+//! the lowest `(game, leaf)`.
 
 use crate::farm::render_cost_ms;
 use coterie_core::{
@@ -32,7 +47,7 @@ use coterie_core::{
 };
 use coterie_world::GameId;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -253,11 +268,59 @@ struct FrameTag {
     value: f64,
 }
 
+/// A `(game, leaf region)` pair: the key of one leaf cache.
+type LeafKey = (GameId, u32);
+
 /// One lock-striped stripe: the leaf caches of every `(game, leaf)`
-/// pair that hashes to it.
+/// pair that hashes to it, none of them empty.
 #[derive(Debug, Default)]
 struct Stripe {
-    caches: HashMap<(GameId, u32), FrameCache<FrameTag>>,
+    caches: HashMap<LeafKey, FrameCache<FrameTag>>,
+    /// The head index: `(stamp, game, leaf)` of every cache's least
+    /// recently used entry, so the stripe's oldest entry is the first
+    /// key. The cache key is part of the index key because two caches
+    /// can carry the same stamp (see the module doc).
+    heads: BTreeSet<(u64, LeafKey)>,
+}
+
+impl Stripe {
+    /// Runs `op` on the cache of `key` (`None` if there is none and
+    /// `create` is unset), then re-files the cache in the head index if
+    /// `op` changed its oldest entry and drops it if `op` emptied it.
+    /// Every mutation of a leaf cache goes through here.
+    fn on_cache<R>(
+        &mut self,
+        key: LeafKey,
+        create: bool,
+        op: impl FnOnce(&mut FrameCache<FrameTag>) -> R,
+    ) -> Option<R> {
+        let cache = if create {
+            self.caches.entry(key).or_insert_with(|| {
+                FrameCache::new(CacheConfig {
+                    capacity_bytes: u64::MAX, // budget is enforced globally
+                    policy: EvictionPolicy::Lru,
+                    version: CacheVersion::FLEET,
+                })
+            })
+        } else {
+            self.caches.get_mut(&key)?
+        };
+        let before = cache.oldest_access();
+        let result = op(cache);
+        let after = cache.oldest_access();
+        if before != after {
+            if let Some(stamp) = before {
+                self.heads.remove(&(stamp, key));
+            }
+            if let Some(stamp) = after {
+                self.heads.insert((stamp, key));
+            }
+        }
+        if after.is_none() {
+            self.caches.remove(&key);
+        }
+        Some(result)
+    }
 }
 
 /// A recent insert, recorded for the sharded backend's epoch-batched
@@ -292,8 +355,9 @@ const RECENT_CAP: usize = 1024;
 pub struct LocalStore {
     config: StoreConfig,
     stripes: Vec<Mutex<Stripe>>,
-    /// Global logical clock; every operation takes a unique ticket so
-    /// `last_access` stamps are totally ordered across stripes. Shared
+    /// Global logical clock; every operation takes a ticket, so
+    /// serialized operations stamp `last_access` in one total order
+    /// across stripes (concurrent ones may tie; see the module doc). Shared
     /// (`Arc`) so the sharded fabric can stamp all its partitions from
     /// one clock and keep cross-partition LRU coherent.
     clock: Arc<AtomicU64>,
@@ -462,8 +526,8 @@ impl LocalStore {
         let mut stripe = self.stripes[self.stripe_index(game, query.leaf.0)].lock();
         let mut spec_hit = false;
         let mut first_use = false;
-        let hit = match stripe.caches.get_mut(&(game, query.leaf.0)) {
-            Some(cache) => {
+        let hit = stripe
+            .on_cache((game, query.leaf.0), false, |cache| {
                 cache.advance_clock(ticket);
                 match cache.lookup_mut(query) {
                     Some(tag) => {
@@ -476,9 +540,8 @@ impl LocalStore {
                     }
                     None => false,
                 }
-            }
-            None => false,
-        };
+            })
+            .unwrap_or(false);
         drop(stripe);
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -552,21 +615,29 @@ impl LocalStore {
         admitted
     }
 
-    /// The admission value of the globally-oldest frame (the one an
-    /// over-budget insert would evict), if any.
-    fn oldest_value(&self) -> Option<f64> {
-        let mut victim: Option<(u64, f64)> = None;
-        for stripe in &self.stripes {
-            let stripe = stripe.lock();
-            for cache in stripe.caches.values() {
-                if let Some((stamp, tag)) = cache.oldest_entry() {
-                    if victim.map(|(v, _)| stamp < v).unwrap_or(true) {
-                        victim = Some((stamp, tag.value));
-                    }
+    /// Where this store's oldest entry lives — stripe, cache and stamp —
+    /// or `None` when the store is empty: the smallest first key of the
+    /// stripes' head indexes. The one victim search every LRU decision
+    /// shares.
+    fn oldest(&self) -> Option<(usize, LeafKey, u64)> {
+        let mut oldest: Option<(usize, LeafKey, u64)> = None;
+        for (si, stripe) in self.stripes.iter().enumerate() {
+            if let Some(&(stamp, key)) = stripe.lock().heads.first() {
+                if oldest.map(|(_, _, v)| stamp < v).unwrap_or(true) {
+                    oldest = Some((si, key, stamp));
                 }
             }
         }
-        victim.map(|(_, value)| value)
+        oldest
+    }
+
+    /// The admission value of the globally-oldest frame (the one an
+    /// over-budget insert would evict), if any.
+    fn oldest_value(&self) -> Option<f64> {
+        let (si, key, _) = self.oldest()?;
+        let stripe = self.stripes[si].lock();
+        let (_, tag) = stripe.caches.get(&key)?.oldest_entry()?;
+        Some(tag.value)
     }
 
     /// The access stamp of this store's oldest entry (`None` when
@@ -574,55 +645,31 @@ impl LocalStore {
     /// all drawn from one shared clock — to find the *globally* oldest
     /// frame during anti-entropy eviction.
     pub fn oldest_stamp(&self) -> Option<u64> {
-        let mut oldest: Option<u64> = None;
-        for stripe in &self.stripes {
-            let stripe = stripe.lock();
-            for cache in stripe.caches.values() {
-                if let Some(stamp) = cache.oldest_access() {
-                    if oldest.map(|v| stamp < v).unwrap_or(true) {
-                        oldest = Some(stamp);
-                    }
-                }
-            }
-        }
-        oldest
+        self.oldest().map(|(_, _, stamp)| stamp)
     }
 
     /// Evicts this store's single oldest entry, returning the bytes
     /// freed (`None` when empty). Used by the sharded fabric's global
-    /// eviction sweep; local budget enforcement uses the same victim
-    /// selection internally.
+    /// eviction sweep and by local budget enforcement.
     pub fn evict_oldest(&self) -> Option<u64> {
-        let mut victim: Option<(usize, (GameId, u32), u64)> = None;
-        for (si, stripe) in self.stripes.iter().enumerate() {
-            let stripe = stripe.lock();
-            for (key, cache) in &stripe.caches {
-                if let Some(oldest) = cache.oldest_access() {
-                    if victim.map(|(_, _, v)| oldest < v).unwrap_or(true) {
-                        victim = Some((si, *key, oldest));
-                    }
-                }
+        loop {
+            let (si, key, _) = self.oldest()?;
+            // The stripe lock was released in between: under concurrent
+            // use another thread may have evicted that cache's last
+            // entry first, and the search simply runs again.
+            let evicted = self.stripes[si]
+                .lock()
+                .on_cache(key, false, FrameCache::evict_lru);
+            if let Some(freed) = evicted.flatten() {
+                self.bytes.fetch_sub(freed, Ordering::Relaxed);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                return Some(freed);
             }
         }
-        let (si, key, _) = victim?;
-        let mut stripe = self.stripes[si].lock();
-        let cache = stripe.caches.get_mut(&key)?;
-        let freed = cache.evict_lru()?;
-        self.bytes.fetch_sub(freed, Ordering::Relaxed);
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        Some(freed)
     }
 
     fn insert_tagged(&self, game: GameId, meta: FrameMeta, size_bytes: u64, tag: FrameTag) -> bool {
         let ticket = self.fresh_ticket();
-        let mut stripe = self.stripes[self.stripe_index(game, meta.leaf.0)].lock();
-        let cache = stripe.caches.entry((game, meta.leaf.0)).or_insert_with(|| {
-            FrameCache::new(CacheConfig {
-                capacity_bytes: u64::MAX, // budget is enforced globally
-                policy: EvictionPolicy::Lru,
-                version: CacheVersion::FLEET,
-            })
-        });
         let dup_probe = CacheQuery {
             grid: meta.grid,
             pos: meta.pos,
@@ -630,33 +677,35 @@ impl LocalStore {
             near_hash: meta.near_hash,
             dist_thresh: 0.0,
         };
-        let mut replaced = false;
-        match cache.peek_size(&dup_probe) {
-            Some(old_size) if old_size == size_bytes => {
-                // Same key, same payload size: genuine duplicate.
-                drop(stripe);
-                self.duplicates.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            Some(_) => {
-                // Same key, different payload size (e.g. re-rendered at
-                // another quality level): replace, debiting the old
-                // bytes *before* crediting the new so the global budget
-                // tracks the true sum of entry sizes.
-                if let Some(old_size) = cache.remove_matching(&dup_probe) {
-                    self.bytes.fetch_sub(old_size, Ordering::Relaxed);
-                    replaced = true;
+        let mut stripe = self.stripes[self.stripe_index(game, meta.leaf.0)].lock();
+        let mut replaced = None;
+        let admitted = stripe
+            .on_cache((game, meta.leaf.0), true, |cache| {
+                match cache.peek_size(&dup_probe) {
+                    // Same key, same payload size: genuine duplicate.
+                    Some(old_size) if old_size == size_bytes => return false,
+                    // Same key, different payload size (e.g. re-rendered
+                    // at another quality level): replace.
+                    Some(_) => replaced = cache.remove_matching(&dup_probe),
+                    None => {}
                 }
-            }
-            None => {}
-        }
-        cache.advance_clock(ticket);
-        cache.insert(meta, FrameSource::Fleet, tag, size_bytes, meta.pos);
+                cache.advance_clock(ticket);
+                cache.insert(meta, FrameSource::Fleet, tag, size_bytes, meta.pos);
+                true
+            })
+            .unwrap_or(false);
         drop(stripe);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        if replaced {
+        if !admitted {
+            self.duplicates.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        if let Some(old_size) = replaced {
+            // Debit the old bytes *before* crediting the new so the
+            // global budget tracks the true sum of entry sizes.
+            self.bytes.fetch_sub(old_size, Ordering::Relaxed);
             self.replacements.fetch_add(1, Ordering::Relaxed);
         }
+        self.insertions.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(size_bytes, Ordering::Relaxed);
         if self.advertise.load(Ordering::Relaxed) {
             let mut recent = self.recent.lock();
@@ -674,38 +723,31 @@ impl LocalStore {
         true
     }
 
-    /// Evicts globally-oldest frames until the byte budget holds.
+    /// Evicts globally-oldest frames until the byte budget holds (or
+    /// nothing is left to evict).
     fn enforce_budget(&self) {
         while self.bytes.load(Ordering::Relaxed) > self.capacity_bytes() {
-            // Pass 1: find the stripe+cache holding the globally oldest
-            // entry. Stamps are unique (one ticket per operation), so
-            // the minimum is attained by exactly one cache and the scan
-            // order cannot affect the outcome.
-            let mut victim: Option<(usize, (GameId, u32), u64)> = None;
-            for (si, stripe) in self.stripes.iter().enumerate() {
-                let stripe = stripe.lock();
-                for (key, cache) in &stripe.caches {
-                    if let Some(oldest) = cache.oldest_access() {
-                        if victim.map(|(_, _, v)| oldest < v).unwrap_or(true) {
-                            victim = Some((si, *key, oldest));
-                        }
-                    }
-                }
-            }
-            let Some((si, key, _)) = victim else {
-                break; // budget exceeded but nothing left to evict
-            };
-            // Pass 2: evict from that cache. Under concurrent use
-            // another thread may have emptied it between passes; the
-            // outer loop simply rescans then.
-            let mut stripe = self.stripes[si].lock();
-            if let Some(cache) = stripe.caches.get_mut(&key) {
-                if let Some(freed) = cache.evict_lru() {
-                    self.bytes.fetch_sub(freed, Ordering::Relaxed);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
+            if self.evict_oldest().is_none() {
+                break;
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl LocalStore {
+    /// Leaf caches held, how many of them are empty, head-index keys,
+    /// and the sum of the caches' own byte counts.
+    fn census(&self) -> (usize, usize, usize, u64) {
+        let (mut caches, mut empty, mut heads, mut bytes) = (0, 0, 0, 0);
+        for stripe in &self.stripes {
+            let stripe = stripe.lock();
+            caches += stripe.caches.len();
+            empty += stripe.caches.values().filter(|c| c.is_empty()).count();
+            heads += stripe.heads.len();
+            bytes += stripe.caches.values().map(FrameCache::bytes).sum::<u64>();
+        }
+        (caches, empty, heads, bytes)
     }
 }
 
@@ -1111,5 +1153,99 @@ mod tests {
         assert_eq!(stats.hits + stats.misses, 800);
         assert!(store.bytes() <= 10_000);
         assert!(stats.insertions > 0);
+        // Whatever the interleaving was, the books balance: the budget
+        // counter equals what the caches hold, every cache is filed in
+        // the head index, and evicting the oldest empties the store.
+        let (caches, empty, heads, cache_bytes) = store.census();
+        assert_eq!(store.bytes(), cache_bytes);
+        assert_eq!(store.bytes(), store.len() as u64 * 100);
+        assert_eq!((empty, heads), (0, caches));
+        for left in (0..store.len()).rev() {
+            assert_eq!(store.evict_oldest(), Some(100));
+            assert_eq!(store.len(), left);
+        }
+        assert_eq!(store.evict_oldest(), None);
+        assert_eq!(store.bytes(), 0);
+        assert_eq!(store.census(), (0, 0, 0, 0));
+    }
+
+    #[test]
+    fn equal_stamps_in_one_stripe_evict_each_entry_once() {
+        // With several workers a ticket is drawn before the stripe lock
+        // is taken, so two caches can end up with the same head stamp.
+        // Forced here without threads by rewinding the shared clock
+        // between inserts into two leaves of one stripe; an index keyed
+        // by the stamp alone would file one cache over the other and
+        // never evict its frames.
+        let clock = Arc::new(AtomicU64::new(0));
+        let store = LocalStore::new_with_clock(
+            StoreConfig {
+                shards: 4,
+                ..StoreConfig::default()
+            },
+            clock.clone(),
+        );
+        let game = GameId::Fps;
+        let first = store.stripe_index(game, 0);
+        let twin = (1..)
+            .find(|&leaf| store.stripe_index(game, leaf) == first)
+            .expect("some leaf shares a stripe with leaf 0");
+        let mut sizes = Vec::new();
+        for round in 0..3u64 {
+            for leaf in [0, twin] {
+                clock.store(10 + round, Ordering::Relaxed);
+                let size = 100 + sizes.len() as u64;
+                assert!(store.insert(game, meta(round as i32 * 40, 0, leaf, 7), size));
+                sizes.push(size);
+            }
+        }
+        assert_eq!(store.census().2, 2, "one head-index key per cache");
+        let mut stamps = Vec::new();
+        let mut freed: Vec<u64> = std::iter::from_fn(|| {
+            stamps.extend(store.oldest_stamp());
+            store.evict_oldest()
+        })
+        .collect();
+        assert_eq!(stamps, [11, 11, 12, 12, 13, 13], "the two caches tie");
+        freed.sort_unstable();
+        assert_eq!(freed, sizes, "every entry evicted exactly once");
+        assert_eq!((store.bytes(), store.len()), (0, 0));
+        assert_eq!(store.oldest_stamp(), None);
+        assert_eq!(store.stats().evictions, 6);
+    }
+
+    #[test]
+    fn emptied_leaf_caches_are_freed() {
+        // A store that holds ~8 frames roams across 2 500 leaves. Every
+        // leaf it leaves behind has had its last frame evicted; its
+        // cache must go with it, or a long-running server grows with
+        // every leaf it has ever visited.
+        let store = LocalStore::new(StoreConfig {
+            capacity_bytes: 8 * 1500,
+            shards: 4,
+            ..StoreConfig::default()
+        });
+        for leaf in 0..2_500u32 {
+            for i in 0..3 {
+                assert!(store.insert(GameId::Fps, meta(i * 10, 0, leaf, 7), 1500));
+            }
+            let (caches, empty, heads, _) = store.census();
+            assert_eq!(empty, 0, "an emptied cache outlived its last frame");
+            assert_eq!(heads, caches);
+            assert!(
+                caches <= store.len(),
+                "{caches} caches for {} frames",
+                store.len()
+            );
+        }
+        assert_eq!(store.len(), 8);
+        // Replacing a leaf's only frame keeps its cache; evicting it
+        // drops the cache.
+        let lone = LocalStore::new(StoreConfig::default());
+        assert!(lone.insert(GameId::Fps, meta(1, 1, 9, 7), 100));
+        assert!(lone.insert(GameId::Fps, meta(1, 1, 9, 7), 200));
+        assert_eq!(lone.census(), (1, 0, 1, 200));
+        assert_eq!(lone.evict_oldest(), Some(200));
+        assert_eq!(lone.census(), (0, 0, 0, 0));
     }
 }
