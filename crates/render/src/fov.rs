@@ -56,7 +56,7 @@ impl FovOptions {
         let (sp, cp) = pitch.sin_cos();
         let forward = Vec3::new(sy * cp, sp, cy * cp);
         let right = Vec3::new(cy, 0.0, -sy);
-        let up = right.cross(forward).normalized();
+        let up = forward.cross(right).normalized();
 
         let pw = pano.width() as f64;
         let ph = pano.height() as f64;
@@ -122,6 +122,36 @@ mod tests {
             c_up < c_level,
             "pitching up should sample smaller y: {c_up} vs {c_level}"
         );
+    }
+
+    #[test]
+    fn output_rows_run_from_above_to_below_the_view_axis() {
+        // Luma is the panorama row, so a crop's luma must grow downwards;
+        // the centre pixel alone cannot tell an upside-down crop.
+        let pano = LumaFrame::from_fn(256, 128, |_, y| y as f32 / 127.0);
+        let opts = FovOptions::default();
+        let column = |pitch: f64| {
+            let out = opts.crop(&pano, 0.0, pitch);
+            let x = opts.width / 2;
+            [
+                out.get(x, 0),
+                out.get(x, opts.height / 2),
+                out.get(x, opts.height - 1),
+            ]
+        };
+        let level = column(0.0);
+        assert!(
+            level[0] < level[1] && level[1] < level[2],
+            "top row must sample above the horizon: {level:?}"
+        );
+        let up = column(0.6);
+        assert!(up[0] < up[1] && up[1] < up[2], "pitched: {up:?}");
+        for (u, l) in up.iter().zip(level) {
+            assert!(
+                *u < l,
+                "pitching up must raise every row: {up:?} vs {level:?}"
+            );
+        }
     }
 
     #[test]
