@@ -10,27 +10,55 @@
 //!   every per-pixel transcendental — the `sin_cos` pair behind each
 //!   pixel's direction vector, the `atan2`/`asin` of the sky and object
 //!   hit tests — is a function of the pixel's row/column alone. They are
-//!   computed once per renderer (lazily, shared across clones) and every
-//!   frame after that is table lookups plus arithmetic.
+//!   computed once per renderer (lazily, shared with every clone) and
+//!   every frame after that is table lookups plus arithmetic. The sky
+//!   rows — gradient, clouds, mountain silhouette — depend on nothing
+//!   else either, so the tables hold them shaded and a frame copies them.
 //! * **Row hoisting.** A pixel row shares one elevation, so the ground
-//!   ray length, the fog attenuation `exp`, and the sky gradient are
-//!   lifted out of the column loop.
+//!   ray length and the fog attenuation `exp` are lifted out of the
+//!   column loop.
 //! * **Object binning.** Scene/FI objects are projected to their angular
 //!   row/column spans once per frame ([`coterie_world::AngularExtent`])
 //!   and only rasterized over the rows they can touch.
 //! * **Band parallelism.** The panorama splits into horizontal bands
 //!   that own disjoint `frame`/`mask`/`depth` slices; bands run on the
-//!   shared [`coterie_parallel`] substrate. Rows are computed
-//!   independently (background first, then objects in a fixed order), so
-//!   output is bit-identical at any worker count — the golden-frame test
-//!   pins this against the original scalar renderer's hashes.
+//!   shared [`coterie_parallel`] substrate. Every band runs the whole
+//!   paint order below on its own rows, so output is bit-identical at
+//!   any worker count — the golden-frame test pins this against the
+//!   original scalar renderer's hashes.
+//!
+//! # Paint order: every pixel is shaded once
+//!
+//! Shading is the cost (a ground pixel is four fBm octaves of normal
+//! probes, an object pixel a `value_noise`), so a band decides each
+//! pixel's winner before shading it:
+//!
+//! 1. sky rows are copied from the tables and fog rows filled;
+//! 2. ground rows write only their depth, where the filter includes
+//!    them;
+//! 3. objects are painted nearest first, each pixel behind the usual
+//!    test `depth > dist as f32`;
+//! 4. ground pixels no object took (mask still clear, depth still the
+//!    row's) are shaded.
+//!
+//! The output is bit-identical to painting a fully shaded background and
+//! then every object in scene order (BE objects, then FI), because both
+//! give each pixel to the same winner: the object with the least
+//! `dist as f32` among those that hit it, the earliest in scene order
+//! among equals (the test is strict, so a later equal never overwrites),
+//! or the ground when its `t as f32` is not greater. Nearest-first meets
+//! that winner first and everything after it fails the test unshaded.
+//! The sort must therefore be stable and keyed on the same `f32` the
+//! test compares: two objects whose `f64` distances differ but round to
+//! one `f32` tie in the test, and an `f64` key would let the later one
+//! paint first and win.
 
 use coterie_frame::LumaFrame;
 use coterie_parallel::par_for_each;
 use coterie_parallel::simd::{self, SimdLevel, SphereHit};
 use coterie_telemetry::{Stage, TelemetrySink, TrackId, KERNEL_PID};
 use coterie_world::noise::{value_noise, value_noise_cached, NoiseCellCache};
-use coterie_world::{ObjectKind, Scene, SceneObject, Terrain, Vec3};
+use coterie_world::{ObjectKind, Scene, SceneObject, Vec3};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
@@ -165,6 +193,24 @@ struct TrigTables {
     azimuth: Vec<f64>,
     /// `dir.y.asin()` per row.
     elevation: Vec<f64>,
+    /// Luma of the sky rows (the leading rows with `row_sin >=
+    /// HORIZON_SIN`), row-major: sky gradient, clouds and the mountain
+    /// silhouette depend on the pixel grid alone, not on scene or eye.
+    sky: Vec<f32>,
+}
+
+/// Rows whose `sin(elevation)` is at least this look at the sky; the rows
+/// below it hit the ground plane.
+const HORIZON_SIN: f64 = -1e-4;
+
+/// What a panorama row shows before any object is painted.
+enum RowKind {
+    /// Sky or distant mountain silhouette, at infinite distance.
+    Sky,
+    /// Ground beyond the render distance, faded into fog.
+    Fog,
+    /// Ground plane, hit after a ray of length `t` anywhere in the row.
+    Ground { t: f64 },
 }
 
 impl TrigTables {
@@ -197,6 +243,58 @@ impl TrigTables {
                 azimuth.push((cs * ce).atan2(cc * ce));
             }
         }
+        let mountain_seed = 0x304E_7411u64;
+        // Cell-cached noise: consecutive pixels share lattice cells, so
+        // these skip nearly all hashing while returning identical values.
+        let mut ridge_broad = NoiseCellCache::new();
+        let mut ridge_fine = NoiseCellCache::new();
+        let mut mountain_tex = NoiseCellCache::new();
+        let mut cloud_tex = NoiseCellCache::new();
+        let sky_rows = row_sin.iter().take_while(|&&se| se >= HORIZON_SIN).count();
+        let mut sky = Vec::with_capacity(sky_rows * w);
+        for (&elevation, az_row) in elevation[..sky_rows].iter().zip(azimuth.chunks_exact(w)) {
+            let t = (elevation / std::f64::consts::FRAC_PI_2).clamp(0.0, 1.0);
+            let sky_base = 0.80 + 0.12 * t;
+            for &azimuth in az_row {
+                let ridge = 0.02
+                    + 0.06
+                        * value_noise_cached(
+                            &mut ridge_broad,
+                            mountain_seed,
+                            azimuth * 2.2 + 9.0,
+                            0.0,
+                        )
+                    + 0.03
+                        * value_noise_cached(
+                            &mut ridge_fine,
+                            mountain_seed ^ 1,
+                            azimuth * 7.0,
+                            0.3,
+                        );
+                let v = if elevation < ridge {
+                    // Mountain band.
+                    (0.45
+                        + 0.12
+                            * value_noise_cached(
+                                &mut mountain_tex,
+                                mountain_seed ^ 2,
+                                azimuth * 5.0,
+                                elevation * 30.0,
+                            )) as f32
+                } else {
+                    // Sky gradient with faint clouds.
+                    (sky_base
+                        + 0.05
+                            * value_noise_cached(
+                                &mut cloud_tex,
+                                mountain_seed ^ 3,
+                                azimuth * 3.0,
+                                elevation * 6.0,
+                            )) as f32
+                };
+                sky.push(v.clamp(0.0, 1.0));
+            }
+        }
         TrigTables {
             col_sin,
             col_cos,
@@ -204,6 +302,7 @@ impl TrigTables {
             row_cos,
             azimuth,
             elevation,
+            sky,
         }
     }
 
@@ -228,6 +327,9 @@ struct ObjectJob<'a> {
     /// Eye-to-center vector.
     v: Vec3,
     dist: f64,
+    /// `dist as f32`: what the depth test compares and stores, and the
+    /// front-to-back sort key.
+    depth: f32,
     half_width: f64,
     /// `half_width.cos()` — the sphere hit-test threshold.
     cos_half_width: f64,
@@ -265,8 +367,9 @@ pub struct Renderer {
     opts: RenderOptions,
     /// Requested band-parallel worker count; `0`/`1` renders serially.
     workers: usize,
-    /// Lazily built trig tables, shared across clones of this renderer.
-    tables: OnceLock<Arc<TrigTables>>,
+    /// Lazily built trig tables, shared with every clone of this renderer
+    /// whichever of them renders first.
+    tables: Arc<OnceLock<TrigTables>>,
     /// Telemetry sink for per-band render spans; disabled (a single
     /// branch per band) unless installed with [`Renderer::with_telemetry`].
     telemetry: TelemetrySink,
@@ -281,7 +384,7 @@ impl Default for Renderer {
         Renderer {
             opts: RenderOptions::default(),
             workers: 0,
-            tables: OnceLock::new(),
+            tables: Arc::default(),
             telemetry: TelemetrySink::default(),
             simd: simd::detected_level(),
         }
@@ -294,7 +397,7 @@ impl Renderer {
         Renderer {
             opts,
             workers: 1,
-            tables: OnceLock::new(),
+            tables: Arc::default(),
             telemetry: TelemetrySink::disabled(),
             simd: simd::detected_level(),
         }
@@ -336,9 +439,9 @@ impl Renderer {
         self.workers.max(1)
     }
 
-    fn tables(&self) -> &Arc<TrigTables> {
+    fn tables(&self) -> &TrigTables {
         self.tables.get_or_init(|| {
-            let t = Arc::new(TrigTables::build(&self.opts));
+            let t = TrigTables::build(&self.opts);
             // The tables must reproduce pixel_dir bit-for-bit; spot-check
             // the corners and center so a drifted formula fails fast.
             for &(px, py) in &[
@@ -376,13 +479,15 @@ impl Renderer {
     ) -> Panorama {
         let w = self.opts.width;
         let h = self.opts.height;
-        let tables = Arc::clone(self.tables());
+        let tables = self.tables();
         let mut frame = LumaFrame::new(w, h);
         let mut mask = vec![0u8; (w * h) as usize];
         let mut depth = vec![f32::INFINITY; (w * h) as usize];
 
-        // Bin the frame's objects by angular span, preserving the scalar
-        // renderer's paint order: filtered BE objects first, FI last.
+        // Bin the frame's objects by angular span — filtered BE objects
+        // first, FI last — then order them front to back. The sort is
+        // stable on the f32 the depth test compares, so objects at one
+        // depth keep that order (see the module docs).
         let mut jobs: Vec<ObjectJob<'_>> = Vec::new();
         for obj in scene.objects_within(eye.ground(), self.opts.render_distance) {
             let d = obj.ground_distance(eye);
@@ -400,9 +505,11 @@ impl Renderer {
                 }
             }
         }
+        jobs.sort_by(|a, b| a.depth.total_cmp(&b.depth));
+        let eye_above = (eye.y - scene.terrain().height(eye.ground())).max(0.2);
 
         // Split the output buffers into per-band row ranges; every band
-        // paints its rows completely (background, then objects clipped to
+        // paints its rows completely (all four steps, objects clipped to
         // the band), so bands never touch each other's memory.
         let band_count = self.workers().min(h as usize).max(1);
         let rows_per_band = (h as usize).div_ceil(band_count);
@@ -434,14 +541,15 @@ impl Renderer {
         }
         par_for_each(bands, |mut band| {
             let started = self.telemetry.is_enabled().then(std::time::Instant::now);
-            self.paint_background_band(scene, eye, filter, &tables, &mut band);
+            self.paint_sky_and_ground_depth(eye_above, filter, tables, &mut band);
             let band_end = (band.y0 + band.rows) as i64;
             for job in &jobs {
                 if job.py_bot < band.y0 as i64 || job.py_top >= band_end {
                     continue;
                 }
-                self.paint_object_band(job, &tables, &mut band);
+                self.paint_object_band(job, tables, &mut band);
             }
+            self.shade_ground_band(scene, eye, eye_above, tables, &mut band);
             if let Some(t0) = started {
                 self.telemetry.span(
                     TrackId {
@@ -475,16 +583,32 @@ impl Renderer {
         Vec3::new(sa * ce, se, ca * ce)
     }
 
-    /// Pixel coordinates of a world direction; returns fractional
-    /// `(x, y)`.
+    /// Fractional pixel column of an azimuth.
     #[inline]
-    fn dir_to_pixel(&self, dir: Vec3) -> (f64, f64) {
-        let azimuth = dir.x.atan2(dir.z);
-        let elevation = (dir.y / dir.length().max(1e-12)).asin();
-        let x = (azimuth + std::f64::consts::PI) / std::f64::consts::TAU * self.opts.width as f64;
-        let y = (std::f64::consts::FRAC_PI_2 - elevation) / std::f64::consts::PI
-            * self.opts.height as f64;
-        (x, y)
+    fn azimuth_to_px(&self, azimuth: f64) -> f64 {
+        (azimuth + std::f64::consts::PI) / std::f64::consts::TAU * self.opts.width as f64
+    }
+
+    /// Fractional pixel row of an elevation.
+    #[inline]
+    fn elevation_to_py(&self, elevation: f64) -> f64 {
+        (std::f64::consts::FRAC_PI_2 - elevation) / std::f64::consts::PI * self.opts.height as f64
+    }
+
+    /// What row `py` shows behind the objects, for an eye `eye_above`
+    /// meters over the ground plane.
+    #[inline]
+    fn row_kind(&self, tables: &TrigTables, py: usize, eye_above: f64) -> RowKind {
+        let se = tables.row_sin[py];
+        if se >= HORIZON_SIN {
+            return RowKind::Sky;
+        }
+        let t = eye_above / (-se);
+        if t > self.opts.render_distance {
+            RowKind::Fog
+        } else {
+            RowKind::Ground { t }
+        }
     }
 
     /// Fog blend with a precomputed attenuation factor
@@ -513,25 +637,19 @@ impl Renderer {
             .abs()
             .max(0.05);
         let half_w_px = (ext.half_width / cos_mid * px_per_rad).ceil() as i64 + 1;
-        let (cx, _) = self.dir_to_pixel(v);
-        let py_top = ((std::f64::consts::FRAC_PI_2 - ext.top_elevation) / std::f64::consts::PI
-            * self.opts.height as f64)
-            .floor() as i64
-            - 1;
-        let py_bot = ((std::f64::consts::FRAC_PI_2 - ext.base_elevation) / std::f64::consts::PI
-            * self.opts.height as f64)
-            .ceil() as i64
-            + 1;
+        let py_top = self.elevation_to_py(ext.top_elevation).floor() as i64 - 1;
+        let py_bot = self.elevation_to_py(ext.base_elevation).ceil() as i64 + 1;
         Some(ObjectJob {
             obj,
             v,
             dist: ext.distance,
+            depth: ext.distance as f32,
             half_width: ext.half_width,
             cos_half_width: ext.half_width.cos(),
             base_elevation: ext.base_elevation,
             top_elevation: ext.top_elevation,
             center_azimuth: ext.center_azimuth,
-            cx,
+            cx: self.azimuth_to_px(ext.center_azimuth),
             half_w_px,
             py_top: py_top.max(0),
             py_bot: py_bot.min(self.opts.height as i64 - 1),
@@ -540,131 +658,97 @@ impl Renderer {
         })
     }
 
-    fn paint_background_band(
+    /// Steps (a) and (b) of the paint order: sky and fog rows are final;
+    /// ground rows get their depth only, where the filter includes them.
+    fn paint_sky_and_ground_depth(
         &self,
-        scene: &Scene,
-        eye: Vec3,
+        eye_above: f64,
         filter: RenderFilter,
         tables: &TrigTables,
         band: &mut Band<'_>,
     ) {
         let w = self.opts.width as usize;
-        let terrain: &Terrain = scene.terrain();
-        let local_ground = terrain.height(eye.ground());
-        let eye_above = (eye.y - local_ground).max(0.2);
         let include_sky = filter.includes_sky();
-        let mountain_seed = 0x304E_7411u64;
-        // Hoisted: the scalar renderer rebuilt this unit vector per pixel.
-        let light = Vec3::new(0.35, 0.85, 0.40).normalized();
-        // Cell-cached noise: consecutive pixels share lattice cells, so
-        // these skip nearly all hashing while returning identical values.
-        let mut sampler = terrain.sampler();
-        let mut ridge_broad = NoiseCellCache::new();
-        let mut ridge_fine = NoiseCellCache::new();
-        let mut mountain_tex = NoiseCellCache::new();
-        let mut cloud_tex = NoiseCellCache::new();
-
         for row in 0..band.rows {
             let py = band.y0 + row;
-            let se = tables.row_sin[py];
-            let row_off = row * w;
-            if se >= -1e-4 {
-                // Sky or distant mountain silhouette: both at infinite
-                // distance, part of the far BE. One elevation per row.
-                if !include_sky {
-                    continue;
-                }
-                let elevation = tables.elevation[py];
-                let t = (elevation / std::f64::consts::FRAC_PI_2).clamp(0.0, 1.0);
-                let sky_base = 0.80 + 0.12 * t;
-                let az_row = &tables.azimuth[py * w..(py + 1) * w];
-                for (px, &azimuth) in az_row.iter().enumerate() {
-                    let ridge = 0.02
-                        + 0.06
-                            * value_noise_cached(
-                                &mut ridge_broad,
-                                mountain_seed,
-                                azimuth * 2.2 + 9.0,
-                                0.0,
-                            )
-                        + 0.03
-                            * value_noise_cached(
-                                &mut ridge_fine,
-                                mountain_seed ^ 1,
-                                azimuth * 7.0,
-                                0.3,
-                            );
-                    let v = if elevation < ridge {
-                        // Mountain band.
-                        (0.45
-                            + 0.12
-                                * value_noise_cached(
-                                    &mut mountain_tex,
-                                    mountain_seed ^ 2,
-                                    azimuth * 5.0,
-                                    elevation * 30.0,
-                                )) as f32
-                    } else {
-                        // Sky gradient with faint clouds.
-                        (sky_base
-                            + 0.05
-                                * value_noise_cached(
-                                    &mut cloud_tex,
-                                    mountain_seed ^ 3,
-                                    azimuth * 3.0,
-                                    elevation * 6.0,
-                                )) as f32
-                    };
-                    let idx = row_off + px;
-                    band.frame[idx] = v.clamp(0.0, 1.0);
-                    band.mask[idx] = 1;
-                    band.depth[idx] = f32::INFINITY;
-                }
-            } else {
-                // Ground: intersect the local ground plane, then shade
-                // from the terrain albedo at the hit point. This gives
-                // true ground parallax — the near ground texture
-                // streams past a moving viewpoint, far ground barely
-                // moves. The ray length `t` is shared by the whole row.
-                let t = eye_above / (-se);
-                if t > self.opts.render_distance {
-                    if !include_sky {
-                        continue;
+            let span = row * w..(row + 1) * w;
+            match self.row_kind(tables, py, eye_above) {
+                // Both at infinite distance, part of the far BE; `depth`
+                // is already infinite.
+                RowKind::Sky => {
+                    if include_sky {
+                        band.frame[span.clone()].copy_from_slice(&tables.sky[py * w..(py + 1) * w]);
+                        band.mask[span].fill(1);
                     }
-                    // Beyond the render distance the ground fades into
-                    // fog (treated as far BE): three row-wide fills
-                    // instead of a per-pixel store loop.
-                    let fog = self.opts.fog_luma.clamp(0.0, 1.0);
-                    band.frame[row_off..row_off + w].fill(fog);
-                    band.mask[row_off..row_off + w].fill(1);
-                    band.depth[row_off..row_off + w].fill(self.opts.render_distance as f32);
-                    continue;
                 }
-                let fog_k = self.fog_k(t);
+                // Beyond the render distance the ground fades into fog
+                // (treated as far BE).
+                RowKind::Fog => {
+                    if include_sky {
+                        band.frame[span.clone()].fill(self.opts.fog_luma.clamp(0.0, 1.0));
+                        band.mask[span.clone()].fill(1);
+                        band.depth[span].fill(self.opts.render_distance as f32);
+                    }
+                }
                 // The cutoff radius is horizontal (Figure 4), so the
                 // filter tests the ground-plane distance of the hit. With
                 // the `All` filter that distance is never consumed, so
                 // skip computing it (a sqrt per pixel).
-                let filtered = !matches!(filter, RenderFilter::All);
-                for px in 0..w {
-                    let dir = tables.dir(px, py);
-                    if filtered {
-                        let ground_dist = t * dir.ground().length();
-                        if !filter.includes(ground_dist) {
-                            continue;
+                RowKind::Ground { t } if matches!(filter, RenderFilter::All) => {
+                    band.depth[span].fill(t as f32);
+                }
+                RowKind::Ground { t } => {
+                    for (px, depth) in band.depth[span].iter_mut().enumerate() {
+                        let ground_dist = t * tables.dir(px, py).ground().length();
+                        if filter.includes(ground_dist) {
+                            *depth = t as f32;
                         }
                     }
-                    let hit = eye + dir * t;
-                    let albedo = sampler.albedo(hit.ground()) as f32;
-                    // Slope shading from the terrain normal.
-                    let n = sampler.normal(hit.ground());
-                    let lambert = n.dot(light).max(0.0) as f32;
-                    let v = self.fog_apply(albedo * (0.45 + 0.55 * lambert), fog_k);
-                    let idx = row_off + px;
-                    band.frame[idx] = v.clamp(0.0, 1.0);
-                    band.mask[idx] = 1;
-                    band.depth[idx] = t as f32;
                 }
+            }
+        }
+    }
+
+    /// Step (d): shades the ground pixels no object took. Those are the
+    /// pixels still unmasked at their prefilled depth — an object that
+    /// painted one left a smaller depth and a set mask.
+    fn shade_ground_band(
+        &self,
+        scene: &Scene,
+        eye: Vec3,
+        eye_above: f64,
+        tables: &TrigTables,
+        band: &mut Band<'_>,
+    ) {
+        let w = self.opts.width as usize;
+        // Hoisted: the scalar renderer rebuilt this unit vector per pixel.
+        let light = Vec3::new(0.35, 0.85, 0.40).normalized();
+        // Cell-cached noise, as for the sky plane.
+        let mut sampler = scene.terrain().sampler();
+        for row in 0..band.rows {
+            let py = band.y0 + row;
+            // Intersect the local ground plane, then shade from the
+            // terrain albedo at the hit point. This gives true ground
+            // parallax — the near ground texture streams past a moving
+            // viewpoint, far ground barely moves. The ray length `t` is
+            // shared by the whole row.
+            let RowKind::Ground { t } = self.row_kind(tables, py, eye_above) else {
+                continue;
+            };
+            let fog_k = self.fog_k(t);
+            for px in 0..w {
+                let idx = row * w + px;
+                if band.mask[idx] != 0 || band.depth[idx] != t as f32 {
+                    continue;
+                }
+                let hit = eye + tables.dir(px, py) * t;
+                let albedo = sampler.albedo(hit.ground()) as f32;
+                // Slope shading from the terrain normal.
+                let n = sampler.normal(hit.ground());
+                let lambert = n.dot(light).max(0.0) as f32;
+                let v = self.fog_apply(albedo * (0.45 + 0.55 * lambert), fog_k);
+                band.frame[idx] = v.clamp(0.0, 1.0);
+                band.mask[idx] = 1;
             }
         }
     }
@@ -783,9 +867,8 @@ impl Renderer {
         px: usize,
         pyu: usize,
     ) {
-        let dist_f32 = job.dist as f32;
         let idx = row_off + px;
-        if band.depth[idx] <= dist_f32 {
+        if band.depth[idx] <= job.depth {
             return;
         }
         let dir = tables.dir(px, pyu);
@@ -804,7 +887,7 @@ impl Renderer {
         let shade = (job.obj.albedo * (0.55 + 0.45 * tex)) as f32;
         band.frame[idx] = self.fog_apply(shade, job.fog_k).clamp(0.0, 1.0);
         band.mask[idx] = 1;
-        band.depth[idx] = dist_f32;
+        band.depth[idx] = job.depth;
     }
 }
 
@@ -998,7 +1081,8 @@ mod tests {
         for &(px, py) in &[(0u32, 0u32), (100, 60), (255, 127), (128, 64)] {
             let dir = r.pixel_dir(px, py);
             assert!((dir.length() - 1.0).abs() < 1e-9);
-            let (x, y) = r.dir_to_pixel(dir);
+            let x = r.azimuth_to_px(dir.x.atan2(dir.z));
+            let y = r.elevation_to_py(dir.y.asin());
             assert!((x - (px as f64 + 0.5)).abs() < 0.51, "px {px} -> {x}");
             assert!((y - (py as f64 + 0.5)).abs() < 0.51, "py {py} -> {y}");
         }
@@ -1027,6 +1111,30 @@ mod tests {
                 });
                 assert_eq!(tables.elevation[py], dir.y.asin());
             }
+        }
+    }
+
+    #[test]
+    fn clone_taken_before_the_first_render_shares_one_table_build() {
+        // `RenderServer::new(scene, renderer.clone())` clones before
+        // either side has rendered; both must still see one table set.
+        let a = Renderer::new(RenderOptions::fast());
+        let b = a.clone();
+        assert!(std::ptr::eq(b.tables(), a.tables()));
+        assert!(std::ptr::eq(a.clone().tables(), a.tables()));
+        let other = Renderer::new(RenderOptions::fast());
+        assert!(!std::ptr::eq(other.tables(), a.tables()));
+    }
+
+    #[test]
+    fn sky_plane_holds_exactly_the_rows_above_the_horizon() {
+        let r = Renderer::default();
+        let t = r.tables();
+        let w = r.opts.width as usize;
+        assert_eq!(t.sky.len() % w, 0);
+        let sky_rows = t.sky.len() / w;
+        for (py, &se) in t.row_sin.iter().enumerate() {
+            assert_eq!(se >= HORIZON_SIN, py < sky_rows, "row {py}");
         }
     }
 
