@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the performance-critical substrates:
-//! SSIM, the codec, the panoramic renderer, frame-cache and fleet-store
+//! SSIM, the codec, the panoramic renderer and FoV crop, frame-cache and fleet-store
 //! operations (including eviction against store size) and the cutoff
 //! solver.
 
@@ -11,7 +11,7 @@ use coterie_core::{CacheConfig, CacheQuery, CacheVersion, FrameCache, FrameMeta,
 use coterie_device::DeviceProfile;
 use coterie_frame::{ssim, ssim_with_simd, LumaFrame, SsimOptions};
 use coterie_parallel::simd;
-use coterie_render::{RenderFilter, RenderOptions, Renderer};
+use coterie_render::{FovOptions, RenderFilter, RenderOptions, Renderer};
 use coterie_serve::{SharedFrameStore, StoreConfig};
 use coterie_telemetry::{Stage, TelemetryConfig, TelemetrySink, TrackId};
 use coterie_world::{GameId, GameSpec, GridPoint, LeafId, Vec2};
@@ -76,6 +76,27 @@ fn bench_render(c: &mut Criterion) {
         })
     });
     c.bench_function("render_far_256x128", |bench| {
+        bench.iter(|| {
+            renderer.render_panorama(black_box(&scene), eye, RenderFilter::FarOnly { cutoff })
+        })
+    });
+    // The crop every displayed frame pays, level (what the benchmark's
+    // `frame_pipeline` passes) and pitched (what a headset does).
+    let pano = renderer
+        .render_panorama(&scene, eye, RenderFilter::All)
+        .frame;
+    let fov = FovOptions::default();
+    for (name, pitch) in [("level", 0.0), ("pitched", 0.4)] {
+        c.bench_function(&format!("fov_crop_160x90/{name}"), |bench| {
+            bench.iter(|| fov.crop(black_box(&pano), black_box(0.9), black_box(pitch)))
+        });
+    }
+    // Far BE in the benchmark's world (`ServerConfig::default().world_seed`):
+    // about 1 300 object jobs a frame, a case the seed-7 scene above
+    // does not reach.
+    let scene = spec.build_scene(42);
+    let eye = scene.eye(scene.bounds().center());
+    c.bench_function("render_far_256x128/world42", |bench| {
         bench.iter(|| {
             renderer.render_panorama(black_box(&scene), eye, RenderFilter::FarOnly { cutoff })
         })
