@@ -255,54 +255,60 @@ mod tests {
         assert_eq!(par_map_ws(&[1, 2], |&x| x * 10), vec![10, 20]);
     }
 
-    /// One item 100× heavier than the rest: dynamic claiming must not
-    /// serialize the light items behind it. The worker that draws the
-    /// heavy item (index 0, claimed first) stays busy on it while the
-    /// other workers drain everything else, so it ends up with far
-    /// fewer items than an even chunked split would give it.
+    /// One item that cannot finish until every other item has: dynamic
+    /// claiming must let the remaining workers drain the rest of the
+    /// input past it. Item 0 (claimed first) waits for the other 255 to
+    /// be done; under an up-front chunked split its own worker would
+    /// still hold some of them and the wait would never end, so it gives
+    /// up after a bound that only a failing run reaches. Nothing here
+    /// depends on how fast or on which thread an item runs.
     #[test]
     fn ws_skewed_workload_does_not_straggle() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
         if threads < 2 {
-            return; // no second worker to absorb the light items
+            return; // no second worker to drain past the blocked one
         }
-        let spin = |units: u64| -> u64 {
-            let mut acc = 0x9E3779B97F4A7C15u64;
-            for i in 0..units * 20_000 {
-                acc = acc.rotate_left(7) ^ i;
+        const ITEMS: usize = 256;
+        let claims: Vec<AtomicUsize> = (0..ITEMS).map(|_| AtomicUsize::new(0)).collect();
+        let light_done = Mutex::new(0usize);
+        let all_light_done = Condvar::new();
+        let input: Vec<usize> = (0..ITEMS).collect();
+        let out = par_map_ws(&input, |&i| {
+            claims[i].fetch_add(1, Ordering::SeqCst);
+            if i == 0 {
+                let done = light_done.lock().expect("no worker panics");
+                let (done, _) = all_light_done
+                    .wait_timeout_while(done, Duration::from_secs(30), |d| *d < ITEMS - 1)
+                    .expect("no worker panics");
+                return (i, *done);
             }
-            acc
-        };
-        // Item 0 costs 100 units, the other 255 cost 1 unit each.
-        let weights: Vec<u64> = std::iter::once(100)
-            .chain(std::iter::repeat_n(1, 255))
-            .collect();
-        let who: Vec<std::sync::Mutex<std::thread::ThreadId>> = weights
-            .iter()
-            .map(|_| std::sync::Mutex::new(std::thread::current().id()))
-            .collect();
-        let out = par_map_ws(
-            &weights.iter().copied().enumerate().collect::<Vec<_>>(),
-            |&(i, w)| {
-                *who[i].lock().expect("who lock") = std::thread::current().id();
-                spin(w)
-            },
+            *light_done.lock().expect("no worker panics") += 1;
+            all_light_done.notify_all();
+            (i, 0)
+        });
+        // Results in input order, every item claimed exactly once.
+        assert_eq!(
+            out.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            input,
+            "results out of input order"
         );
-        assert_eq!(out.len(), weights.len());
-        let heavy_worker = *who[0].lock().expect("who lock");
-        let handled_by_heavy = who
-            .iter()
-            .filter(|m| *m.lock().expect("who lock") == heavy_worker)
-            .count();
-        // A chunked split would hand the heavy worker len/threads items
-        // (>= 16 on <= 16 cores); with stealing it should finish the
-        // heavy item plus at most a handful it claimed before/after.
-        let chunk = weights.len() / threads.min(weights.len());
-        assert!(
-            handled_by_heavy < chunk.max(8),
-            "heavy worker handled {handled_by_heavy} items (chunk would be {chunk})"
+        for (i, c) in claims.iter().enumerate() {
+            assert_eq!(
+                c.load(Ordering::SeqCst),
+                1,
+                "item {i} claimed more or less than once"
+            );
+        }
+        assert_eq!(
+            out[0].1,
+            ITEMS - 1,
+            "the other workers did not drain the input past the blocked item"
         );
     }
 
