@@ -6,24 +6,19 @@
 //! requesting a new render. This module implements that crop as a
 //! perspective resampling of the equirectangular image.
 //!
-//! # Cost
-//!
-//! The crop runs once per displayed frame, so it is built to cost
-//! "almost nothing" without holding any state. The view ray is linear in
-//! the output pixel, `dir = (forward + up·v) + right·u`: a base per row
-//! plus an offset per column, never normalised because both angles are
-//! ratios — azimuth `atan2(dx, dz)`, elevation `atan2(dy, hypot(dx,
-//! dz))`. Each output row is two passes. The first turns the row's rays
-//! into panorama coordinates with a branch-free polynomial `atan2` in
-//! `f32` ([`atan2_f32`], within 2.5e-6 rad of libm, which is 1e-4 of a
-//! pixel of a 256-wide panorama); with no gather and no branch in it the
-//! compiler vectorises it. The second gathers and blends. Nothing is
-//! cached between calls — no sampling map keyed by (yaw, pitch), no
-//! thread-local: a headset's pitch and yaw change every frame, so such a
-//! map would miss in use however well it measured at a fixed pitch.
-//!
-//! The exact per-pixel formula (`f64`, libm `atan2`/`asin`) is kept as
-//! `crop_reference` for the tests to compare against.
+//! The crop runs once per displayed frame, so it is cheap without
+//! holding state. The view ray is linear in the output pixel — a base
+//! per row plus an offset per column — and needs no normalising because
+//! both angles are ratios: azimuth `atan2(dx, dz)`, elevation
+//! `atan2(dy, hypot(dx, dz))`. Each output row takes two passes: the
+//! first turns its rays into panorama coordinates with a polynomial
+//! `atan2` in `f32` ([`atan2_f32`]: within 2.5e-6 rad of libm, 1e-4 of a
+//! pixel of a 256-wide panorama) and, having no gather and no branch,
+//! vectorises; the second gathers and blends. Nothing is cached between
+//! calls, neither a sampling map keyed by (yaw, pitch) nor a
+//! thread-local: a headset's yaw and pitch change every frame, so a map
+//! that measured well at a fixed pitch would miss in use. The tests keep
+//! the exact per-pixel formula (`f64`, libm) to compare against.
 
 use coterie_frame::LumaFrame;
 use coterie_world::Vec3;
@@ -53,26 +48,11 @@ impl Default for FovOptions {
 }
 
 /// The view rays of one crop: output pixel `(x, y)` looks along
-/// `forward + right·u(x) + up·v(y)` (not normalised).
+/// `corner + right·(x + ½) + down·(y + ½)` (not normalised).
 struct Camera {
-    forward: Vec3,
+    corner: Vec3,
     right: Vec3,
-    up: Vec3,
-    /// Half extents of the image plane at unit distance.
-    half_w: f64,
-    half_h: f64,
-    width: f64,
-    height: f64,
-}
-
-impl Camera {
-    fn u(&self, x: u32) -> f64 {
-        ((x as f64 + 0.5) / self.width * 2.0 - 1.0) * self.half_w
-    }
-
-    fn v(&self, y: u32) -> f64 {
-        (1.0 - (y as f64 + 0.5) / self.height * 2.0) * self.half_h
-    }
+    down: Vec3,
 }
 
 impl FovOptions {
@@ -87,20 +67,18 @@ impl FovOptions {
             "hfov must be in (0, pi)"
         );
         let half_w = (self.hfov / 2.0).tan();
+        let half_h = half_w * self.height as f64 / self.width as f64;
         // Forward from yaw/pitch; right is level; up completes the basis
         // (world-up projected), so output row 0 is the top of the view.
         let (sy, cy) = yaw.sin_cos();
         let (sp, cp) = pitch.sin_cos();
         let forward = Vec3::new(sy * cp, sp, cy * cp);
         let right = Vec3::new(cy, 0.0, -sy);
+        let up = forward.cross(right).normalized();
         Camera {
-            forward,
-            right,
-            up: forward.cross(right).normalized(),
-            half_w,
-            half_h: half_w * self.height as f64 / self.width as f64,
-            width: self.width as f64,
-            height: self.height as f64,
+            corner: forward - right * half_w + up * half_h,
+            right: right * (2.0 * half_w / self.width as f64),
+            down: up * (-2.0 * half_h / self.height as f64),
         }
     }
 
@@ -116,64 +94,29 @@ impl FovOptions {
         let x_scale = pano.width() as f32 / TAU;
         let y_scale = pano.height() as f32 / PI;
         // `right` is level, so a column moves the ray in x and z only.
-        let (col_x, col_z): (Vec<f32>, Vec<f32>) = (0..self.width)
-            .map(|x| {
-                let offset = cam.right * cam.u(x);
-                (offset.x as f32, offset.z as f32)
-            })
-            .unzip();
-        let mut fx = vec![0.0f32; col_x.len()];
-        let mut fy = vec![0.0f32; col_x.len()];
+        let columns: Vec<(f32, f32)> = (0..self.width)
+            .map(|x| cam.right * (x as f64 + 0.5))
+            .map(|offset| (offset.x as f32, offset.z as f32))
+            .collect();
+        let mut coords = vec![(0.0f32, 0.0f32); columns.len()];
         let mut out = LumaFrame::new(self.width, self.height);
         for y in 0..self.height {
-            let base = cam.forward + cam.up * cam.v(y);
-            let base = [base.x as f32, base.y as f32, base.z as f32];
-            pano_coordinates(base, &col_x, &col_z, [x_scale, y_scale], &mut fx, &mut fy);
-            for (o, (&fx, &fy)) in out.row_mut(y).iter_mut().zip(fx.iter().zip(&fy)) {
+            let base = cam.corner + cam.down * (y as f64 + 0.5);
+            let (bx, by, bz) = (base.x as f32, base.y as f32, base.z as f32);
+            for (coord, &(cx, cz)) in coords.iter_mut().zip(&columns) {
+                let (dx, dz) = (bx + cx, bz + cz);
+                let azimuth = atan2_f32(dx, dz);
+                let elevation = atan2_f32(by, (dx * dx + dz * dz).sqrt());
+                *coord = (
+                    (azimuth + PI) * x_scale - 0.5,
+                    (FRAC_PI_2 - elevation) * y_scale - 0.5,
+                );
+            }
+            for (o, &(fx, fy)) in out.row_mut(y).iter_mut().zip(&coords) {
                 *o = sample_wrapped(pano, fx, fy);
             }
         }
         out
-    }
-
-    /// [`FovOptions::crop`] by the exact formula, one pixel at a time.
-    #[cfg(test)]
-    fn crop_reference(&self, pano: &LumaFrame, yaw: f64, pitch: f64) -> LumaFrame {
-        use std::f64::consts::{FRAC_PI_2, PI, TAU};
-        let cam = self.camera(yaw, pitch);
-        let pw = pano.width() as f64;
-        let ph = pano.height() as f64;
-        LumaFrame::from_fn(self.width, self.height, |x, y| {
-            let dir = (cam.forward + cam.right * cam.u(x) + cam.up * cam.v(y)).normalized();
-            let azimuth = dir.x.atan2(dir.z);
-            let elevation = dir.y.asin();
-            let fx = (azimuth + PI) / TAU * pw - 0.5;
-            let fy = (FRAC_PI_2 - elevation) / PI * ph - 0.5;
-            sample_wrapped(pano, fx as f32, fy as f32)
-        })
-    }
-}
-
-/// Pass 1 of a crop row: the panorama pixel coordinates `(fx, fy)` each
-/// ray `base + (col_x, 0, col_z)` looks at, `scale` being panorama
-/// pixels per radian in x and y. No gather, no branch and slices cut to
-/// one visible length, so the loop vectorises.
-fn pano_coordinates(
-    base: [f32; 3],
-    col_x: &[f32],
-    col_z: &[f32],
-    scale: [f32; 2],
-    fx: &mut [f32],
-    fy: &mut [f32],
-) {
-    let n = fx.len();
-    let (col_x, col_z, fy) = (&col_x[..n], &col_z[..n], &mut fy[..n]);
-    for x in 0..n {
-        let (dx, dz) = (base[0] + col_x[x], base[2] + col_z[x]);
-        let azimuth = atan2_f32(dx, dz);
-        let elevation = atan2_f32(base[1], (dx * dx + dz * dz).sqrt());
-        fx[x] = (azimuth + PI) * scale[0] - 0.5;
-        fy[x] = (FRAC_PI_2 - elevation) * scale[1] - 0.5;
     }
 }
 
@@ -194,11 +137,7 @@ fn atan2_f32(y: f32, x: f32) -> f32 {
     let mut r = p * a;
     r = if steep { FRAC_PI_2 - r } else { r };
     r = if x < 0.0 { PI - r } else { r };
-    if y < 0.0 {
-        -r
-    } else {
-        r
-    }
+    r.copysign(y)
 }
 
 /// Bilinear sample of an equirectangular panorama at pixel coordinates
@@ -225,6 +164,22 @@ fn sample_wrapped(pano: &LumaFrame, fx: f32, fy: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`FovOptions::crop`] by the exact formula, one pixel at a time.
+    fn crop_reference(opts: &FovOptions, pano: &LumaFrame, yaw: f64, pitch: f64) -> LumaFrame {
+        use std::f64::consts::{FRAC_PI_2, PI, TAU};
+        let cam = opts.camera(yaw, pitch);
+        let (pw, ph) = (pano.width() as f64, pano.height() as f64);
+        LumaFrame::from_fn(opts.width, opts.height, |x, y| {
+            let ray = cam.corner + cam.right * (x as f64 + 0.5) + cam.down * (y as f64 + 0.5);
+            let dir = ray.normalized();
+            let azimuth = dir.x.atan2(dir.z);
+            let elevation = dir.y.asin();
+            let fx = (azimuth + PI) / TAU * pw - 0.5;
+            let fy = (FRAC_PI_2 - elevation) / PI * ph - 0.5;
+            sample_wrapped(pano, fx as f32, fy as f32)
+        })
+    }
 
     fn gradient_pano() -> LumaFrame {
         // Luma encodes azimuth so we can verify which part of the pano a
@@ -365,7 +320,7 @@ mod tests {
             for yaw in yaws {
                 for pitch in pitches {
                     let fast = opts.crop(&pano, yaw, pitch);
-                    let exact = opts.crop_reference(&pano, yaw, pitch);
+                    let exact = crop_reference(&opts, &pano, yaw, pitch);
                     for (a, b) in fast.data().iter().zip(exact.data()) {
                         worst_delta = worst_delta.max((a - b).abs());
                     }

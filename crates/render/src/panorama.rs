@@ -29,29 +29,23 @@
 //!
 //! # Paint order: every pixel is shaded once
 //!
-//! Shading is the cost (a ground pixel is four fBm octaves of normal
-//! probes, an object pixel a `value_noise`), so a band decides each
-//! pixel's winner before shading it:
+//! Shading is the cost (four fBm octaves of normal probes per ground
+//! pixel, a `value_noise` per object pixel), so a band settles each
+//! pixel's winner before shading it: (1) sky rows are copied from the
+//! tables and fog rows filled; (2) ground rows write only their depth,
+//! where the filter includes them; (3) objects are painted nearest
+//! first behind the usual test `depth > dist as f32`; (4) ground pixels
+//! no object took are shaded.
 //!
-//! 1. sky rows are copied from the tables and fog rows filled;
-//! 2. ground rows write only their depth, where the filter includes
-//!    them;
-//! 3. objects are painted nearest first, each pixel behind the usual
-//!    test `depth > dist as f32`;
-//! 4. ground pixels no object took (mask still clear, depth still the
-//!    row's) are shaded.
-//!
-//! The output is bit-identical to painting a fully shaded background and
-//! then every object in scene order (BE objects, then FI), because both
-//! give each pixel to the same winner: the object with the least
-//! `dist as f32` among those that hit it, the earliest in scene order
-//! among equals (the test is strict, so a later equal never overwrites),
-//! or the ground when its `t as f32` is not greater. Nearest-first meets
-//! that winner first and everything after it fails the test unshaded.
-//! The sort must therefore be stable and keyed on the same `f32` the
-//! test compares: two objects whose `f64` distances differ but round to
-//! one `f32` tie in the test, and an `f64` key would let the later one
-//! paint first and win.
+//! This is bit-identical to painting every object in scene order (BE,
+//! then FI) over a shaded background: either way a pixel goes to the
+//! object with the least `dist as f32` among those that hit it — the
+//! earliest in scene order among equals, since the strict test never
+//! lets a later equal overwrite — or to the ground if its `t as f32` is
+//! not greater. Nearest-first meets that winner first; all later ones
+//! fail the test unshaded. So the sort is stable and keyed on the `f32`
+//! the test compares: two `f64` distances that round to one `f32` tie
+//! in the test, and an `f64` key would paint the later object first.
 
 use coterie_frame::LumaFrame;
 use coterie_parallel::par_for_each;
@@ -203,16 +197,6 @@ struct TrigTables {
 /// below it hit the ground plane.
 const HORIZON_SIN: f64 = -1e-4;
 
-/// What a panorama row shows before any object is painted.
-enum RowKind {
-    /// Sky or distant mountain silhouette, at infinite distance.
-    Sky,
-    /// Ground beyond the render distance, faded into fog.
-    Fog,
-    /// Ground plane, hit after a ray of length `t` anywhere in the row.
-    Ground { t: f64 },
-}
-
 impl TrigTables {
     fn build(opts: &RenderOptions) -> Self {
         let w = opts.width as usize;
@@ -304,6 +288,14 @@ impl TrigTables {
             elevation,
             sky,
         }
+    }
+
+    /// Length of the ray from an eye `eye_above` meters over the ground
+    /// plane to where row `py` meets it (one length for the whole row),
+    /// or `None` for a sky row.
+    fn ground_ray(&self, py: usize, eye_above: f64) -> Option<f64> {
+        let se = self.row_sin[py];
+        (se < HORIZON_SIN).then(|| eye_above / (-se))
     }
 
     /// Direction of the pixel center `(px, py)` — the same products
@@ -484,10 +476,9 @@ impl Renderer {
         let mut mask = vec![0u8; (w * h) as usize];
         let mut depth = vec![f32::INFINITY; (w * h) as usize];
 
-        // Bin the frame's objects by angular span — filtered BE objects
-        // first, FI last — then order them front to back. The sort is
-        // stable on the f32 the depth test compares, so objects at one
-        // depth keep that order (see the module docs).
+        // Bin the frame's objects by angular span, filtered BE objects
+        // first, FI last; the stable front-to-back sort below keeps that
+        // order among objects at one depth (see the module docs).
         let mut jobs: Vec<ObjectJob<'_>> = Vec::new();
         for obj in scene.objects_within(eye.ground(), self.opts.render_distance) {
             let d = obj.ground_distance(eye);
@@ -584,31 +575,13 @@ impl Renderer {
     }
 
     /// Fractional pixel column of an azimuth.
-    #[inline]
     fn azimuth_to_px(&self, azimuth: f64) -> f64 {
         (azimuth + std::f64::consts::PI) / std::f64::consts::TAU * self.opts.width as f64
     }
 
     /// Fractional pixel row of an elevation.
-    #[inline]
     fn elevation_to_py(&self, elevation: f64) -> f64 {
         (std::f64::consts::FRAC_PI_2 - elevation) / std::f64::consts::PI * self.opts.height as f64
-    }
-
-    /// What row `py` shows behind the objects, for an eye `eye_above`
-    /// meters over the ground plane.
-    #[inline]
-    fn row_kind(&self, tables: &TrigTables, py: usize, eye_above: f64) -> RowKind {
-        let se = tables.row_sin[py];
-        if se >= HORIZON_SIN {
-            return RowKind::Sky;
-        }
-        let t = eye_above / (-se);
-        if t > self.opts.render_distance {
-            RowKind::Fog
-        } else {
-            RowKind::Ground { t }
-        }
     }
 
     /// Fog blend with a precomputed attenuation factor
@@ -658,7 +631,7 @@ impl Renderer {
         })
     }
 
-    /// Steps (a) and (b) of the paint order: sky and fog rows are final;
+    /// Steps 1 and 2 of the paint order: sky and fog rows are final;
     /// ground rows get their depth only, where the filter includes them.
     fn paint_sky_and_ground_depth(
         &self,
@@ -672,10 +645,10 @@ impl Renderer {
         for row in 0..band.rows {
             let py = band.y0 + row;
             let span = row * w..(row + 1) * w;
-            match self.row_kind(tables, py, eye_above) {
-                // Both at infinite distance, part of the far BE; `depth`
-                // is already infinite.
-                RowKind::Sky => {
+            match tables.ground_ray(py, eye_above) {
+                // Sky and mountain silhouette, both at infinite distance
+                // and part of the far BE; `depth` is already infinite.
+                None => {
                     if include_sky {
                         band.frame[span.clone()].copy_from_slice(&tables.sky[py * w..(py + 1) * w]);
                         band.mask[span].fill(1);
@@ -683,7 +656,7 @@ impl Renderer {
                 }
                 // Beyond the render distance the ground fades into fog
                 // (treated as far BE).
-                RowKind::Fog => {
+                Some(t) if t > self.opts.render_distance => {
                     if include_sky {
                         band.frame[span.clone()].fill(self.opts.fog_luma.clamp(0.0, 1.0));
                         band.mask[span.clone()].fill(1);
@@ -694,10 +667,10 @@ impl Renderer {
                 // filter tests the ground-plane distance of the hit. With
                 // the `All` filter that distance is never consumed, so
                 // skip computing it (a sqrt per pixel).
-                RowKind::Ground { t } if matches!(filter, RenderFilter::All) => {
+                Some(t) if matches!(filter, RenderFilter::All) => {
                     band.depth[span].fill(t as f32);
                 }
-                RowKind::Ground { t } => {
+                Some(t) => {
                     for (px, depth) in band.depth[span].iter_mut().enumerate() {
                         let ground_dist = t * tables.dir(px, py).ground().length();
                         if filter.includes(ground_dist) {
@@ -709,9 +682,9 @@ impl Renderer {
         }
     }
 
-    /// Step (d): shades the ground pixels no object took. Those are the
-    /// pixels still unmasked at their prefilled depth — an object that
-    /// painted one left a smaller depth and a set mask.
+    /// Step 4: shades the ground pixels no object took — depth still the
+    /// row's (the filter included them), mask still clear (nothing
+    /// painted over them).
     fn shade_ground_band(
         &self,
         scene: &Scene,
@@ -732,7 +705,10 @@ impl Renderer {
             // parallax — the near ground texture streams past a moving
             // viewpoint, far ground barely moves. The ray length `t` is
             // shared by the whole row.
-            let RowKind::Ground { t } = self.row_kind(tables, py, eye_above) else {
+            let Some(t) = tables
+                .ground_ray(py, eye_above)
+                .filter(|&t| t <= self.opts.render_distance)
+            else {
                 continue;
             };
             let fog_k = self.fog_k(t);
