@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the performance-critical substrates:
-//! SSIM, the codec, the panoramic renderer and FoV crop, frame-cache and fleet-store
-//! operations (including eviction against store size) and the cutoff
-//! solver.
+//! SSIM, the codec, the panoramic renderer and FoV crop, frame-cache and
+//! fleet-store operations (including eviction against store size) and
+//! the cutoff solver.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
