@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the performance-critical substrates:
-//! SSIM, the codec, the panoramic renderer and FoV crop, frame-cache and
-//! fleet-store operations (including eviction against store size) and
-//! the cutoff solver.
+//! SSIM, the codec, the panoramic renderer, terrain slope shading and FoV
+//! crop, frame-cache and fleet-store operations (including eviction
+//! against store size), the cutoff solver and a server connection
+//! working off a backlog.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -10,11 +11,13 @@ use coterie_core::cutoff::{max_cutoff_radius, CutoffConfig};
 use coterie_core::{CacheConfig, CacheQuery, CacheVersion, FrameCache, FrameMeta, FrameSource};
 use coterie_device::DeviceProfile;
 use coterie_frame::{ssim, ssim_with_simd, LumaFrame, SsimOptions};
+use coterie_net::wire::WireMessage;
 use coterie_parallel::simd;
 use coterie_render::{FovOptions, RenderFilter, RenderOptions, Renderer};
 use coterie_serve::{SharedFrameStore, StoreConfig};
+use coterie_server::{Connection, ReadOutcome, Stream};
 use coterie_telemetry::{Stage, TelemetryConfig, TelemetrySink, TrackId};
-use coterie_world::{GameId, GameSpec, GridPoint, LeafId, Vec2};
+use coterie_world::{GameId, GameSpec, GridPoint, LeafId, Terrain, Vec2, Vec3};
 
 fn bench_ssim(c: &mut Criterion) {
     let a = LumaFrame::from_fn(192, 96, |x, y| ((x * 7 + y * 13) % 97) as f32 / 96.0);
@@ -91,16 +94,45 @@ fn bench_render(c: &mut Criterion) {
             bench.iter(|| fov.crop(black_box(&pano), black_box(0.9), black_box(pitch)))
         });
     }
-    // Far BE in the benchmark's world (`ServerConfig::default().world_seed`):
-    // about 1 300 object jobs a frame, a case the seed-7 scene above
-    // does not reach.
+    // The benchmark's world (`ServerConfig::default().world_seed`), one
+    // bench per layer of its `frame_pipeline`: a far BE of about 1 300
+    // object jobs a frame, a case the seed-7 scene above does not reach,
+    // the near BE and the whole scene.
     let scene = spec.build_scene(42);
     let eye = scene.eye(scene.bounds().center());
-    c.bench_function("render_far_256x128/world42", |bench| {
-        bench.iter(|| {
-            renderer.render_panorama(black_box(&scene), eye, RenderFilter::FarOnly { cutoff })
-        })
-    });
+    for (name, filter) in [
+        ("far", RenderFilter::FarOnly { cutoff }),
+        ("near", RenderFilter::NearOnly { cutoff }),
+        ("all", RenderFilter::All),
+    ] {
+        c.bench_function(&format!("render_{name}_256x128/world42"), |bench| {
+            bench.iter(|| renderer.render_panorama(black_box(&scene), eye, filter))
+        });
+    }
+}
+
+fn bench_terrain(c: &mut Criterion) {
+    // Slope shading for one panorama row's worth of ground points: a ring
+    // around the eye, tight (most blocks of four stay in one noise cell
+    // at every octave) and wide (many leave it at the finer octaves).
+    let terrain = Terrain::new(42, 8.0, 80.0);
+    let light = Vec3::new(0.35, 0.85, 0.40).normalized();
+    for radius in [2.0f64, 10.0] {
+        let ring = |f: fn(f64) -> f64, centre: f64| -> Vec<f64> {
+            (0..256)
+                .map(|i| centre + radius * f(i as f64 / 256.0 * std::f64::consts::TAU))
+                .collect()
+        };
+        let (xs, zs) = (ring(f64::sin, 120.0), ring(f64::cos, 90.0));
+        let mut out = vec![0.0; 256];
+        let mut sampler = terrain.sampler();
+        c.bench_function(&format!("terrain_lambert_row_256/{radius}m"), |bench| {
+            bench.iter(|| {
+                sampler.lambert_row(black_box(&xs), black_box(&zs), light, &mut out);
+                out[255]
+            })
+        });
+    }
 }
 
 fn bench_simd_levels(c: &mut Criterion) {
@@ -339,16 +371,78 @@ fn bench_telemetry(c: &mut Criterion) {
     });
 }
 
+fn bench_conn(c: &mut Criterion) {
+    use std::io::{ErrorKind, Read, Write};
+    // A reader 400 poses behind that then catches up. One read pass puts
+    // the poses in the connection's inbox; they are answered the way the
+    // event loop answers them — a 1.5 KB frame each, flushed, for as
+    // long as the egress queue has room — and the peer reads whenever
+    // the server can go no further. 600 KB of replies against a 256 KiB
+    // queue and the socket's buffer, so most poses wait their turn.
+    // Timed to the last reply byte; no pose may be discarded.
+    let (a, mut peer) = std::os::unix::net::UnixStream::pair().expect("socket pair");
+    a.set_nonblocking(true).expect("nonblocking");
+    peer.set_nonblocking(true).expect("nonblocking");
+    let mut conn = Connection::new(Stream::Unix(a), 256 * 1024);
+    let pose = |seq| WireMessage::Pose {
+        seq,
+        t_ms: 0.0,
+        x: 1.0,
+        z: 2.0,
+        yaw: 0.0,
+    };
+    let backlog: Vec<u8> = (0..400).flat_map(|seq| pose(seq).encode_frame()).collect();
+    let reply = |seq| WireMessage::Frame {
+        seq,
+        width: 128,
+        height: 64,
+        quality: 1,
+        store_hit: true,
+        scale_pm: 1000,
+        payload: vec![0x5A; 1500],
+    };
+    let reply_bytes = reply(0).encode_frame().len();
+    let mut sink = vec![0u8; 64 * 1024];
+    c.bench_function("conn_backlog_400", |bench| {
+        bench.iter(|| {
+            peer.write_all(&backlog)
+                .expect("poses fit the socket buffer");
+            assert_eq!(conn.read_ready(), ReadOutcome::Progress);
+            let mut unread = 400 * reply_bytes;
+            while unread > 0 {
+                while let Some((msg, _)) = conn.next_pending(false) {
+                    let WireMessage::Pose { seq, .. } = msg else {
+                        unreachable!("only poses were sent");
+                    };
+                    conn.enqueue_frame(&reply(seq));
+                    conn.flush().expect("flush");
+                }
+                loop {
+                    match peer.read(&mut sink) {
+                        Ok(n) => unread -= n,
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                        Err(e) => panic!("peer read: {e}"),
+                    }
+                }
+                conn.flush().expect("flush");
+            }
+        })
+    });
+    assert_eq!(conn.frames_dropped, 0);
+}
+
 criterion_group!(
     benches,
     bench_ssim,
     bench_codec,
     bench_render,
+    bench_terrain,
     bench_simd_levels,
     bench_cache,
     bench_cutoff,
     bench_fleet_store,
-    bench_telemetry
+    bench_telemetry,
+    bench_conn
 );
 criterion_group!(store_scaling, bench_store_scaling);
 criterion_main!(benches, store_scaling);

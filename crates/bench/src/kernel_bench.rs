@@ -9,11 +9,12 @@
 //!
 //! Besides the default-dispatch `kernels` section (whose original keys
 //! stay byte-compatible across PRs), the report carries a `simd` section
-//! with the same kernels timed at every dispatch level the CPU supports —
-//! the scalar entries are the pre-SIMD baselines (the kernels are
-//! bit-identical across levels, so scalar timing is the old code path's
-//! timing), making the AVX2-vs-scalar speedup auditable from the
-//! committed file alone.
+//! with the dispatched kernels (SSIM, codec, DCT, quantize — the
+//! renderer takes no level) timed at every dispatch level the CPU
+//! supports — the scalar entries are the pre-SIMD baselines (the
+//! kernels are bit-identical across levels, so scalar timing is the old
+//! code path's timing), making the AVX2-vs-scalar speedup auditable from
+//! the committed file alone.
 
 use coterie_codec::{Encoder, Quality};
 use coterie_frame::{ssim_with_simd, LumaFrame, SsimOptions};
@@ -93,10 +94,33 @@ fn workload() -> Workload {
     }
 }
 
-/// Times one dispatch level's kernels against the shared workload.
-fn run_level(samples: usize, wl: &Workload, level: SimdLevel) -> Vec<KernelTiming> {
+fn timing(name: &str, (median_ns, samples): (u64, usize)) -> KernelTiming {
+    KernelTiming {
+        name: name.to_string(),
+        median_ns,
+        samples,
+    }
+}
+
+/// Times the three render filters against the shared workload.
+fn render_timings(samples: usize, wl: &Workload) -> Vec<KernelTiming> {
     let cutoff = 10.0;
-    let renderer = Renderer::new(RenderOptions::default()).with_simd_level(level);
+    let renderer = Renderer::new(RenderOptions::default());
+    [
+        ("render_all_256x128", RenderFilter::All),
+        ("render_near_256x128", RenderFilter::NearOnly { cutoff }),
+        ("render_far_256x128", RenderFilter::FarOnly { cutoff }),
+    ]
+    .into_iter()
+    .map(|(name, filter)| {
+        let run = || renderer.render_panorama(&wl.scene, wl.eye, filter);
+        timing(name, time_kernel(samples, run))
+    })
+    .collect()
+}
+
+/// Times one dispatch level's kernels against the shared workload.
+fn level_timings(samples: usize, wl: &Workload, level: SimdLevel) -> Vec<KernelTiming> {
     let encoder = Encoder::with_simd_level(Quality::default(), level);
     let encoded = encoder.encode(&wl.frame_a);
     let dct = simd::Dct8x8::new();
@@ -112,32 +136,8 @@ fn run_level(samples: usize, wl: &Workload, level: SimdLevel) -> Vec<KernelTimin
     let opts = SsimOptions::default();
 
     let mut out = Vec::new();
-    let mut push = |name: &str, (median_ns, samples): (u64, usize)| {
-        out.push(KernelTiming {
-            name: name.to_string(),
-            median_ns,
-            samples,
-        });
-    };
+    let mut push = |name: &str, timed: (u64, usize)| out.push(timing(name, timed));
 
-    push(
-        "render_all_256x128",
-        time_kernel(samples, || {
-            renderer.render_panorama(&wl.scene, wl.eye, RenderFilter::All)
-        }),
-    );
-    push(
-        "render_near_256x128",
-        time_kernel(samples, || {
-            renderer.render_panorama(&wl.scene, wl.eye, RenderFilter::NearOnly { cutoff })
-        }),
-    );
-    push(
-        "render_far_256x128",
-        time_kernel(samples, || {
-            renderer.render_panorama(&wl.scene, wl.eye, RenderFilter::FarOnly { cutoff })
-        }),
-    );
     push(
         "ssim_default_256x128",
         time_kernel(samples, || {
@@ -179,18 +179,21 @@ fn run_level(samples: usize, wl: &Workload, level: SimdLevel) -> Vec<KernelTimin
 /// (default 256×128 options, VikingVillage scene) under the process-wide
 /// detected dispatch level.
 pub fn run(samples: usize) -> Vec<KernelTiming> {
-    run_level(samples, &workload(), simd::detected_level())
+    let wl = workload();
+    let mut timings = render_timings(samples, &wl);
+    timings.extend(level_timings(samples, &wl, simd::detected_level()));
+    timings
 }
 
-/// Benchmarks the same kernels at every dispatch level the CPU supports,
-/// narrowest (scalar) first.
+/// Benchmarks the dispatched kernels at every dispatch level the CPU
+/// supports, narrowest (scalar) first.
 pub fn run_levels(samples: usize) -> Vec<SimdTimings> {
     let wl = workload();
     simd::available_levels()
         .into_iter()
         .map(|level| SimdTimings {
             level: level.name().to_string(),
-            timings: run_level(samples, &wl, level),
+            timings: level_timings(samples, &wl, level),
         })
         .collect()
 }
@@ -229,14 +232,15 @@ mod tests {
     #[test]
     fn timings_are_positive_and_json_well_formed() {
         let wl = workload();
-        let timings = run_level(3, &wl, simd::detected_level());
+        let mut timings = render_timings(3, &wl);
+        timings.extend(level_timings(3, &wl, simd::detected_level()));
         assert_eq!(timings.len(), 8);
         for t in &timings {
             assert!(t.median_ns > 0, "{} must take measurable time", t.name);
         }
         let levels = vec![SimdTimings {
             level: "scalar".to_string(),
-            timings: run_level(3, &wl, SimdLevel::Scalar),
+            timings: level_timings(3, &wl, SimdLevel::Scalar),
         }];
         let json = to_json(&timings, &levels);
         assert!(json.contains("\"render_all_256x128\""));

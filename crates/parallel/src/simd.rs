@@ -6,10 +6,9 @@
 //! semantics*: each SIMD path replicates the scalar per-lane IEEE
 //! operation order exactly (same multiply/add association, no FMA
 //! contraction), so for every kernel in this module the three levels
-//! produce **bit-identical** results. That is what lets the renderer's
-//! golden FNV-1a hashes act as the bit-identity referee at every
-//! dispatch level, and what keeps `COTERIE_SIMD=scalar` output
-//! byte-identical to the historical scalar code.
+//! produce **bit-identical** results, pinned kernel by kernel by this
+//! module's parity tests. That is what keeps `COTERIE_SIMD=scalar`
+//! output byte-identical to the historical scalar code.
 //!
 //! Dispatch policy:
 //!
@@ -678,7 +677,7 @@ fn ssim_windows_scalar(
 }
 
 // ---------------------------------------------------------------------
-// Renderer kernels
+// Layer merge
 // ---------------------------------------------------------------------
 
 /// In-place masked select: `dst[i] = src[i]` wherever `mask[i] != 0`
@@ -709,100 +708,6 @@ fn masked_select_scalar(dst: &mut [f32], src: &[f32], mask: &[u8]) {
     }
 }
 
-/// Per-row constants of the renderer's sphere intersection test. With
-/// `cs = col_sin[px]` and `cc = col_cos[px]`, a pixel hits when
-/// `((cs*ce)*vx + y_term + (cc*ce)*vz) / dist >= cos_half_width` —
-/// exactly the scalar `dir.dot(v) / dist` with its left-associated sum.
-#[derive(Debug, Clone, Copy)]
-pub struct SphereHit {
-    /// `cos(elevation)` of the row.
-    pub ce: f64,
-    /// Eye→center x component.
-    pub vx: f64,
-    /// Eye→center z component.
-    pub vz: f64,
-    /// Precomputed `row_sin[py] * vy` (the row-constant middle term).
-    pub y_term: f64,
-    /// Eye→center distance.
-    pub dist: f64,
-    /// Cosine of the object's angular half-width.
-    pub cos_half_width: f64,
-}
-
-/// Sphere hit test over a contiguous pixel span: `out[i] = 1` when the
-/// ray through `(col_sin[i], col_cos[i])` hits, else `0`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn sphere_hit_mask(
-    col_sin: &[f64],
-    col_cos: &[f64],
-    p: &SphereHit,
-    out: &mut [u8],
-    level: SimdLevel,
-) {
-    assert_eq!(col_sin.len(), out.len(), "span lengths differ");
-    assert_eq!(col_cos.len(), out.len(), "span lengths differ");
-    match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level clamped to CPU capability; equal lengths asserted.
-        SimdLevel::Sse2 => unsafe { x86::sphere_hit_sse2(col_sin, col_cos, p, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdLevel::Avx2 => unsafe { x86::sphere_hit_avx2(col_sin, col_cos, p, out) },
-        _ => sphere_hit_scalar(col_sin, col_cos, p, out),
-    }
-}
-
-fn sphere_hit_scalar(col_sin: &[f64], col_cos: &[f64], p: &SphereHit, out: &mut [u8]) {
-    for ((o, &cs), &cc) in out.iter_mut().zip(col_sin).zip(col_cos) {
-        let cosang = (cs * p.ce * p.vx + p.y_term + cc * p.ce * p.vz) / p.dist;
-        *o = u8::from(cosang >= p.cos_half_width);
-    }
-}
-
-/// Azimuthal slab hit test over a contiguous pixel span: wraps
-/// `azimuth[i] - center_azimuth` into `(-π, π]` and tests
-/// `|Δ| <= half_width`. Both inputs lie in `(-π, π]`, so the wrap is at
-/// most one ±2π step — which is why the SIMD paths' single masked
-/// correction is exactly the scalar `while` loops.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn slab_hit_mask(
-    azimuth: &[f64],
-    center_azimuth: f64,
-    half_width: f64,
-    out: &mut [u8],
-    level: SimdLevel,
-) {
-    assert_eq!(azimuth.len(), out.len(), "span lengths differ");
-    match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level clamped to CPU capability; equal lengths asserted.
-        SimdLevel::Sse2 => unsafe { x86::slab_hit_sse2(azimuth, center_azimuth, half_width, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdLevel::Avx2 => unsafe { x86::slab_hit_avx2(azimuth, center_azimuth, half_width, out) },
-        _ => slab_hit_scalar(azimuth, center_azimuth, half_width, out),
-    }
-}
-
-fn slab_hit_scalar(azimuth: &[f64], center_azimuth: f64, half_width: f64, out: &mut [u8]) {
-    for (o, &az) in out.iter_mut().zip(azimuth) {
-        let mut da = az - center_azimuth;
-        while da > std::f64::consts::PI {
-            da -= std::f64::consts::TAU;
-        }
-        while da < -std::f64::consts::PI {
-            da += std::f64::consts::TAU;
-        }
-        *o = u8::from(da.abs() <= half_width);
-    }
-}
-
 /// The `std::arch` kernel bodies. Everything here is `pub(super)`,
 /// reachable only through the clamped dispatchers above; each fn's
 /// `#[target_feature]` matches the `SimdLevel` arm that calls it.
@@ -823,7 +728,7 @@ mod x86 {
     // schedule the bit-identity argument depends on.
     #![allow(clippy::needless_range_loop)]
 
-    use super::{MomentRows, MomentRowsMut, SphereHit};
+    use super::{MomentRows, MomentRowsMut};
     use std::arch::x86_64::*;
 
     // ---- 8×8 DCT ----------------------------------------------------
@@ -1463,7 +1368,7 @@ mod x86 {
         super::ssim_windows_scalar(rows, stride, kernel, c1, c2, out, nv);
     }
 
-    // ---- renderer kernels -------------------------------------------
+    // ---- layer merge -------------------------------------------------
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn masked_select_avx2(dst: &mut [f32], src: &[f32], mask: &[u8]) {
@@ -1496,128 +1401,6 @@ mod x86 {
             _mm_storeu_ps(dst.as_mut_ptr().add(i), merged);
         }
         super::masked_select_scalar(&mut dst[n..], &src[n..], &mask[n..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sphere_hit_avx2(
-        col_sin: &[f64],
-        col_cos: &[f64],
-        p: &SphereHit,
-        out: &mut [u8],
-    ) {
-        // AVX2 implies AVX, so the 256-bit double ops are available.
-        let ce = _mm256_set1_pd(p.ce);
-        let vx = _mm256_set1_pd(p.vx);
-        let vz = _mm256_set1_pd(p.vz);
-        let yt = _mm256_set1_pd(p.y_term);
-        let dist = _mm256_set1_pd(p.dist);
-        let chw = _mm256_set1_pd(p.cos_half_width);
-        let n = out.len() & !3;
-        for i in (0..n).step_by(4) {
-            let cs = _mm256_loadu_pd(col_sin.as_ptr().add(i));
-            let cc = _mm256_loadu_pd(col_cos.as_ptr().add(i));
-            let tx = _mm256_mul_pd(_mm256_mul_pd(cs, ce), vx);
-            let tz = _mm256_mul_pd(_mm256_mul_pd(cc, ce), vz);
-            let dot = _mm256_add_pd(_mm256_add_pd(tx, yt), tz);
-            let cosang = _mm256_div_pd(dot, dist);
-            let bits = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(cosang, chw));
-            out[i] = (bits & 1) as u8;
-            out[i + 1] = ((bits >> 1) & 1) as u8;
-            out[i + 2] = ((bits >> 2) & 1) as u8;
-            out[i + 3] = ((bits >> 3) & 1) as u8;
-        }
-        super::sphere_hit_scalar(&col_sin[n..], &col_cos[n..], p, &mut out[n..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sphere_hit_sse2(
-        col_sin: &[f64],
-        col_cos: &[f64],
-        p: &SphereHit,
-        out: &mut [u8],
-    ) {
-        let ce = _mm_set1_pd(p.ce);
-        let vx = _mm_set1_pd(p.vx);
-        let vz = _mm_set1_pd(p.vz);
-        let yt = _mm_set1_pd(p.y_term);
-        let dist = _mm_set1_pd(p.dist);
-        let chw = _mm_set1_pd(p.cos_half_width);
-        let n = out.len() & !1;
-        for i in (0..n).step_by(2) {
-            let cs = _mm_loadu_pd(col_sin.as_ptr().add(i));
-            let cc = _mm_loadu_pd(col_cos.as_ptr().add(i));
-            let tx = _mm_mul_pd(_mm_mul_pd(cs, ce), vx);
-            let tz = _mm_mul_pd(_mm_mul_pd(cc, ce), vz);
-            let dot = _mm_add_pd(_mm_add_pd(tx, yt), tz);
-            let cosang = _mm_div_pd(dot, dist);
-            let bits = _mm_movemask_pd(_mm_cmpge_pd(cosang, chw));
-            out[i] = (bits & 1) as u8;
-            out[i + 1] = ((bits >> 1) & 1) as u8;
-        }
-        super::sphere_hit_scalar(&col_sin[n..], &col_cos[n..], p, &mut out[n..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn slab_hit_avx2(
-        azimuth: &[f64],
-        center_azimuth: f64,
-        half_width: f64,
-        out: &mut [u8],
-    ) {
-        // Both azimuths lie in (-π, π], so Δ ∈ (-2π, 2π) and each scalar
-        // `while` loop fires at most once; the masked single-step
-        // correction below is that exact sequence (AND with the mask
-        // yields τ or +0.0, and x ∓ 0.0 / x ± 0.0 leaves the hit
-        // decision unchanged: only |Δ| is consumed).
-        let c = _mm256_set1_pd(center_azimuth);
-        let pi = _mm256_set1_pd(std::f64::consts::PI);
-        let npi = _mm256_set1_pd(-std::f64::consts::PI);
-        let tau = _mm256_set1_pd(std::f64::consts::TAU);
-        let hw = _mm256_set1_pd(half_width);
-        let absmask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fff_ffff_ffff_ffff));
-        let n = out.len() & !3;
-        for i in (0..n).step_by(4) {
-            let mut da = _mm256_sub_pd(_mm256_loadu_pd(azimuth.as_ptr().add(i)), c);
-            let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(da, pi);
-            da = _mm256_sub_pd(da, _mm256_and_pd(gt, tau));
-            let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(da, npi);
-            da = _mm256_add_pd(da, _mm256_and_pd(lt, tau));
-            let ad = _mm256_and_pd(da, absmask);
-            let bits = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(ad, hw));
-            out[i] = (bits & 1) as u8;
-            out[i + 1] = ((bits >> 1) & 1) as u8;
-            out[i + 2] = ((bits >> 2) & 1) as u8;
-            out[i + 3] = ((bits >> 3) & 1) as u8;
-        }
-        super::slab_hit_scalar(&azimuth[n..], center_azimuth, half_width, &mut out[n..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn slab_hit_sse2(
-        azimuth: &[f64],
-        center_azimuth: f64,
-        half_width: f64,
-        out: &mut [u8],
-    ) {
-        let c = _mm_set1_pd(center_azimuth);
-        let pi = _mm_set1_pd(std::f64::consts::PI);
-        let npi = _mm_set1_pd(-std::f64::consts::PI);
-        let tau = _mm_set1_pd(std::f64::consts::TAU);
-        let hw = _mm_set1_pd(half_width);
-        let absmask = _mm_castsi128_pd(_mm_set1_epi64x(0x7fff_ffff_ffff_ffff));
-        let n = out.len() & !1;
-        for i in (0..n).step_by(2) {
-            let mut da = _mm_sub_pd(_mm_loadu_pd(azimuth.as_ptr().add(i)), c);
-            let gt = _mm_cmpgt_pd(da, pi);
-            da = _mm_sub_pd(da, _mm_and_pd(gt, tau));
-            let lt = _mm_cmplt_pd(da, npi);
-            da = _mm_add_pd(da, _mm_and_pd(lt, tau));
-            let ad = _mm_and_pd(da, absmask);
-            let bits = _mm_movemask_pd(_mm_cmple_pd(ad, hw));
-            out[i] = (bits & 1) as u8;
-            out[i + 1] = ((bits >> 1) & 1) as u8;
-        }
-        super::slab_hit_scalar(&azimuth[n..], center_azimuth, half_width, &mut out[n..]);
     }
 }
 
@@ -1988,44 +1771,6 @@ mod tests {
                     .all(|(x, y)| x.to_bits() == y.to_bits()),
                 "{level:?}"
             );
-        }
-    }
-
-    #[test]
-    fn sphere_and_slab_levels_agree() {
-        let n = 157;
-        let angles: Vec<f64> = (0..n)
-            .map(|i| (i as f64 + 0.5) / n as f64 * std::f64::consts::TAU - std::f64::consts::PI)
-            .collect();
-        let col_sin: Vec<f64> = angles.iter().map(|a| a.sin()).collect();
-        let col_cos: Vec<f64> = angles.iter().map(|a| a.cos()).collect();
-        let p = SphereHit {
-            ce: 0.93,
-            vx: 1.7,
-            vz: -2.3,
-            y_term: 0.21,
-            dist: 3.1,
-            cos_half_width: 0.92,
-        };
-        let mut want = vec![0u8; n];
-        sphere_hit_scalar(&col_sin, &col_cos, &p, &mut want);
-        assert!(want.contains(&1) && want.contains(&0));
-        for level in simd_levels() {
-            let mut got = vec![0u8; n];
-            sphere_hit_mask(&col_sin, &col_cos, &p, &mut got, level);
-            assert_eq!(want, got, "sphere {level:?}");
-        }
-        // Slab: pick a center near the wrap seam so both correction
-        // branches fire.
-        for center in [3.0f64, -3.0, 0.4] {
-            let mut want_s = vec![0u8; n];
-            slab_hit_scalar(&angles, center, 0.35, &mut want_s);
-            assert!(want_s.contains(&1));
-            for level in simd_levels() {
-                let mut got = vec![0u8; n];
-                slab_hit_mask(&angles, center, 0.35, &mut got, level);
-                assert_eq!(want_s, got, "slab {level:?} center {center}");
-            }
         }
     }
 }

@@ -15,11 +15,16 @@
 //!   rows — gradient, clouds, mountain silhouette — depend on nothing
 //!   else either, so the tables hold them shaded and a frame copies them.
 //! * **Row hoisting.** A pixel row shares one elevation, so the ground
-//!   ray length and the fog attenuation `exp` are lifted out of the
-//!   column loop.
+//!   ray length, the fog attenuation `exp` and — but for a row the
+//!   cutoff circle passes through within a part in 10⁹ — the near/far
+//!   decision are lifted out of the column loop, and a row's surviving
+//!   ground pixels are slope-shaded in one call
+//!   ([`coterie_world::TerrainSampler::lambert_row`]).
 //! * **Object binning.** Scene/FI objects are projected to their angular
 //!   row/column spans once per frame ([`coterie_world::AngularExtent`])
-//!   and only rasterized over the rows they can touch.
+//!   and only rasterized over the rows they can touch; a candidate pixel
+//!   already owned by something nearer is dropped on the depth compare
+//!   alone, before its hit test.
 //! * **Band parallelism.** The panorama splits into horizontal bands
 //!   that own disjoint `frame`/`mask`/`depth` slices; bands run on the
 //!   shared [`coterie_parallel`] substrate. Every band runs the whole
@@ -49,10 +54,9 @@
 
 use coterie_frame::LumaFrame;
 use coterie_parallel::par_for_each;
-use coterie_parallel::simd::{self, SimdLevel, SphereHit};
 use coterie_telemetry::{Stage, TelemetrySink, TrackId, KERNEL_PID};
 use coterie_world::noise::{value_noise, value_noise_cached, NoiseCellCache};
-use coterie_world::{ObjectKind, Scene, SceneObject, Vec3};
+use coterie_world::{ObjectKind, Scene, SceneObject, Vec2, Vec3};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
@@ -197,6 +201,11 @@ struct TrigTables {
 /// below it hit the ground plane.
 const HORIZON_SIN: f64 = -1e-4;
 
+/// Relative margin around `t · row_cos` inside which a ground row asks
+/// the filter per pixel (see `paint_sky_and_ground_depth`); seven orders
+/// of magnitude over the rounding of `hypot(sin·ce, cos·ce)` against `ce`.
+const CUTOFF_MARGIN: f64 = 1e-9;
+
 impl TrigTables {
     fn build(opts: &RenderOptions) -> Self {
         let w = opts.width as usize;
@@ -323,8 +332,7 @@ struct ObjectJob<'a> {
     /// front-to-back sort key.
     depth: f32,
     half_width: f64,
-    /// `half_width.cos()` — the sphere hit-test threshold.
-    cos_half_width: f64,
+    hit_test: HitTest,
     base_elevation: f64,
     top_elevation: f64,
     center_azimuth: f64,
@@ -340,6 +348,43 @@ struct ObjectJob<'a> {
     bounding: f64,
 }
 
+/// How a job decides whether a pixel's ray hits its object.
+enum HitTest {
+    /// Angle to the center within the half-width: `dir·v / dist >=
+    /// cos_half_width`.
+    Sphere { cos_half_width: f64 },
+    /// Cylinders and boxes: elevation within `[base, top]` (one decision
+    /// per row) and azimuth within `half_width` of the center.
+    Slab,
+}
+
+/// Whether `azimuth` lies within `half_width` of `center_azimuth`, the
+/// difference wrapped into `(-π, π]`.
+#[inline]
+fn slab_hit(azimuth: f64, center_azimuth: f64, half_width: f64) -> bool {
+    let mut da = azimuth - center_azimuth;
+    while da > std::f64::consts::PI {
+        da -= std::f64::consts::TAU;
+    }
+    while da < -std::f64::consts::PI {
+        da += std::f64::consts::TAU;
+    }
+    da.abs() <= half_width
+}
+
+/// Scratch for shading one ground row: the surviving pixels' columns and
+/// hit points, and the slope shading [`TerrainSampler::lambert_row`]
+/// returns for them.
+///
+/// [`TerrainSampler::lambert_row`]: coterie_world::TerrainSampler::lambert_row
+#[derive(Default)]
+struct GroundRow {
+    cols: Vec<usize>,
+    xs: Vec<f64>,
+    zs: Vec<f64>,
+    lambert: Vec<f64>,
+}
+
 /// A horizontal band owning disjoint slices of the output buffers.
 struct Band<'a> {
     /// First row of the band.
@@ -348,13 +393,11 @@ struct Band<'a> {
     frame: &'a mut [f32],
     mask: &'a mut [u8],
     depth: &'a mut [f32],
-    /// Per-band hit-mask scratch row (one byte per panorama column),
-    /// reused across every object segment the band paints.
-    scratch: Vec<u8>,
+    ground: GroundRow,
 }
 
 /// The software panoramic renderer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Renderer {
     opts: RenderOptions,
     /// Requested band-parallel worker count; `0`/`1` renders serially.
@@ -365,22 +408,6 @@ pub struct Renderer {
     /// Telemetry sink for per-band render spans; disabled (a single
     /// branch per band) unless installed with [`Renderer::with_telemetry`].
     telemetry: TelemetrySink,
-    /// SIMD dispatch level for the hit-test/merge kernels. Every level
-    /// replicates the scalar operation order exactly, so output is
-    /// bit-identical at any setting (the golden-frame test pins this).
-    simd: SimdLevel,
-}
-
-impl Default for Renderer {
-    fn default() -> Self {
-        Renderer {
-            opts: RenderOptions::default(),
-            workers: 0,
-            tables: Arc::default(),
-            telemetry: TelemetrySink::default(),
-            simd: simd::detected_level(),
-        }
-    }
 }
 
 impl Renderer {
@@ -391,16 +418,7 @@ impl Renderer {
             workers: 1,
             tables: Arc::default(),
             telemetry: TelemetrySink::disabled(),
-            simd: simd::detected_level(),
         }
-    }
-
-    /// Pins the SIMD dispatch level for the renderer's hit-test kernels
-    /// (all levels produce bit-identical panoramas; useful for benches
-    /// and the golden-frame parity test).
-    pub fn with_simd_level(mut self, level: SimdLevel) -> Self {
-        self.simd = level;
-        self
     }
 
     /// Installs a telemetry sink: each rendered band emits one span on
@@ -496,7 +514,9 @@ impl Renderer {
                 }
             }
         }
-        jobs.sort_by(|a, b| a.depth.total_cmp(&b.depth));
+        // Front to back; sorting indices keeps the ~150-byte jobs still.
+        let mut paint_order: Vec<u32> = (0..jobs.len() as u32).collect();
+        paint_order.sort_by(|&a, &b| jobs[a as usize].depth.total_cmp(&jobs[b as usize].depth));
         let eye_above = (eye.y - scene.terrain().height(eye.ground())).max(0.2);
 
         // Split the output buffers into per-band row ranges; every band
@@ -525,7 +545,7 @@ impl Renderer {
                     frame: f_head,
                     mask: m_head,
                     depth: d_head,
-                    scratch: vec![0u8; w as usize],
+                    ground: GroundRow::default(),
                 });
                 y0 += rows;
             }
@@ -534,7 +554,7 @@ impl Renderer {
             let started = self.telemetry.is_enabled().then(std::time::Instant::now);
             self.paint_sky_and_ground_depth(eye_above, filter, tables, &mut band);
             let band_end = (band.y0 + band.rows) as i64;
-            for job in &jobs {
+            for job in paint_order.iter().map(|&i| &jobs[i as usize]) {
                 if job.py_bot < band.y0 as i64 || job.py_top >= band_end {
                     continue;
                 }
@@ -618,7 +638,12 @@ impl Renderer {
             dist: ext.distance,
             depth: ext.distance as f32,
             half_width: ext.half_width,
-            cos_half_width: ext.half_width.cos(),
+            hit_test: match obj.kind {
+                ObjectKind::Sphere => HitTest::Sphere {
+                    cos_half_width: ext.half_width.cos(),
+                },
+                ObjectKind::Cylinder | ObjectKind::Box => HitTest::Slab,
+            },
             base_elevation: ext.base_elevation,
             top_elevation: ext.top_elevation,
             center_azimuth: ext.center_azimuth,
@@ -670,12 +695,22 @@ impl Renderer {
                 Some(t) if matches!(filter, RenderFilter::All) => {
                     band.depth[span].fill(t as f32);
                 }
+                // A row's pixels all lie `t · hypot(cs·ce, cc·ce)` from the
+                // eye on the ground, which is `t · ce` to a few ulp: when
+                // the filter says the same a part in 10⁹ either side of
+                // that, it says it for every pixel of the row.
                 Some(t) => {
-                    for (px, depth) in band.depth[span].iter_mut().enumerate() {
-                        let ground_dist = t * tables.dir(px, py).ground().length();
-                        if filter.includes(ground_dist) {
-                            *depth = t as f32;
+                    let d = t * tables.row_cos[py];
+                    let included = filter.includes(d * (1.0 - CUTOFF_MARGIN));
+                    if included != filter.includes(d * (1.0 + CUTOFF_MARGIN)) {
+                        for (px, depth) in band.depth[span].iter_mut().enumerate() {
+                            let ground_dist = t * tables.dir(px, py).ground().length();
+                            if filter.includes(ground_dist) {
+                                *depth = t as f32;
+                            }
                         }
+                    } else if included {
+                        band.depth[span].fill(t as f32);
                     }
                 }
             }
@@ -712,16 +747,27 @@ impl Renderer {
                 continue;
             };
             let fog_k = self.fog_k(t);
+            let ground = &mut band.ground;
+            ground.cols.clear();
+            ground.xs.clear();
+            ground.zs.clear();
             for px in 0..w {
                 let idx = row * w + px;
                 if band.mask[idx] != 0 || band.depth[idx] != t as f32 {
                     continue;
                 }
                 let hit = eye + tables.dir(px, py) * t;
-                let albedo = sampler.albedo(hit.ground()) as f32;
-                // Slope shading from the terrain normal.
-                let n = sampler.normal(hit.ground());
-                let lambert = n.dot(light).max(0.0) as f32;
+                ground.cols.push(px);
+                ground.xs.push(hit.x);
+                ground.zs.push(hit.z);
+            }
+            // Slope shading from the terrain normal, the row at once.
+            ground.lambert.resize(ground.cols.len(), 0.0);
+            sampler.lambert_row(&ground.xs, &ground.zs, light, &mut ground.lambert);
+            for (i, &px) in ground.cols.iter().enumerate() {
+                let idx = row * w + px;
+                let albedo = sampler.albedo(Vec2::new(ground.xs[i], ground.zs[i])) as f32;
+                let lambert = ground.lambert[i] as f32;
                 let v = self.fog_apply(albedo * (0.45 + 0.55 * lambert), fog_k);
                 band.frame[idx] = v.clamp(0.0, 1.0);
                 band.mask[idx] = 1;
@@ -733,106 +779,34 @@ impl Renderer {
         let w = self.opts.width as i64;
         let wu = self.opts.width as usize;
         let band_end = (band.y0 + band.rows) as i64;
-        // The column walk `(cx + dxi).rem_euclid(w)` over
-        // `dxi in -half_w_px..=half_w_px` visits `span_len` pixels. When
-        // the span is narrower than the panorama each column appears at
-        // most once, as one or two contiguous segments (a wrap at the
-        // seam), which is the shape the SIMD hit-test kernels need. A
-        // span that laps the panorama revisits columns, so it keeps the
-        // original scalar walk.
-        let span_len = (2 * job.half_w_px + 1) as usize;
+        // The `2·half_w_px + 1` columns centred on `cx`, each once: one or
+        // two contiguous runs (a wrap at the seam), the whole row when
+        // the span laps the panorama.
+        let span_len = ((2 * job.half_w_px + 1) as usize).min(wu);
+        let start = (job.cx as i64 - job.half_w_px).rem_euclid(w) as usize;
+        let seg1 = span_len.min(wu - start);
         for py in job.py_top.max(band.y0 as i64)..=job.py_bot.min(band_end - 1) {
             let pyu = py as usize;
             // The slab hit test's elevation half is row-constant; rows in
             // the conservative [py_top, py_bot] margin that miss it reject
             // every column, so skip them wholesale.
-            if matches!(job.obj.kind, ObjectKind::Cylinder | ObjectKind::Box) {
+            if matches!(job.hit_test, HitTest::Slab) {
                 let elevation = tables.elevation[pyu];
                 if !(job.base_elevation..=job.top_elevation).contains(&elevation) {
                     continue;
                 }
             }
             let row_off = (pyu - band.y0) * wu;
-            if span_len >= wu {
-                for dxi in -job.half_w_px..=job.half_w_px {
-                    let px = (job.cx as i64 + dxi).rem_euclid(w) as usize;
-                    let dir = tables.dir(px, pyu);
-                    let hit = match job.obj.kind {
-                        ObjectKind::Sphere => {
-                            let cosang = dir.dot(job.v) / job.dist;
-                            cosang >= job.cos_half_width
-                        }
-                        ObjectKind::Cylinder | ObjectKind::Box => {
-                            // Elevation containment already held for this
-                            // row.
-                            let azimuth = tables.azimuth[pyu * wu + px];
-                            let mut da = azimuth - job.center_azimuth;
-                            while da > std::f64::consts::PI {
-                                da -= std::f64::consts::TAU;
-                            }
-                            while da < -std::f64::consts::PI {
-                                da += std::f64::consts::TAU;
-                            }
-                            da.abs() <= job.half_width
-                        }
-                    };
-                    if hit {
-                        self.paint_object_pixel(job, tables, band, row_off, px, pyu);
-                    }
-                }
-                continue;
-            }
-            let start = (job.cx as i64 - job.half_w_px).rem_euclid(w) as usize;
-            let seg1 = span_len.min(wu - start);
-            for (s0, len) in [(start, seg1), (0, span_len - seg1)] {
-                if len == 0 {
-                    continue;
-                }
-                {
-                    let hits = &mut band.scratch[..len];
-                    match job.obj.kind {
-                        ObjectKind::Sphere => {
-                            let p = SphereHit {
-                                ce: tables.row_cos[pyu],
-                                vx: job.v.x,
-                                vz: job.v.z,
-                                y_term: tables.row_sin[pyu] * job.v.y,
-                                dist: job.dist,
-                                cos_half_width: job.cos_half_width,
-                            };
-                            simd::sphere_hit_mask(
-                                &tables.col_sin[s0..s0 + len],
-                                &tables.col_cos[s0..s0 + len],
-                                &p,
-                                hits,
-                                self.simd,
-                            );
-                        }
-                        ObjectKind::Cylinder | ObjectKind::Box => {
-                            // Elevation containment already held for this
-                            // row; only the azimuthal slab remains.
-                            let az0 = pyu * wu + s0;
-                            simd::slab_hit_mask(
-                                &tables.azimuth[az0..az0 + len],
-                                job.center_azimuth,
-                                job.half_width,
-                                hits,
-                                self.simd,
-                            );
-                        }
-                    }
-                }
-                for i in 0..len {
-                    if band.scratch[i] != 0 {
-                        self.paint_object_pixel(job, tables, band, row_off, s0 + i, pyu);
-                    }
-                }
+            for px in (start..start + seg1).chain(0..span_len - seg1) {
+                self.paint_object_pixel(job, tables, band, row_off, px, pyu);
             }
         }
     }
 
-    /// Shades one hit pixel: depth test, viewpoint-relative texture, fog.
-    /// Shared by the scalar walk and the hit-mask paint loop.
+    /// Paints one candidate pixel: depth test, hit test, then the
+    /// viewpoint-relative texture and fog. The depth test goes first —
+    /// painting is front to back, so most candidates of the later jobs
+    /// fail it without paying the hit test's division.
     #[inline]
     fn paint_object_pixel(
         &self,
@@ -848,6 +822,18 @@ impl Renderer {
             return;
         }
         let dir = tables.dir(px, pyu);
+        let hit = match job.hit_test {
+            HitTest::Sphere { cos_half_width } => dir.dot(job.v) / job.dist >= cos_half_width,
+            // Elevation containment already held for this row.
+            HitTest::Slab => slab_hit(
+                tables.azimuth[pyu * self.opts.width as usize + px],
+                job.center_azimuth,
+                job.half_width,
+            ),
+        };
+        if !hit {
+            return;
+        }
         // World-anchored-ish texture: parameterize by the viewing
         // direction relative to the object center. Far objects see
         // a stable parameterization; near objects' texture slides
@@ -870,7 +856,7 @@ impl Renderer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coterie_world::{GameCatalog, GameId, GameSpec, Vec2};
+    use coterie_world::{GameCatalog, GameId, GameSpec};
 
     fn fps_scene() -> (Scene, GameSpec) {
         let spec = GameSpec::for_game(GameId::Fps);
@@ -1112,6 +1098,89 @@ mod tests {
         for (py, &se) in t.row_sin.iter().enumerate() {
             assert_eq!(se >= HORIZON_SIN, py < sky_rows, "row {py}");
         }
+    }
+
+    /// The ground depth plane as it was decided before rows were
+    /// classified: every ground pixel asks the filter about its own
+    /// ground distance.
+    fn ground_depth_asking_every_pixel(
+        r: &Renderer,
+        eye_above: f64,
+        filter: RenderFilter,
+    ) -> Vec<f32> {
+        let tables = r.tables();
+        let (w, h) = (r.opts.width as usize, r.opts.height as usize);
+        let mut depth = vec![f32::INFINITY; w * h];
+        for py in 0..h {
+            let Some(t) = tables.ground_ray(py, eye_above) else {
+                continue;
+            };
+            for px in 0..w {
+                let d = &mut depth[py * w + px];
+                if t > r.opts.render_distance {
+                    if filter.includes_sky() {
+                        *d = r.opts.render_distance as f32;
+                    }
+                } else if filter.includes(t * tables.dir(px, py).ground().length()) {
+                    *d = t as f32;
+                }
+            }
+        }
+        depth
+    }
+
+    #[test]
+    fn cutoff_on_a_row_still_asks_every_pixel() {
+        let (scene, _) = fps_scene();
+        let r = Renderer::default();
+        let tables = r.tables();
+        let (w, h) = (r.opts.width as usize, r.opts.height as usize);
+        let eye = scene.eye(scene.bounds().center());
+        let eye_above = (eye.y - scene.terrain().height(eye.ground())).max(0.2);
+        let mut rows_split_by_the_loop = 0;
+        for py in [h / 2 + 1, h / 2 + 7, 3 * h / 4, h - 1] {
+            let t = tables.ground_ray(py, eye_above).expect("a ground row");
+            let on_row = t * tables.row_cos[py];
+            for cutoff in [on_row.next_down(), on_row, on_row.next_up()] {
+                let filters = [
+                    RenderFilter::NearOnly { cutoff },
+                    RenderFilter::FarOnly { cutoff },
+                ];
+                for filter in filters {
+                    // The row is inside the margin, so it takes the loop.
+                    assert_ne!(
+                        filter.includes(on_row * (1.0 - CUTOFF_MARGIN)),
+                        filter.includes(on_row * (1.0 + CUTOFF_MARGIN)),
+                    );
+                    let mut frame = vec![0.0; w * h];
+                    let mut mask = vec![0u8; w * h];
+                    let mut depth = vec![f32::INFINITY; w * h];
+                    let mut band = Band {
+                        y0: 0,
+                        rows: h,
+                        frame: &mut frame,
+                        mask: &mut mask,
+                        depth: &mut depth,
+                        ground: GroundRow::default(),
+                    };
+                    r.paint_sky_and_ground_depth(eye_above, filter, tables, &mut band);
+                    let want = ground_depth_asking_every_pixel(&r, eye_above, filter);
+                    assert_eq!(depth, want, "{filter:?} at row {py}");
+                    let in_row = want[py * w..(py + 1) * w]
+                        .iter()
+                        .filter(|d| d.is_finite())
+                        .count();
+                    rows_split_by_the_loop += usize::from(in_row != 0 && in_row != w);
+                }
+                let [near, far] = filters.map(|f| r.render_panorama(&scene, eye, f));
+                for i in 0..w * h {
+                    assert!(near.mask[i] != 0 || far.mask[i] != 0, "hole at {i}");
+                }
+            }
+        }
+        // `hypot` lands either side of `t · row_cos` within a row, so some
+        // of these rows really are part near and part far.
+        assert!(rows_split_by_the_loop > 0);
     }
 
     #[test]

@@ -108,28 +108,24 @@ fn print_golden_hashes() {
 
 #[test]
 fn optimized_renderer_matches_scalar_golden_hashes() {
-    for level in coterie_parallel::simd::available_levels() {
-        for &workers in &[1usize, 2, 8] {
-            let renderer = Renderer::new(RenderOptions::default())
-                .with_workers(workers)
-                .with_simd_level(level);
-            for spec in GameCatalog::all() {
-                let scene = spec.build_scene(SCENE_SEED);
-                let eye = scene.eye(scene.bounds().center());
-                for (name, filter) in filters() {
-                    let pano = renderer.render_panorama(&scene, eye, filter);
-                    let hash = pano_hash(&pano);
-                    let expected = GOLDEN
-                        .iter()
-                        .find(|(g, f, _)| *g == spec.id && *f == name)
-                        .map(|(_, _, h)| *h)
-                        .unwrap_or_else(|| panic!("no golden entry for {:?}/{name}", spec.id));
-                    assert_eq!(
-                        hash, expected,
-                        "{:?}/{name} diverged from the scalar renderer at {workers} workers ({level:?})",
-                        spec.id
-                    );
-                }
+    for &workers in &[1usize, 2, 8] {
+        let renderer = Renderer::new(RenderOptions::default()).with_workers(workers);
+        for spec in GameCatalog::all() {
+            let scene = spec.build_scene(SCENE_SEED);
+            let eye = scene.eye(scene.bounds().center());
+            for (name, filter) in filters() {
+                let pano = renderer.render_panorama(&scene, eye, filter);
+                let hash = pano_hash(&pano);
+                let expected = GOLDEN
+                    .iter()
+                    .find(|(g, f, _)| *g == spec.id && *f == name)
+                    .map(|(_, _, h)| *h)
+                    .unwrap_or_else(|| panic!("no golden entry for {:?}/{name}", spec.id));
+                assert_eq!(
+                    hash, expected,
+                    "{:?}/{name} diverged from the scalar renderer at {workers} workers",
+                    spec.id
+                );
             }
         }
     }
@@ -427,25 +423,17 @@ fn paint_order_matches_scene_order_golden_hashes() {
     let (scenes, cases) = paint_order_cases();
     assert_eq!(cases.len(), PAINT_ORDER_GOLDEN.len());
     assert!(cases.len() >= 64);
-    for level in coterie_parallel::simd::available_levels() {
-        for &workers in &[1usize, 2, 8] {
-            let renderer = Renderer::new(RenderOptions::default())
-                .with_workers(workers)
-                .with_simd_level(level);
-            for (case, (label, expected)) in cases.iter().zip(PAINT_ORDER_GOLDEN) {
-                assert_eq!(case.label, *label, "table out of step with the generator");
-                let pano = renderer.render_panorama_with(
-                    &scenes[case.scene],
-                    case.eye,
-                    case.filter,
-                    &case.fi,
-                );
-                assert_eq!(
-                    pano_hash(&pano),
-                    *expected,
-                    "{label} diverged from the scene-order painter at {workers} workers ({level:?})"
-                );
-            }
+    for &workers in &[1usize, 2, 8] {
+        let renderer = Renderer::new(RenderOptions::default()).with_workers(workers);
+        for (case, (label, expected)) in cases.iter().zip(PAINT_ORDER_GOLDEN) {
+            assert_eq!(case.label, *label, "table out of step with the generator");
+            let pano =
+                renderer.render_panorama_with(&scenes[case.scene], case.eye, case.filter, &case.fi);
+            assert_eq!(
+                pano_hash(&pano),
+                *expected,
+                "{label} diverged from the scene-order painter at {workers} workers"
+            );
         }
     }
 }

@@ -10,15 +10,15 @@
 //! ([`coterie_net::wire`]) over TCP or Unix-domain sockets, served by a
 //! hand-rolled non-blocking event loop (epoll readiness, thread-per-core
 //! acceptors sharing one listener via `EPOLLEXCLUSIVE`, per-connection
-//! state machines, byte-bounded egress queues with frame-drop
-//! backpressure, graceful drain on shutdown).
+//! state machines, byte-bounded egress queues that defer a pose until
+//! its frame can be queued, graceful drain on shutdown).
 //!
 //! Layers, bottom-up:
 //!
 //! - [`sys`] — the minimal epoll FFI (the only `unsafe` in the crate).
 //! - [`stream`] — TCP/UDS transport behind one enum pair.
-//! - [`conn`] — per-connection read assembly, session state, and the
-//!   bounded egress queue (the backpressure policy lives here).
+//! - [`conn`] — per-connection read assembly, session state, the inbox
+//!   and the bounded egress queue (the backpressure policy lives here).
 //! - [`service`] — the protocol-independent serving core: per-game
 //!   worlds, the [`coterie_serve`] shared frame store and prerender
 //!   farm, the real codec, and the drop-driven quality controller.
@@ -48,7 +48,7 @@ pub mod stream;
 pub mod sys;
 
 pub use bench::{serve_bench, serve_bench_json, ServeBench, ServeBenchConfig};
-pub use conn::{ConnState, Connection, ReadOutcome, CONTROL_OVERDRAFT_BYTES};
+pub use conn::{ConnState, Connection, ReadOutcome};
 pub use loadgen::{LoadConfig, LoadReport};
 pub use server::{Server, ServerConfig, ServerStats};
 pub use service::{FrameReply, ServiceCore, ServiceStats, ShardShare};

@@ -15,7 +15,10 @@
 //!
 //! Readiness is level-triggered. `EPOLLOUT` is armed only while a
 //! connection's egress queue is non-empty, so an idle socket costs no
-//! wakeups. Shutdown sets a flag; workers notice within one poll
+//! wakeups. A readiness event reads the socket dry into the
+//! connection's inbox, flushes if writable, then handles inbox messages
+//! while the egress queue has room ([`crate::conn`] has the policy).
+//! Shutdown sets a flag; workers notice within one poll
 //! timeout (25 ms), queue a `Goodbye` on every connection, drain
 //! egress queues, and close — bounded by a 2 s drain deadline so a
 //! dead peer cannot wedge shutdown.
@@ -69,7 +72,8 @@ const PARKED_GC_GRACE: Duration = Duration::from_secs(5);
 pub struct ServerConfig {
     /// Worker (acceptor + event loop) threads.
     pub workers: usize,
-    /// Per-connection egress byte budget for droppable frames.
+    /// Per-connection byte budget, once for replies queued and once for
+    /// messages waiting to be handled ([`crate::conn`]).
     pub egress_limit_bytes: usize,
     /// Shared frame-store byte budget.
     pub store_bytes: u64,
@@ -139,7 +143,7 @@ pub struct ServerStats {
     pub poses: u64,
     /// Frames queued for delivery.
     pub frames_sent: u64,
-    /// Frames dropped by egress backpressure.
+    /// Poses that lost their frame to egress backpressure.
     pub frames_dropped: u64,
     /// Bytes written to sockets.
     pub bytes_sent: u64,
@@ -347,12 +351,11 @@ fn worker_loop(shared: &Shared, worker: u32) {
                 continue;
             };
             let ready = ev.ready();
-            if ready & EPOLLIN != 0 || ready & EPOLLRDHUP != 0 {
-                handle_readable(shared, conn, worker);
-            }
+            let peer_gone = ready & (EPOLLIN | EPOLLRDHUP) != 0 && read_conn(shared, conn);
             if ready & EPOLLOUT != 0 {
                 flush_conn(shared, conn);
             }
+            serve_pending(shared, conn, worker, peer_gone);
             sync_conn(&epoll, &mut conns, token, shared);
         }
 
@@ -561,45 +564,64 @@ fn begin_goodbye(shared: &Shared, conn: &mut Connection, reason: ByeReason) {
     if let ConnState::Active { game, room, .. } = conn.state() {
         shared.service.leave(game, room);
     }
-    if conn.enqueue_control(&WireMessage::Goodbye { reason }) {
-        conn.set_state(ConnState::Draining);
-    } else {
-        conn.set_state(ConnState::Closed);
-    }
+    conn.enqueue_control(&WireMessage::Goodbye { reason });
+    conn.set_state(ConnState::Draining);
 }
 
-fn handle_readable(shared: &Shared, conn: &mut Connection, worker: u32) {
-    let (msgs, eof) = match conn.read_ready() {
-        ReadOutcome::Progress(msgs) => (msgs, false),
-        ReadOutcome::Eof(msgs) => (msgs, true),
-        ReadOutcome::Protocol(_) => {
-            shared
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            let _ = conn.enqueue_control(&WireMessage::Error {
+/// One read pass into the connection's inbox. Returns whether the peer
+/// is gone (EOF).
+fn read_conn(shared: &Shared, conn: &mut Connection) -> bool {
+    let (poses, dropped) = (conn.poses_received, conn.frames_dropped);
+    let outcome = conn.read_ready();
+    let (received, discarded) = (conn.poses_received - poses, conn.frames_dropped - dropped);
+    let counters = &shared.counters;
+    counters.poses.fetch_add(received, Ordering::Relaxed);
+    counters
+        .frames_dropped
+        .fetch_add(discarded, Ordering::Relaxed);
+    if let ConnState::Active { game, room, .. } = conn.state() {
+        for _ in 0..discarded {
+            note_delivery(shared, conn, game, room, true);
+        }
+    }
+    match outcome {
+        ReadOutcome::Progress => false,
+        ReadOutcome::Eof => true,
+        ReadOutcome::Protocol => {
+            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            conn.enqueue_control(&WireMessage::Error {
                 code: ErrorCode::Malformed,
             });
             begin_goodbye(shared, conn, ByeReason::Normal);
-            return;
-        }
-    };
-    for msg in msgs {
-        handle_message(shared, conn, msg, worker);
-        if conn.state() == ConnState::Closed {
-            break;
+            false
         }
     }
-    if eof && conn.state() != ConnState::Closed {
-        // Peer is gone; whatever is queued can never matter. An EOF
-        // without a clean `Bye` is exactly the dropped-connection case
-        // resume tokens exist for, so park rather than leave.
+}
+
+/// Handles the inbox in order while replies can be queued; the rest is
+/// taken up on the next `EPOLLOUT`. A peer that is gone has everything
+/// handled: its last message decides between leaving and parking.
+fn serve_pending(shared: &Shared, conn: &mut Connection, worker: u32, peer_gone: bool) {
+    while let Some((msg, waited)) = conn.next_pending(peer_gone) {
+        handle_message(shared, conn, msg, waited, worker);
+    }
+    if peer_gone && conn.state() != ConnState::Closed {
+        // Whatever is queued can never matter. An EOF without a clean
+        // `Bye` is exactly the dropped-connection case resume tokens
+        // exist for, so park rather than leave.
         park_or_leave(shared, conn);
         conn.set_state(ConnState::Closed);
     }
 }
 
-fn handle_message(shared: &Shared, conn: &mut Connection, msg: WireMessage, worker: u32) {
+/// `waited`: the message sat in the inbox for lack of egress room.
+fn handle_message(
+    shared: &Shared,
+    conn: &mut Connection,
+    msg: WireMessage,
+    waited: bool,
+    worker: u32,
+) {
     match (conn.state(), msg) {
         (
             ConnState::Handshake,
@@ -621,7 +643,7 @@ fn handle_message(shared: &Shared, conn: &mut Connection, msg: WireMessage, work
                     .counters
                     .versions_rejected
                     .fetch_add(1, Ordering::Relaxed);
-                let _ = conn.enqueue_control(&WireMessage::VersionReject {
+                conn.enqueue_control(&WireMessage::VersionReject {
                     min: MIN_PROTO_VERSION,
                     max: PROTO_VERSION,
                 });
@@ -651,15 +673,12 @@ fn handle_message(shared: &Shared, conn: &mut Connection, msg: WireMessage, work
                 .sign(shared.secret)
             });
             conn.token = token;
-            let ok = conn.enqueue_control(&WireMessage::Welcome {
+            conn.enqueue_control(&WireMessage::Welcome {
                 room,
                 player,
                 budget_ms: shared.service.budget_ms(),
                 token,
             });
-            if !ok {
-                conn.set_state(ConnState::Closed);
-            }
         }
         (ConnState::Handshake, WireMessage::Resume { proto, token }) => {
             if !(RESUME_PROTO_MIN..=PROTO_VERSION).contains(&proto) {
@@ -667,7 +686,7 @@ fn handle_message(shared: &Shared, conn: &mut Connection, msg: WireMessage, work
                     .counters
                     .versions_rejected
                     .fetch_add(1, Ordering::Relaxed);
-                let _ = conn.enqueue_control(&WireMessage::VersionReject {
+                conn.enqueue_control(&WireMessage::VersionReject {
                     min: MIN_PROTO_VERSION,
                     max: PROTO_VERSION,
                 });
@@ -682,14 +701,14 @@ fn handle_message(shared: &Shared, conn: &mut Connection, msg: WireMessage, work
                 WireMessage::ResumeReject { reason }
             };
             if ResumeToken::verify(&token, shared.secret).is_none() {
-                let _ = conn.enqueue_control(&reject(ResumeRejectReason::Malformed));
+                conn.enqueue_control(&reject(ResumeRejectReason::Malformed));
                 begin_goodbye(shared, conn, ByeReason::Normal);
                 return;
             }
             let parked = shared.parked.lock().remove(&token);
             match parked {
                 None => {
-                    let _ = conn.enqueue_control(&reject(ResumeRejectReason::Unknown));
+                    conn.enqueue_control(&reject(ResumeRejectReason::Unknown));
                     begin_goodbye(shared, conn, ByeReason::Normal);
                 }
                 Some(p)
@@ -698,7 +717,7 @@ fn handle_message(shared: &Shared, conn: &mut Connection, msg: WireMessage, work
                 {
                     // TTL lapsed: release the held seat and say so.
                     shared.service.leave(p.game, p.room);
-                    let _ = conn.enqueue_control(&reject(ResumeRejectReason::Expired));
+                    conn.enqueue_control(&reject(ResumeRejectReason::Expired));
                     begin_goodbye(shared, conn, ByeReason::Normal);
                 }
                 Some(p) => {
@@ -719,21 +738,19 @@ fn handle_message(shared: &Shared, conn: &mut Connection, msg: WireMessage, work
                         .counters
                         .sessions_resumed
                         .fetch_add(1, Ordering::Relaxed);
-                    let ok = conn.enqueue_control(&WireMessage::Welcome {
+                    conn.enqueue_control(&WireMessage::Welcome {
                         room: p.room,
                         player: p.player,
                         budget_ms: shared.service.budget_ms(),
                         token: Some(token),
                     });
-                    if !ok {
-                        conn.set_state(ConnState::Closed);
-                    }
                 }
             }
         }
         (ConnState::Active { game, room, .. }, WireMessage::Pose { seq, x, z, .. }) => {
-            shared.counters.poses.fetch_add(1, Ordering::Relaxed);
-            serve_pose(shared, conn, game, room, seq, Vec2::new(x, z), worker);
+            let delivered = serve_pose(shared, conn, game, room, seq, Vec2::new(x, z), worker);
+            note_delivery(shared, conn, game, room, waited || !delivered);
+            flush_conn(shared, conn);
         }
         (ConnState::Handshake, WireMessage::ShardHello { proto, shard, .. }) => {
             // A fellow worker's exchange link. Same version window as
@@ -743,7 +760,7 @@ fn handle_message(shared: &Shared, conn: &mut Connection, msg: WireMessage, work
                     .counters
                     .versions_rejected
                     .fetch_add(1, Ordering::Relaxed);
-                let _ = conn.enqueue_control(&WireMessage::VersionReject {
+                conn.enqueue_control(&WireMessage::VersionReject {
                     min: MIN_PROTO_VERSION,
                     max: PROTO_VERSION,
                 });
@@ -790,9 +807,6 @@ fn handle_message(shared: &Shared, conn: &mut Connection, msg: WireMessage, work
         (ConnState::Active { .. }, WireMessage::Bye) | (ConnState::Handshake, WireMessage::Bye) => {
             begin_goodbye(shared, conn, ByeReason::Normal);
         }
-        (ConnState::Draining, _) | (ConnState::Closed, _) => {
-            // Late traffic from a peer we already said goodbye to.
-        }
         (_, WireMessage::Error { .. }) | (_, WireMessage::Goodbye { .. }) => {
             // Peer-side reports need no reply.
         }
@@ -801,7 +815,7 @@ fn handle_message(shared: &Shared, conn: &mut Connection, msg: WireMessage, work
                 .counters
                 .protocol_errors
                 .fetch_add(1, Ordering::Relaxed);
-            let _ = conn.enqueue_control(&WireMessage::Error {
+            conn.enqueue_control(&WireMessage::Error {
                 code: ErrorCode::BadState,
             });
             begin_goodbye(shared, conn, ByeReason::Normal);
@@ -851,6 +865,27 @@ fn apply_shard_frame(
             .apply_shard_frame(entry.game, shard_entry_meta(&entry), encoded, scale_pm);
 }
 
+/// Tells the client its room's scale if that is news to it.
+fn notify_scale(shared: &Shared, conn: &mut Connection, scale_pm: u16) {
+    if scale_pm != conn.last_notified_scale_pm {
+        conn.last_notified_scale_pm = scale_pm;
+        conn.enqueue_control(&WireMessage::Degrade { scale_pm });
+        let sent = &shared.counters.degrades_sent;
+        sent.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Feeds the room's quality controller one pose's outcome — `dropped`
+/// when the pose had to wait for egress room or lost its frame — and
+/// passes on a scale change.
+fn note_delivery(shared: &Shared, conn: &mut Connection, game: GameId, room: u32, dropped: bool) {
+    if let Some(new_scale) = shared.service.note_delivery(game, room, dropped) {
+        notify_scale(shared, conn, new_scale);
+    }
+}
+
+/// Looks up (or renders) the pose's frame and queues it. Returns whether
+/// the queue took it.
 fn serve_pose(
     shared: &Shared,
     conn: &mut Connection,
@@ -859,24 +894,16 @@ fn serve_pose(
     seq: u64,
     pos: Vec2,
     worker: u32,
-) {
+) -> bool {
     let FrameReply {
         encoded,
         store_hit,
         scale_pm,
     } = shared.service.frame_for(game, room, pos, worker);
 
-    // Scale changed since this client last heard about it (another
-    // connection may have triggered the degrade): notify lazily.
-    if scale_pm != conn.last_notified_scale_pm {
-        conn.last_notified_scale_pm = scale_pm;
-        if conn.enqueue_control(&WireMessage::Degrade { scale_pm }) {
-            shared
-                .counters
-                .degrades_sent
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    // Another connection may have triggered a degrade since this client
+    // last heard: notify lazily.
+    notify_scale(shared, conn, scale_pm);
 
     let frame = WireMessage::Frame {
         seq,
@@ -888,29 +915,13 @@ fn serve_pose(
         payload: encoded.payload.to_vec(),
     };
     let delivered = conn.enqueue_frame(&frame);
-    if delivered {
-        shared.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
+    let counters = &shared.counters;
+    let outcome = if delivered {
+        &counters.frames_sent
     } else {
-        shared
-            .counters
-            .frames_dropped
-            .fetch_add(1, Ordering::Relaxed);
-    }
+        &counters.frames_dropped
+    };
+    outcome.fetch_add(1, Ordering::Relaxed);
     shared.counters.note_peak(conn.queued_bytes() as u64);
-
-    if let Some(new_scale) = shared.service.note_delivery(game, room, !delivered) {
-        if new_scale != conn.last_notified_scale_pm {
-            conn.last_notified_scale_pm = new_scale;
-            if conn.enqueue_control(&WireMessage::Degrade {
-                scale_pm: new_scale,
-            }) {
-                shared
-                    .counters
-                    .degrades_sent
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    flush_conn(shared, conn);
+    delivered
 }

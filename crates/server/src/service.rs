@@ -8,7 +8,7 @@
 //! paper's three-criteria similarity lookup (session-id-free, so any
 //! room's frames serve any room of the same game), the
 //! [`PrerenderFarm`] turns misses into speculative neighbour renders,
-//! and a per-room quality controller converts egress-queue drops into
+//! and a per-room quality controller converts egress-queue waits into
 //! degrade notices — the paper's "ship smaller frames until the link
 //! recovers" loop, driven by *measured* socket backpressure instead of
 //! a simulated budget.
@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Consecutive dropped frames on a room before its scale degrades.
+/// Consecutive poses that waited or lost their frame before a room degrades.
 pub const DEGRADE_AFTER_DROPS: u32 = 4;
 /// Consecutive clean deliveries before a degraded room recovers a step.
 pub const RECOVER_AFTER_CLEAN: u32 = 64;

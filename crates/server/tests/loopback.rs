@@ -8,9 +8,7 @@ use coterie_net::wire::{
     ByeReason, ResumeRejectReason, WireMessage, MIN_PROTO_VERSION, PROTO_VERSION,
 };
 use coterie_net::NetScenario;
-use coterie_server::{
-    loadgen, Endpoint, Listener, LoadConfig, Server, ServerConfig, CONTROL_OVERDRAFT_BYTES,
-};
+use coterie_server::{loadgen, Endpoint, Listener, LoadConfig, Server, ServerConfig};
 use coterie_telemetry::TelemetrySink;
 use coterie_world::GameId;
 use std::io::{Read, Write};
@@ -147,10 +145,48 @@ fn pose(seq: u64) -> Vec<u8> {
     .encode_frame()
 }
 
+/// Poses scattered over the whole world, so that (as for the
+/// benchmark's roaming players) nearly every one is a store miss with a
+/// frame of its own, 1–2 KB encoded.
+fn roam_pose(seq: u64) -> Vec<u8> {
+    WireMessage::Pose {
+        seq,
+        t_ms: seq as f64 * 16.7,
+        x: 10.0 + (seq * 7919 % 1600) as f64 * 0.1,
+        z: 10.0 + (seq * 104_729 % 1100) as f64 * 0.1,
+        yaw: 0.0,
+    }
+    .encode_frame()
+}
+
+/// Joins room 0 of the test game and returns the connected stream.
+fn join(path: &Path) -> (UnixStream, coterie_net::FrameAssembler) {
+    let mut stream = UnixStream::connect(path).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    stream.write_all(&hello()).expect("hello");
+    let mut asm = coterie_net::FrameAssembler::new();
+    let welcome = read_msg(&mut stream, &mut asm, Duration::from_secs(5));
+    assert!(matches!(welcome, Some(WireMessage::Welcome { .. })));
+    (stream, asm)
+}
+
+/// Polls the server's stats until it has received `poses` poses.
+fn wait_for_poses(server: &Server, poses: u64) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while server.stats().poses < poses && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let stats = server.stats();
+    assert_eq!(stats.poses, poses, "server never saw the flood: {stats:?}");
+}
+
 /// A reader that joins, then sends poses without ever reading: the
-/// egress queue must cap at the configured limit (+ control overdraft),
-/// frames must drop rather than accumulate, and the server must keep
-/// serving other clients.
+/// server keeps reading (every pose is counted), its egress queue caps
+/// at the configured limit plus one reply, the poses that outrun the
+/// inbox are discarded rather than accumulated, and other clients are
+/// served meanwhile.
 #[test]
 fn slow_reader_egress_stays_bounded_and_drops_frames() {
     let egress_limit = 16 * 1024;
@@ -161,49 +197,94 @@ fn slow_reader_egress_stays_bounded_and_drops_frames() {
             ..ServerConfig::default()
         },
     );
-
-    let mut stream = UnixStream::connect(&path).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .unwrap();
-    stream.write_all(&hello()).expect("hello");
-    let mut asm = coterie_net::FrameAssembler::new();
-    let welcome = read_msg(&mut stream, &mut asm, Duration::from_secs(5));
-    assert!(matches!(welcome, Some(WireMessage::Welcome { .. })));
+    let (mut stream, mut asm) = join(&path);
 
     // Flood poses; never read. The kernel socket buffer fills first,
-    // then the server-side egress queue, then frames drop.
+    // then the server-side egress queue, then the inbox, and from there
+    // the oldest waiting poses go.
     for seq in 0..600u64 {
-        stream.write_all(&pose(seq)).expect("pose");
+        stream.write_all(&roam_pose(seq)).expect("pose");
     }
-
-    // Wait until the server has chewed through all 600 poses.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let s = server.stats();
-        if s.poses >= 600 || Instant::now() > deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_for_poses(&server, 600);
     let stats = server.stats();
-    assert_eq!(stats.poses, 600, "server never saw the flood: {stats:?}");
     assert!(stats.frames_dropped > 0, "no backpressure drops: {stats:?}");
+
+    // The stuck connection holds nobody else up.
+    let (mut other, mut other_asm) = join(&path);
+    other.write_all(&pose(0)).expect("pose");
+    assert!(matches!(
+        read_msg(&mut other, &mut other_asm, Duration::from_secs(5)),
+        Some(WireMessage::Frame { .. })
+    ));
+
+    // Reading at last brings the frames queued and the poses deferred,
+    // in order; the largest is the "one reply" of the queue's bound.
+    let (mut largest_reply, mut last_seq) = (0, None);
+    while let Some(msg) = read_msg(&mut stream, &mut asm, Duration::from_millis(500)) {
+        if let WireMessage::Frame { seq, .. } = msg {
+            assert!(last_seq < Some(seq), "frame {seq} after {last_seq:?}");
+            last_seq = Some(seq);
+            largest_reply = largest_reply.max(msg.encode_frame().len());
+        }
+    }
+    assert_eq!(last_seq, Some(599), "the newest pose is never the one lost");
 
     // The per-connection queue high-water mark is folded into the
     // shared counters when the connection closes.
-    drop(stream);
+    drop((stream, other));
     let final_stats = server.stop();
     let _ = std::fs::remove_file(&path);
     assert_eq!(final_stats.live, 0);
+    assert_eq!(final_stats.frames_sent + final_stats.frames_dropped, 601);
     assert!(
         final_stats.peak_queue_bytes > 0,
         "queue never filled: {final_stats:?}"
     );
+    // One reply: a frame and the degrade notices either side of it.
     assert!(
-        final_stats.peak_queue_bytes <= (egress_limit + CONTROL_OVERDRAFT_BYTES) as u64,
+        final_stats.peak_queue_bytes < (egress_limit + largest_reply + 64) as u64,
         "egress queue exceeded its bound: {final_stats:?}"
     );
+}
+
+/// A reader that stalls for longer than the socket buffer and the egress
+/// queue cover, but not longer than the inbox does, gets every frame it
+/// asked for once it reads again.
+#[test]
+fn reader_that_falls_behind_loses_nothing() {
+    let (server, path) = start_uds(
+        "behind",
+        ServerConfig {
+            egress_limit_bytes: 64 * 1024,
+            ..ServerConfig::default()
+        },
+    );
+    let (mut stream, mut asm) = join(&path);
+    for seq in 0..400u64 {
+        stream.write_all(&roam_pose(seq)).expect("pose");
+    }
+    wait_for_poses(&server, 400);
+    let stalled = server.stats();
+    assert!(
+        stalled.frames_sent < 400,
+        "nothing had to wait: {stalled:?}"
+    );
+
+    let mut next_seq = 0;
+    while next_seq < 400 {
+        match read_msg(&mut stream, &mut asm, Duration::from_secs(5)) {
+            Some(WireMessage::Frame { seq, .. }) => {
+                assert_eq!(seq, next_seq, "frames out of order or missing");
+                next_seq += 1;
+            }
+            Some(WireMessage::Degrade { .. }) => {}
+            other => panic!("expected frame {next_seq}, got {other:?}"),
+        }
+    }
+    drop(stream);
+    let stats = server.stop();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!((stats.frames_sent, stats.frames_dropped), (400, 0));
 }
 
 /// Shutdown while a session is mid-stream: the client receives a

@@ -64,10 +64,13 @@ pub fn value_noise(seed: u64, x: f64, z: f64) -> f64 {
     let fx = smooth(x - x0);
     let fz = smooth(z - z0);
     let (ix, iz) = (x0 as i64, z0 as i64);
+    // Wrapping: `as i64` saturates from 2^63 up, and the cell past
+    // `i64::MAX` is whatever release builds always took it to be.
+    let (ix1, iz1) = (ix.wrapping_add(1), iz.wrapping_add(1));
     let v00 = lattice(seed, ix, iz);
-    let v10 = lattice(seed, ix + 1, iz);
-    let v01 = lattice(seed, ix, iz + 1);
-    let v11 = lattice(seed, ix + 1, iz + 1);
+    let v10 = lattice(seed, ix1, iz);
+    let v01 = lattice(seed, ix, iz1);
+    let v11 = lattice(seed, ix1, iz1);
     let a = v00 + (v10 - v00) * fx;
     let b = v01 + (v11 - v01) * fx;
     a + (b - a) * fz
@@ -82,22 +85,109 @@ pub fn value_noise(seed: u64, x: f64, z: f64) -> f64 {
 /// last cell's corners skips the hashes entirely on a hit. The
 /// interpolation path is unchanged, so [`value_noise_cached`] returns
 /// results bit-identical to [`value_noise`] regardless of hit pattern.
+///
+/// # Hits are decided without flooring the point
+///
+/// The memo keeps its cell's lower corner as `cx = ix as f64`,
+/// `cz = iz as f64`, and a point is in the cell when its offsets
+/// `x - cx` and `z - cz` both land in `[0, 1)` (`in_cell`). Rounding a
+/// difference is monotone and never turns a nonzero difference into
+/// zero, so a rounded offset in `[0, 1)` means `cx <= x < cx + 1`; `cx`
+/// is an integer, so `fast_floor(x) == cx` and the offset *is* the
+/// subtraction the floor-and-compare path performs, against the same
+/// corners. The test is sufficient, never necessary: NaN fails every
+/// comparison, and from `|cx| = 2^53` up a cell admits `x == cx` alone.
+/// Whatever fails takes the floor-and-compare path, as every lookup did
+/// before.
 #[derive(Debug, Clone, Default)]
 pub struct NoiseCellCache {
     valid: bool,
     seed: u64,
     ix: i64,
     iz: i64,
+    cx: f64,
+    cz: f64,
     v00: f64,
-    v10: f64,
     v01: f64,
-    v11: f64,
+    /// `v10 - v00` and `v11 - v01`, the x-lerp slopes.
+    dx0: f64,
+    dx1: f64,
+}
+
+/// Whether an offset from a cell's lower edge lies inside the cell.
+#[inline(always)]
+fn in_cell(t: f64) -> bool {
+    (0.0..1.0).contains(&t)
 }
 
 impl NoiseCellCache {
     /// An empty cache (first lookup always misses).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Whether the memo holds a cell of `seed`'s lattice.
+    #[inline(always)]
+    fn is_for(&self, seed: u64) -> bool {
+        self.valid && self.seed == seed
+    }
+
+    /// Makes the memo hold cell `(ix, iz)` of `seed`.
+    #[inline(always)]
+    fn seek(&mut self, seed: u64, ix: i64, iz: i64) {
+        if self.is_for(seed) && self.ix == ix && self.iz == iz {
+            return;
+        }
+        let (ix1, iz1) = (ix.wrapping_add(1), iz.wrapping_add(1));
+        let v00 = lattice(seed, ix, iz);
+        let v01 = lattice(seed, ix, iz1);
+        *self = NoiseCellCache {
+            valid: true,
+            seed,
+            ix,
+            iz,
+            cx: ix as f64,
+            cz: iz as f64,
+            v00,
+            v01,
+            dx0: lattice(seed, ix1, iz) - v00,
+            dx1: lattice(seed, ix1, iz1) - v01,
+        };
+    }
+
+    /// The lower edge that coordinate `k` of a cross
+    /// `[x1, x0, xc, z1, z0, zc]` is measured from.
+    #[inline(always)]
+    fn edge(&self, k: usize) -> f64 {
+        if k < 3 {
+            self.cx
+        } else {
+            self.cz
+        }
+    }
+
+    /// The cell's two x-interpolants at offset `tx` from its lower edge.
+    #[inline(always)]
+    fn lerp_x(&self, tx: f64) -> (f64, f64) {
+        let fx = smooth(tx);
+        (self.v00 + self.dx0 * fx, self.v01 + self.dx1 * fx)
+    }
+
+    /// The four values of a cross whose six coordinates lie at these
+    /// offsets from the cell's lower edges: the x-probes share their row
+    /// weight, the z-probes their column interpolants.
+    #[inline(always)]
+    fn cross(&self, [tx1, tx0, txc, tz1, tz0, tzc]: [f64; 6]) -> [f64; 4] {
+        let (a1, b1) = self.lerp_x(tx1);
+        let (a0, b0) = self.lerp_x(tx0);
+        let (ac, bc) = self.lerp_x(txc);
+        let fzc = smooth(tzc);
+        [
+            a1 + (b1 - a1) * fzc,
+            a0 + (b0 - a0) * fzc,
+            ac + (bc - ac) * smooth(tz1),
+            ac + (bc - ac) * smooth(tz0),
+        ]
     }
 }
 
@@ -113,34 +203,21 @@ impl NoiseCellCache {
 /// ```
 #[inline(always)]
 pub fn value_noise_cached(cache: &mut NoiseCellCache, seed: u64, x: f64, z: f64) -> f64 {
-    let x0 = fast_floor(x);
-    let z0 = fast_floor(z);
-    let fx = smooth(x - x0);
-    let fz = smooth(z - z0);
-    let (ix, iz) = (x0 as i64, z0 as i64);
-    if !(cache.valid && cache.seed == seed && cache.ix == ix && cache.iz == iz) {
-        fill_cell(cache, seed, ix, iz);
+    let (mut tx, mut tz) = (x - cache.cx, z - cache.cz);
+    if !(cache.is_for(seed) && in_cell(tx) & in_cell(tz)) {
+        let x0 = fast_floor(x);
+        let z0 = fast_floor(z);
+        cache.seek(seed, x0 as i64, z0 as i64);
+        (tx, tz) = (x - x0, z - z0);
     }
-    let a = cache.v00 + (cache.v10 - cache.v00) * fx;
-    let b = cache.v01 + (cache.v11 - cache.v01) * fx;
-    a + (b - a) * fz
-}
-
-#[inline(always)]
-fn fill_cell(cache: &mut NoiseCellCache, seed: u64, ix: i64, iz: i64) {
-    cache.valid = true;
-    cache.seed = seed;
-    cache.ix = ix;
-    cache.iz = iz;
-    cache.v00 = lattice(seed, ix, iz);
-    cache.v10 = lattice(seed, ix + 1, iz);
-    cache.v01 = lattice(seed, ix, iz + 1);
-    cache.v11 = lattice(seed, ix + 1, iz + 1);
+    let (a, b) = cache.lerp_x(tx);
+    a + (b - a) * smooth(tz)
 }
 
 /// Evaluates the four points of a central-difference cross — `(x1, zc)`,
-/// `(x0, zc)`, `(xc, z1)`, `(xc, z0)` — against one cache, in that
-/// order. Bit-identical to four [`value_noise_cached`] calls.
+/// `(x0, zc)`, `(xc, z1)`, `(xc, z0)`, the argument being
+/// `[x1, x0, xc, z1, z0, zc]` — against one cache, in that order.
+/// Bit-identical to four [`value_noise_cached`] calls.
 ///
 /// The terrain normal's probes sit `2·eps` apart, so almost always in
 /// one lattice cell: the cell is then checked and filled once, the two
@@ -148,49 +225,19 @@ fn fill_cell(cache: &mut NoiseCellCache, seed: u64, ix: i64, iz: i64) {
 /// row interpolants. Probes straddling a cell edge fall back to
 /// independent cached evaluation (same values, by [`value_noise_cached`]'s
 /// own guarantee).
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub fn value_noise_cached_cross(
-    cache: &mut NoiseCellCache,
-    seed: u64,
-    x1: f64,
-    x0: f64,
-    xc: f64,
-    z1: f64,
-    z0: f64,
-    zc: f64,
-) -> [f64; 4] {
-    let x1f = fast_floor(x1);
-    let x0f = fast_floor(x0);
-    let xcf = fast_floor(xc);
-    let z1f = fast_floor(z1);
-    let z0f = fast_floor(z0);
-    let zcf = fast_floor(zc);
-    let (ix1, ix0, ixc) = (x1f as i64, x0f as i64, xcf as i64);
-    let (iz1, iz0, izc) = (z1f as i64, z0f as i64, zcf as i64);
+pub fn value_noise_cached_cross(cache: &mut NoiseCellCache, seed: u64, at: [f64; 6]) -> [f64; 4] {
+    let t: [f64; 6] = std::array::from_fn(|k| at[k] - cache.edge(k));
+    if cache.is_for(seed) && t.iter().fold(true, |all, &t| all & in_cell(t)) {
+        return cache.cross(t);
+    }
+    let floors = at.map(fast_floor);
+    let [ix1, ix0, ixc, iz1, iz0, izc] = floors.map(|f| f as i64);
     if ix1 == ixc && ix0 == ixc && iz1 == izc && iz0 == izc {
-        if !(cache.valid && cache.seed == seed && cache.ix == ixc && cache.iz == izc) {
-            fill_cell(cache, seed, ixc, izc);
-        }
-        let fx1 = smooth(x1 - x1f);
-        let fx0 = smooth(x0 - x0f);
-        let fxc = smooth(xc - xcf);
-        let fz1 = smooth(z1 - z1f);
-        let fz0 = smooth(z0 - z0f);
-        let fzc = smooth(zc - zcf);
-        let a1 = cache.v00 + (cache.v10 - cache.v00) * fx1;
-        let b1 = cache.v01 + (cache.v11 - cache.v01) * fx1;
-        let a0 = cache.v00 + (cache.v10 - cache.v00) * fx0;
-        let b0 = cache.v01 + (cache.v11 - cache.v01) * fx0;
-        let ac = cache.v00 + (cache.v10 - cache.v00) * fxc;
-        let bc = cache.v01 + (cache.v11 - cache.v01) * fxc;
-        [
-            a1 + (b1 - a1) * fzc,
-            a0 + (b0 - a0) * fzc,
-            ac + (bc - ac) * fz1,
-            ac + (bc - ac) * fz0,
-        ]
+        cache.seek(seed, ixc, izc);
+        cache.cross(std::array::from_fn(|k| at[k] - floors[k]))
     } else {
+        let [x1, x0, xc, z1, z0, zc] = at;
         [
             value_noise_cached(cache, seed, x1, zc),
             value_noise_cached(cache, seed, x0, zc),
@@ -200,25 +247,66 @@ pub fn value_noise_cached_cross(
     }
 }
 
-/// [`fbm`] with one [`NoiseCellCache`] per octave (`caches.len()` is the
-/// octave count); bit-identical to the uncached evaluation.
+/// One fBm octave of four crosses at once: with lane `j`'s cross at
+/// `[probes[0][j] * freq, …, probes[5][j] * freq]`,
+/// `totals[probe][j] += amp * value_noise_cached_cross(cache, seed, cross)[probe]`
+/// over lanes 0 to 3 in order. Bit-identical to those four calls and
+/// sixteen scalar updates.
+///
+/// When the memo already contains all 24 coordinates the four crosses
+/// are evaluated in one pass over `[f64; 4]`s against its constants.
+/// Lanes are independent and Rust never contracts `a * b + c` into a
+/// fused multiply-add, so however the compiler vectorises that pass
+/// each lane performs the scalar path's IEEE operations in the scalar
+/// path's order. Otherwise the lanes go through the scalar cross one by
+/// one, which leaves the memo on the last lane's cell for the next block.
 #[inline(always)]
-pub fn fbm_cached(caches: &mut [NoiseCellCache], seed: u64, x: f64, z: f64) -> f64 {
-    let mut amp = 0.5;
-    let mut freq = 1.0;
-    let mut total = 0.0;
-    let mut norm = 0.0;
-    for (octave, cache) in caches.iter_mut().enumerate() {
-        total +=
-            amp * value_noise_cached(cache, seed.wrapping_add(octave as u64), x * freq, z * freq);
-        norm += amp;
-        amp *= 0.5;
-        freq *= 2.0;
+pub fn accumulate_cross_x4(
+    cache: &mut NoiseCellCache,
+    seed: u64,
+    amp: f64,
+    freq: f64,
+    probes: &[[f64; 4]; 6],
+    totals: &mut [[f64; 4]; 4],
+) {
+    // `from_fn` over indices rather than `map` or `flatten`: those leave
+    // an out-of-line call or a scalar loop in the pass.
+    let at: [[f64; 4]; 6] = std::array::from_fn(|k| std::array::from_fn(|j| probes[k][j] * freq));
+    let t: [[f64; 4]; 6] =
+        std::array::from_fn(|k| std::array::from_fn(|j| at[k][j] - cache.edge(k)));
+    let mut held = cache.is_for(seed);
+    for tk in &t {
+        for &tkj in tk {
+            held &= in_cell(tkj);
+        }
     }
-    if norm > 0.0 {
-        total / norm
-    } else {
-        0.0
+    if !held {
+        return accumulate_cross_x4_by_lane(cache, seed, amp, &at, totals);
+    }
+    for j in 0..4 {
+        let vals = cache.cross(std::array::from_fn(|k| t[k][j]));
+        for (total, v) in totals.iter_mut().zip(vals) {
+            total[j] += amp * v;
+        }
+    }
+}
+
+/// [`accumulate_cross_x4`] when the memo does not hold the block. Kept
+/// out of line: inlined, its floors and refills crowd the in-cell pass
+/// out of the vectoriser's reach.
+#[inline(never)]
+fn accumulate_cross_x4_by_lane(
+    cache: &mut NoiseCellCache,
+    seed: u64,
+    amp: f64,
+    at: &[[f64; 4]; 6],
+    totals: &mut [[f64; 4]; 4],
+) {
+    for j in 0..4 {
+        let vals = value_noise_cached_cross(cache, seed, std::array::from_fn(|k| at[k][j]));
+        for (total, v) in totals.iter_mut().zip(vals) {
+            total[j] += amp * v;
+        }
     }
 }
 
@@ -394,32 +482,148 @@ mod tests {
         for i in 0..4000 {
             let x = -2.0 + i as f64 * 0.001;
             let z = 1.5 + (i as f64 * 0.0007).sin();
-            let got =
-                value_noise_cached_cross(&mut cache, 7, x + eps, x - eps, x, z + eps, z - eps, z);
-            let want = [
-                value_noise(7, x + eps, z),
-                value_noise(7, x - eps, z),
-                value_noise(7, x, z + eps),
-                value_noise(7, x, z - eps),
-            ];
+            let at = cross_at(x, z, eps);
+            let got = value_noise_cached_cross(&mut cache, 7, at);
+            let want = uncached_cross(at, 7);
             assert_eq!(got, want, "cross diverged at ({x}, {z})");
         }
     }
 
-    #[test]
-    fn cached_fbm_matches_fbm() {
-        let mut caches = [
-            NoiseCellCache::new(),
-            NoiseCellCache::new(),
-            NoiseCellCache::new(),
-            NoiseCellCache::new(),
-        ];
-        for i in 0..200 {
-            let x = i as f64 * 0.083 - 7.0;
-            let z = i as f64 * 0.031 + 2.0;
-            assert_eq!(fbm_cached(&mut caches, 11, x, z), fbm(11, x, z, 4));
+    /// The cross at `(x, z)` with arm `eps`, as its six coordinates.
+    fn cross_at(x: f64, z: f64, eps: f64) -> [f64; 6] {
+        [x + eps, x - eps, x, z + eps, z - eps, z]
+    }
+
+    fn uncached_cross([x1, x0, xc, z1, z0, zc]: [f64; 6], seed: u64) -> [f64; 4] {
+        [
+            value_noise(seed, x1, zc),
+            value_noise(seed, x0, zc),
+            value_noise(seed, xc, z1),
+            value_noise(seed, xc, z0),
+        ]
+    }
+
+    /// Bit patterns, with every NaN as one value: the language does not
+    /// pin a NaN's sign or payload.
+    fn bits<const N: usize>(v: [f64; N]) -> [u64; N] {
+        v.map(|f| if f.is_nan() { u64::MAX } else { f.to_bits() })
+    }
+
+    /// Paths that enter and leave cell `(cx, cz)` through each edge and
+    /// each corner, stepping onto `c`, `c + 1 - ulp` and one ulp outside
+    /// either on the way.
+    fn edge_and_corner_sweeps(cx: f64, cz: f64) -> Vec<(f64, f64)> {
+        let stops = |c: f64| {
+            let top = c + 1.0;
+            vec![
+                c - 0.3,
+                c.next_down(),
+                c,
+                c.next_up(),
+                c + 0.5,
+                top.next_down(),
+                top,
+                top + 0.3,
+            ]
+        };
+        let (xs, zs) = (stops(cx), stops(cz));
+        let mut path = Vec::new();
+        // Through the left/right edges, the bottom/top edges, then both
+        // diagonals (in and out through opposite corners), each way.
+        for &z in &[cz + 0.25, cz, (cz + 1.0).next_down()] {
+            path.extend(xs.iter().map(|&x| (x, z)));
+            path.extend(xs.iter().rev().map(|&x| (x, z)));
         }
-        assert_eq!(fbm_cached(&mut [], 11, 0.5, 0.5), fbm(11, 0.5, 0.5, 0));
+        for &x in &[cx + 0.75, cx, (cx + 1.0).next_down()] {
+            path.extend(zs.iter().map(|&z| (x, z)));
+            path.extend(zs.iter().rev().map(|&z| (x, z)));
+        }
+        path.extend(xs.iter().zip(&zs).map(|(&x, &z)| (x, z)));
+        path.extend(xs.iter().zip(zs.iter().rev()).map(|(&x, &z)| (x, z)));
+        path.extend(xs.iter().rev().zip(&zs).map(|(&x, &z)| (x, z)));
+        path
+    }
+
+    #[test]
+    fn cached_noise_matches_through_every_edge_and_corner() {
+        // Cells on both sides of zero, at the origin, and where
+        // `cx + 1.0` stops being exact.
+        let two53 = 9_007_199_254_740_992.0;
+        for (cx, cz) in [
+            (3.0, -2.0),
+            (0.0, 0.0),
+            (-1.0, 0.0),
+            (-7.0, -7.0),
+            (two53, 1.0),
+            (-two53, -two53),
+            (1e300, -1e300),
+        ] {
+            let mut cache = NoiseCellCache::new();
+            let mut cross_cache = NoiseCellCache::new();
+            for (x, z) in edge_and_corner_sweeps(cx, cz) {
+                assert_eq!(
+                    bits([value_noise_cached(&mut cache, 5, x, z)]),
+                    bits([value_noise(5, x, z)]),
+                    "point diverged at ({x:e}, {z:e})"
+                );
+                // An arm longer than the edge stops are apart, so crosses
+                // straddle the edge while their centre is still inside.
+                for eps in [0.0, 1e-3, 0.4] {
+                    let at = cross_at(x, z, eps);
+                    assert_eq!(
+                        bits(value_noise_cached_cross(&mut cross_cache, 5, at)),
+                        bits(uncached_cross(at, 5)),
+                        "cross diverged at ({x:e}, {z:e}) ± {eps}"
+                    );
+                }
+            }
+        }
+        for odd in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0] {
+            let mut cache = NoiseCellCache::new();
+            for (x, z) in [(0.5, 0.5), (odd, 0.5), (0.5, odd), (odd, odd), (0.25, 0.75)] {
+                assert_eq!(
+                    bits([value_noise_cached(&mut cache, 5, x, z)]),
+                    bits([value_noise(5, x, z)]),
+                    "point diverged at ({x}, {z})"
+                );
+                let at = cross_at(x, z, 0.1);
+                assert_eq!(
+                    bits(value_noise_cached_cross(&mut cache, 5, at)),
+                    bits(uncached_cross(at, 5)),
+                    "cross diverged at ({x}, {z})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn four_lane_cross_matches_lane_by_lane() {
+        // Blocks that sit inside one cell, straddle an edge between
+        // lanes, and straddle one within a lane's cross; the memo is
+        // carried from block to block as a ground row carries it.
+        let mut cache = NoiseCellCache::new();
+        let mut reference = NoiseCellCache::new();
+        let (amp, freq, eps) = (0.25, 2.0, 0.013);
+        for block in 0..400 {
+            let probes: [[f64; 4]; 6] = std::array::from_fn(|k| {
+                std::array::from_fn(|j| {
+                    let x = -1.7 + (block * 4 + j) as f64 * 0.0041;
+                    let z = 0.93 + ((block * 4 + j) as f64 * 0.0013).sin() * 0.2;
+                    cross_at(x, z, eps)[k]
+                })
+            });
+            let mut got = [[0.125; 4]; 4];
+            accumulate_cross_x4(&mut cache, 11, amp, freq, &probes, &mut got);
+            let mut want = [[0.125; 4]; 4];
+            for j in 0..4 {
+                let at = std::array::from_fn(|k| probes[k][j] * freq);
+                let vals = value_noise_cached_cross(&mut reference, 11, at);
+                for (total, v) in want.iter_mut().zip(vals) {
+                    total[j] += amp * v;
+                }
+            }
+            assert_eq!(got.map(bits), want.map(bits), "block {block}");
+        }
     }
 
     #[test]

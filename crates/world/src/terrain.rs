@@ -6,9 +6,7 @@
 //! evaluation, and the renderer ray-marches the same function for ground
 //! pixels.
 
-use crate::noise::{
-    fbm, fbm_cached, value_noise, value_noise_cached, value_noise_cached_cross, NoiseCellCache,
-};
+use crate::noise::{accumulate_cross_x4, fbm, value_noise, value_noise_cached, NoiseCellCache};
 use crate::vec::{Vec2, Vec3};
 use serde::{Deserialize, Serialize};
 
@@ -105,7 +103,6 @@ impl Terrain {
     pub fn sampler(&self) -> TerrainSampler<'_> {
         TerrainSampler {
             terrain: self,
-            height_octaves: Default::default(),
             normal_octaves: Default::default(),
             albedo_broad: NoiseCellCache::new(),
             albedo_fine: NoiseCellCache::new(),
@@ -116,32 +113,16 @@ impl Terrain {
 /// Cell-cached view of a [`Terrain`] (see [`Terrain::sampler`]).
 ///
 /// Each noise call site gets its own [`NoiseCellCache`] so interleaved
-/// queries (albedo then normal, per pixel) never evict each other.
+/// queries (albedo then slope shading) never evict each other.
 #[derive(Debug, Clone)]
 pub struct TerrainSampler<'t> {
     terrain: &'t Terrain,
-    height_octaves: [NoiseCellCache; 4],
     normal_octaves: [NoiseCellCache; 4],
     albedo_broad: NoiseCellCache,
     albedo_fine: NoiseCellCache,
 }
 
 impl TerrainSampler<'_> {
-    /// Cached [`Terrain::height`].
-    #[inline]
-    pub fn height(&mut self, p: Vec2) -> f64 {
-        if self.terrain.amplitude == 0.0 {
-            return 0.0;
-        }
-        self.terrain.amplitude
-            * fbm_cached(
-                &mut self.height_octaves,
-                self.terrain.seed,
-                p.x / self.terrain.wavelength,
-                p.z / self.terrain.wavelength,
-            )
-    }
-
     /// Cached [`Terrain::albedo`].
     #[inline]
     pub fn albedo(&mut self, p: Vec2) -> f64 {
@@ -160,58 +141,85 @@ impl TerrainSampler<'_> {
         0.22 + 0.42 * broad + 0.28 * fine
     }
 
-    /// Cached [`Terrain::normal`]. The four central-difference height
-    /// probes are evaluated octave by octave through
-    /// [`value_noise_cached_cross`]: probes sit `2·eps` apart, so each
-    /// octave almost always pays a single cell check and the probes
-    /// share interpolation subexpressions. Every probe's value and
-    /// per-octave accumulation order match [`Terrain::normal`] exactly,
-    /// so the result is bit-identical.
-    #[inline]
-    pub fn normal(&mut self, p: Vec2) -> Vec3 {
-        let eps = 0.1;
-        let [hx1, hx0, hz1, hz0] = self.normal_probe_heights(p, eps);
-        Vec3::new(-(hx1 - hx0) / (2.0 * eps), 1.0, -(hz1 - hz0) / (2.0 * eps)).normalized()
+    /// Slope shading for a row of ground points:
+    /// `out[i] = normal(pᵢ).dot(light).max(0.0)` with `pᵢ = (xs[i], zs[i])`
+    /// and `normal` as [`Terrain::normal`], bit for bit.
+    ///
+    /// Points are taken four to a block. Per octave a block's four
+    /// central-difference crosses go through [`accumulate_cross_x4`],
+    /// which evaluates them in lanes when the octave's memo already
+    /// holds all of them and one by one when it does not; the fBm
+    /// scaling, the differences, the normalisation and the dot product
+    /// then run lane by lane in the order [`Terrain::height`] and
+    /// [`Vec3`]'s operators use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn lambert_row(&mut self, xs: &[f64], zs: &[f64], light: Vec3, out: &mut [f64]) {
+        assert_eq!(xs.len(), zs.len(), "coordinate rows differ in length");
+        assert_eq!(xs.len(), out.len(), "output row differs in length");
+        let blocks = xs.as_chunks::<4>().0.iter().zip(zs.as_chunks::<4>().0);
+        for ((px, pz), out) in blocks.zip(out.as_chunks_mut::<4>().0) {
+            *out = self.lambert_x4(px, pz, light);
+        }
+        // A short last block re-reads the row's last point into its spare
+        // lanes.
+        let n = xs.len();
+        let done = n - n % 4;
+        if done < n {
+            let lane = |j: usize| (done + j).min(n - 1);
+            let px = std::array::from_fn(|j| xs[lane(j)]);
+            let pz = std::array::from_fn(|j| zs[lane(j)]);
+            out[done..].copy_from_slice(&self.lambert_x4(&px, &pz, light)[..n - done]);
+        }
     }
 
-    /// Heights at `(x±eps, z)` and `(x, z±eps)`, in that order —
-    /// the same fBm each probe would compute through
-    /// [`Terrain::height`], batched per octave.
     #[inline]
-    fn normal_probe_heights(&mut self, p: Vec2, eps: f64) -> [f64; 4] {
+    fn lambert_x4(&mut self, px: &[f64; 4], pz: &[f64; 4], light: Vec3) -> [f64; 4] {
+        let eps = 0.1;
         let t = self.terrain;
-        if t.amplitude == 0.0 {
-            return [0.0; 4];
-        }
-        let x1 = (p.x + eps) / t.wavelength;
-        let x0 = (p.x - eps) / t.wavelength;
-        let xc = p.x / t.wavelength;
-        let z1 = (p.z + eps) / t.wavelength;
-        let z0 = (p.z - eps) / t.wavelength;
-        let zc = p.z / t.wavelength;
-        let mut amp = 0.5;
-        let mut freq = 1.0;
-        let mut totals = [0.0f64; 4];
-        let mut norm = 0.0;
-        for (octave, cache) in self.normal_octaves.iter_mut().enumerate() {
-            let vals = value_noise_cached_cross(
-                cache,
-                t.seed.wrapping_add(octave as u64),
-                x1 * freq,
-                x0 * freq,
-                xc * freq,
-                z1 * freq,
-                z0 * freq,
-                zc * freq,
-            );
-            for (total, v) in totals.iter_mut().zip(vals) {
-                *total += amp * v;
+        // Heights at `(x±eps, z)` and `(x, z±eps)`, `[probe][lane]` — the
+        // fBm each probe would compute through `Terrain::height`,
+        // batched per octave.
+        let mut heights = [[0.0f64; 4]; 4];
+        if t.amplitude != 0.0 {
+            let probes = [
+                px.map(|x| (x + eps) / t.wavelength),
+                px.map(|x| (x - eps) / t.wavelength),
+                px.map(|x| x / t.wavelength),
+                pz.map(|z| (z + eps) / t.wavelength),
+                pz.map(|z| (z - eps) / t.wavelength),
+                pz.map(|z| z / t.wavelength),
+            ];
+            let mut amp = 0.5;
+            let mut freq = 1.0;
+            let mut norm = 0.0;
+            for (octave, cache) in self.normal_octaves.iter_mut().enumerate() {
+                let seed = t.seed.wrapping_add(octave as u64);
+                accumulate_cross_x4(cache, seed, amp, freq, &probes, &mut heights);
+                norm += amp;
+                amp *= 0.5;
+                freq *= 2.0;
             }
-            norm += amp;
-            amp *= 0.5;
-            freq *= 2.0;
+            // Four octaves: `norm` is 0.9375, so `fbm`'s zero-octave
+            // branch has nothing to decide.
+            for totals in &mut heights {
+                for total in totals {
+                    *total = t.amplitude * (*total / norm);
+                }
+            }
         }
-        totals.map(|total| t.amplitude * (if norm > 0.0 { total / norm } else { 0.0 }))
+        let [hx1, hx0, hz1, hz0] = heights;
+        std::array::from_fn(|j| {
+            let n = Vec3::new(
+                -(hx1[j] - hx0[j]) / (2.0 * eps),
+                1.0,
+                -(hz1[j] - hz0[j]) / (2.0 * eps),
+            )
+            .normalized();
+            n.dot(light).max(0.0)
+        })
     }
 }
 
@@ -279,21 +287,44 @@ mod tests {
         assert_eq!(a.albedo(p), b.albedo(p));
     }
 
+    /// `lambert_row` over `points` against the uncached reference.
+    fn assert_row_matches(t: &Terrain, s: &mut TerrainSampler<'_>, points: &[Vec2], light: Vec3) {
+        let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
+        let zs: Vec<f64> = points.iter().map(|p| p.z).collect();
+        let mut got = vec![f64::NAN; points.len()];
+        s.lambert_row(&xs, &zs, light, &mut got);
+        for (p, got) in points.iter().zip(got) {
+            let want = t.normal(*p).dot(light).max(0.0);
+            assert_eq!(got.to_bits(), want.to_bits(), "lambert diverged at {p:?}");
+            assert_eq!(s.albedo(*p), t.albedo(*p), "albedo diverged at {p:?}");
+        }
+    }
+
     #[test]
     fn sampler_matches_terrain_bit_for_bit() {
         let t = Terrain::new(42, 8.0, 80.0);
         let mut s = t.sampler();
-        // A sweep resembling a renderer ground row: slowly drifting
-        // positions with occasional jumps (new rows / bands).
-        for i in 0..500 {
-            let p = if i % 97 == 0 {
-                Vec2::new(i as f64 * 3.7 - 200.0, i as f64 * -1.9)
-            } else {
-                Vec2::new(i as f64 * 0.11, (i as f64 * 0.05).sin() * 30.0)
-            };
-            assert_eq!(s.height(p), t.height(p), "height diverged at {p:?}");
-            assert_eq!(s.albedo(p), t.albedo(p), "albedo diverged at {p:?}");
-            assert_eq!(s.normal(p), t.normal(p), "normal diverged at {p:?}");
+        let light = Vec3::new(0.35, 0.85, 0.40).normalized();
+        // Sweeps resembling renderer ground rows: slowly drifting
+        // positions with occasional jumps (new rows / bands), in rows of
+        // every length modulo the block size.
+        let points: Vec<Vec2> = (0..500)
+            .map(|i| {
+                if i % 97 == 0 {
+                    Vec2::new(i as f64 * 3.7 - 200.0, i as f64 * -1.9)
+                } else {
+                    Vec2::new(i as f64 * 0.11, (i as f64 * 0.05).sin() * 30.0)
+                }
+            })
+            .collect();
+        let mut rest = points.as_slice();
+        for len in (0..=9).cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (row, tail) = rest.split_at(len.min(rest.len()));
+            assert_row_matches(&t, &mut s, row, light);
+            rest = tail;
         }
     }
 
@@ -301,8 +332,11 @@ mod tests {
     fn sampler_on_flat_terrain() {
         let t = Terrain::flat();
         let mut s = t.sampler();
-        let p = Vec2::new(3.0, -4.0);
-        assert_eq!(s.height(p), 0.0);
-        assert_eq!(s.normal(p), Vec3::new(0.0, 1.0, 0.0));
+        let up = Vec3::new(0.0, 1.0, 0.0);
+        let points = [Vec2::new(3.0, -4.0), Vec2::ZERO, Vec2::new(1e6, 0.5)];
+        assert_row_matches(&t, &mut s, &points, up);
+        let mut out = [0.0; 3];
+        s.lambert_row(&[3.0, 0.0, 1e6], &[-4.0, 0.0, 0.5], up, &mut out);
+        assert_eq!(out, [1.0; 3]);
     }
 }

@@ -1,8 +1,32 @@
 //! Property-based tests for world geometry, grids and quadtrees.
 
 use coterie_world::quadtree::Partition;
-use coterie_world::{GridSpec, Quadtree, Rect, Vec2};
+use coterie_world::{GridSpec, Quadtree, Rect, Terrain, Vec2, Vec3};
 use proptest::prelude::*;
+
+/// One coordinate of a ground-row point for `lambert_row_matches_terrain_normal`:
+/// `kind` picks the family, `a` in `[-1, 1)` places the point within it
+/// and `prev` is the row's previous coordinate, for the coherent walk a
+/// renderer row makes.
+fn row_coordinate(kind: u8, a: f64, prev: f64, wavelength: f64) -> f64 {
+    // A lattice line of one of the four octaves (exact when the
+    // wavelength is a power of two, a few ulp off otherwise).
+    let line = (a * 40.0).round() * wavelength / f64::from(1u32 << (kind % 4));
+    let two53 = 9_007_199_254_740_992.0;
+    match kind {
+        0..=7 => prev + a * 0.2,
+        8 => prev + a * wavelength,
+        9 => a * 400.0,
+        10 => line,
+        11 => line.next_up(),
+        12 => line.next_down(),
+        13 => a * 1e6 - 1e6,
+        14 => a.signum() * two53 * (1.0 + a.abs() * 8.0),
+        15 => a * 1e300,
+        16 => f64::NAN,
+        _ => a.signum() * f64::INFINITY,
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -78,6 +102,65 @@ proptest! {
         prop_assert!((area - 32.0 * 32.0).abs() < 1e-6);
         // Leaf count is consistent with a quadtree (1 mod 3).
         prop_assert_eq!(qt.leaves().len() % 3, 1);
+    }
+
+    #[test]
+    fn lambert_row_matches_terrain_normal(
+        seed in 0u64..u64::MAX,
+        amplitude in -8.0f64..24.0,
+        wavelength_exp in -3.0f64..1.9,
+        power_of_two in proptest::bool::ANY,
+        downward_light in proptest::bool::ANY,
+        rows in proptest::collection::vec(
+            proptest::collection::vec((0u8..18, -1.0f64..1.0, 0u8..18, -1.0f64..1.0), 0..=70),
+            1..6,
+        ),
+    ) {
+        // A quarter of the terrains are flat; wavelengths span 1e-3 to 80.
+        let wavelength = if power_of_two {
+            2f64.powi((wavelength_exp * 3.0) as i32)
+        } else {
+            10f64.powf(wavelength_exp)
+        };
+        let terrain = Terrain::new(seed, amplitude.max(0.0), wavelength);
+        let light = if downward_light {
+            Vec3::new(0.3, -0.9, 0.1).normalized()
+        } else {
+            Vec3::new(0.35, 0.85, 0.40).normalized()
+        };
+        // One sampler across every row, its albedo memos in use between them.
+        let mut sampler = terrain.sampler();
+        let mut prev = Vec2::new(12.5, -3.25);
+        for row in rows {
+            let points: Vec<Vec2> = row
+                .into_iter()
+                .map(|(kx, ax, kz, az)| {
+                    let p = Vec2::new(
+                        row_coordinate(kx, ax, prev.x, wavelength),
+                        row_coordinate(kz, az, prev.z, wavelength),
+                    );
+                    if p.x.is_finite() && p.z.is_finite() && p.length() < 1e4 {
+                        prev = p;
+                    }
+                    p
+                })
+                .collect();
+            let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
+            let zs: Vec<f64> = points.iter().map(|p| p.z).collect();
+            let mut got = vec![f64::NAN; points.len()];
+            sampler.lambert_row(&xs, &zs, light, &mut got);
+            for (p, got) in points.iter().zip(got) {
+                let want = terrain.normal(*p).dot(light).max(0.0);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "lambert {} vs {} at {:?}", got, want, p);
+                // A NaN's sign and payload are not pinned down by the
+                // language, so NaN albedos compare as NaN, the rest by bits.
+                let (albedo, reference) = (sampler.albedo(*p), terrain.albedo(*p));
+                prop_assert!(
+                    albedo.to_bits() == reference.to_bits() || (albedo.is_nan() && reference.is_nan()),
+                    "albedo {} vs {} at {:?}", albedo, reference, p
+                );
+            }
+        }
     }
 
     #[test]
