@@ -4,6 +4,7 @@
 //! against store size), the cutoff solver and a server connection
 //! working off a backlog.
 
+use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use coterie_codec::{Encoder, Quality};
@@ -11,7 +12,7 @@ use coterie_core::cutoff::{max_cutoff_radius, CutoffConfig};
 use coterie_core::{CacheConfig, CacheQuery, CacheVersion, FrameCache, FrameMeta, FrameSource};
 use coterie_device::DeviceProfile;
 use coterie_frame::{ssim, ssim_with_simd, LumaFrame, SsimOptions};
-use coterie_net::wire::WireMessage;
+use coterie_net::wire::{frame_header, WireMessage, FRAME_HEADER_BYTES};
 use coterie_parallel::simd;
 use coterie_render::{FovOptions, RenderFilter, RenderOptions, Renderer};
 use coterie_serve::{SharedFrameStore, StoreConfig};
@@ -373,14 +374,14 @@ fn bench_telemetry(c: &mut Criterion) {
 
 fn bench_conn(c: &mut Criterion) {
     use std::io::{ErrorKind, Read, Write};
-    // A reader 400 poses behind that then catches up. One read pass puts
-    // the poses in the connection's inbox; they are answered the way the
-    // event loop answers them — a 1.5 KB frame each, flushed, for as
-    // long as the egress queue has room — and the peer reads whenever
-    // the server can go no further. 600 KB of replies against a 256 KiB
-    // queue and the socket's buffer, so most poses wait their turn.
-    // Timed to the last reply byte; no pose may be discarded.
-    let (a, mut peer) = std::os::unix::net::UnixStream::pair().expect("socket pair");
+    use std::os::unix::net::UnixStream;
+    // Both benches answer poses the way the event loop does: one read
+    // pass puts them in the connection's inbox, `serve_pending` takes
+    // them while the egress queue has room and queues a cached 1.5 KB
+    // frame for each, payload by reference, and the peer reads whenever
+    // the server can go no further. Timed to the last reply byte; no
+    // pose may be discarded.
+    let (a, mut peer) = UnixStream::pair().expect("socket pair");
     a.set_nonblocking(true).expect("nonblocking");
     peer.set_nonblocking(true).expect("nonblocking");
     let mut conn = Connection::new(Stream::Unix(a), 256 * 1024);
@@ -392,8 +393,53 @@ fn bench_conn(c: &mut Criterion) {
         yaw: 0.0,
     };
     let backlog: Vec<u8> = (0..400).flat_map(|seq| pose(seq).encode_frame()).collect();
-    let reply = |seq| WireMessage::Frame {
-        seq,
+    let pose_bytes = backlog.len() / 400;
+    let payload = Bytes::from(vec![0x5A; 1500]);
+    let reply_bytes = FRAME_HEADER_BYTES + payload.len();
+    let mut sink = vec![0u8; 64 * 1024];
+    let mut answer = |conn: &mut Connection, peer: &mut UnixStream, poses: usize| {
+        peer.write_all(&backlog[..poses * pose_bytes])
+            .expect("poses fit the socket buffer");
+        assert_eq!(conn.read_ready(), ReadOutcome::Progress);
+        let mut unread = poses * reply_bytes;
+        while unread > 0 {
+            conn.serve_pending(false, |conn, msg, _| {
+                let WireMessage::Pose { seq, .. } = msg else {
+                    unreachable!("only poses were sent");
+                };
+                let header = frame_header(seq, 128, 64, 1, true, 1000, payload.len());
+                conn.enqueue_frame_parts(header, payload.clone());
+                false
+            })
+            .expect("serve pass");
+            loop {
+                match peer.read(&mut sink) {
+                    Ok(n) => unread -= n,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) => panic!("peer read: {e}"),
+                }
+            }
+        }
+    };
+    // The `party_warm` shape: a read pass of 32 poses, all cached, whose
+    // replies fit the socket and leave in one write.
+    c.bench_function("conn_batch_32", |bench| {
+        bench.iter(|| answer(&mut conn, &mut peer, 32))
+    });
+    // A reader 400 poses behind that then catches up: 600 KB of replies
+    // against a 256 KiB queue and the socket's buffer, so most poses
+    // wait their turn.
+    c.bench_function("conn_backlog_400", |bench| {
+        bench.iter(|| answer(&mut conn, &mut peer, 400))
+    });
+    assert_eq!(conn.frames_dropped, 0);
+}
+
+fn bench_wire(c: &mut Criterion) {
+    // What queueing a cached frame by reference saves on every send:
+    // the header alone against the whole message copied out.
+    let frame = WireMessage::Frame {
+        seq: 7,
         width: 128,
         height: 64,
         quality: 1,
@@ -401,34 +447,12 @@ fn bench_conn(c: &mut Criterion) {
         scale_pm: 1000,
         payload: vec![0x5A; 1500],
     };
-    let reply_bytes = reply(0).encode_frame().len();
-    let mut sink = vec![0u8; 64 * 1024];
-    c.bench_function("conn_backlog_400", |bench| {
-        bench.iter(|| {
-            peer.write_all(&backlog)
-                .expect("poses fit the socket buffer");
-            assert_eq!(conn.read_ready(), ReadOutcome::Progress);
-            let mut unread = 400 * reply_bytes;
-            while unread > 0 {
-                while let Some((msg, _)) = conn.next_pending(false) {
-                    let WireMessage::Pose { seq, .. } = msg else {
-                        unreachable!("only poses were sent");
-                    };
-                    conn.enqueue_frame(&reply(seq));
-                    conn.flush().expect("flush");
-                }
-                loop {
-                    match peer.read(&mut sink) {
-                        Ok(n) => unread -= n,
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) => panic!("peer read: {e}"),
-                    }
-                }
-                conn.flush().expect("flush");
-            }
-        })
+    c.bench_function("wire_frame_header", |bench| {
+        bench.iter(|| frame_header(black_box(7), 128, 64, 1, true, 1000, black_box(1500)))
     });
-    assert_eq!(conn.frames_dropped, 0);
+    c.bench_function("wire_frame_encode_1500", |bench| {
+        bench.iter(|| black_box(&frame).encode_frame())
+    });
 }
 
 criterion_group!(
@@ -442,7 +466,8 @@ criterion_group!(
     bench_cutoff,
     bench_fleet_store,
     bench_telemetry,
-    bench_conn
+    bench_conn,
+    bench_wire
 );
 criterion_group!(store_scaling, bench_store_scaling);
 criterion_main!(benches, store_scaling);

@@ -57,6 +57,10 @@ pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 /// Length-prefix size, bytes.
 pub const HEADER_BYTES: usize = 4;
 
+/// Size of [`frame_header`]'s result: the length prefix, the type byte
+/// and the fixed fields of a `Frame`, bytes.
+pub const FRAME_HEADER_BYTES: usize = HEADER_BYTES + 21;
+
 /// Message type tags (the first body byte).
 mod tag {
     pub const HELLO: u8 = 0x01;
@@ -446,6 +450,41 @@ fn put_entry(out: &mut Vec<u8>, e: &ShardEntry) {
     put_f64(out, e.value);
 }
 
+/// Everything of a `Frame` message's wire encoding that precedes its
+/// payload: `frame_header(..) ++ payload` is `WireMessage::Frame {..}
+/// .encode_frame()` byte for byte, so a sender holding the payload by
+/// reference queues the two pieces and copies nothing.
+///
+/// # Panics
+///
+/// Panics if the body would exceed [`MAX_BODY_BYTES`], as
+/// [`WireMessage::encode_frame`] does.
+pub fn frame_header(
+    seq: u64,
+    width: u32,
+    height: u32,
+    quality: u8,
+    store_hit: bool,
+    scale_pm: u16,
+    payload_len: usize,
+) -> [u8; FRAME_HEADER_BYTES] {
+    let body_len = FRAME_HEADER_BYTES - HEADER_BYTES + payload_len;
+    assert!(
+        body_len <= MAX_BODY_BYTES,
+        "outgoing frame body of {body_len} bytes exceeds the wire cap"
+    );
+    let mut h = [0u8; FRAME_HEADER_BYTES];
+    h[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    h[4] = tag::FRAME;
+    h[5..13].copy_from_slice(&seq.to_le_bytes());
+    h[13..17].copy_from_slice(&width.to_le_bytes());
+    h[17..21].copy_from_slice(&height.to_le_bytes());
+    h[21] = quality;
+    h[22] = u8::from(store_hit);
+    h[23..].copy_from_slice(&scale_pm.to_le_bytes());
+    h
+}
+
 impl WireMessage {
     /// Serializes the message body (type byte + payload, no length
     /// prefix) into `out`.
@@ -491,22 +530,9 @@ impl WireMessage {
                 put_f64(out, *z);
                 put_f64(out, *yaw);
             }
-            WireMessage::Frame {
-                seq,
-                width,
-                height,
-                quality,
-                store_hit,
-                scale_pm,
-                payload,
-            } => {
-                out.push(tag::FRAME);
-                put_u64(out, *seq);
-                put_u32(out, *width);
-                put_u32(out, *height);
-                out.push(*quality);
-                out.push(u8::from(*store_hit));
-                put_u16(out, *scale_pm);
+            WireMessage::Frame { .. } => {
+                let (header, payload) = self.frame_parts().expect("matched a frame");
+                out.extend_from_slice(&header[HEADER_BYTES..]);
                 out.extend_from_slice(payload);
             }
             WireMessage::Degrade { scale_pm } => {
@@ -599,6 +625,34 @@ impl WireMessage {
                 out.extend_from_slice(payload);
             }
         }
+    }
+
+    /// A `Frame`'s two pieces, [`frame_header`] and the payload, which
+    /// concatenated are its [`WireMessage::encode_frame`]; `None` for any
+    /// other message.
+    pub fn frame_parts(&self) -> Option<([u8; FRAME_HEADER_BYTES], &[u8])> {
+        let WireMessage::Frame {
+            seq,
+            width,
+            height,
+            quality,
+            store_hit,
+            scale_pm,
+            payload,
+        } = self
+        else {
+            return None;
+        };
+        let header = frame_header(
+            *seq,
+            *width,
+            *height,
+            *quality,
+            *store_hit,
+            *scale_pm,
+            payload.len(),
+        );
+        Some((header, payload))
     }
 
     /// Serializes a complete wire frame (length prefix + body).

@@ -16,8 +16,8 @@
 //!    variants the server logic matches on.
 
 use coterie_net::wire::{
-    game_from_wire, ByeReason, ErrorCode, ResumeRejectReason, ShardEntry, HEADER_BYTES,
-    MAX_BODY_BYTES, MAX_SHARD_ENTRIES, PROTO_VERSION, TOKEN_BYTES,
+    frame_header, game_from_wire, ByeReason, ErrorCode, ResumeRejectReason, ShardEntry,
+    HEADER_BYTES, MAX_BODY_BYTES, MAX_SHARD_ENTRIES, PROTO_VERSION, TOKEN_BYTES,
 };
 use coterie_net::{FrameAssembler, ResumeToken, WireError, WireMessage};
 use coterie_world::GameId;
@@ -295,6 +295,32 @@ proptest! {
             }
         }
         prop_assert_eq!(got, msgs);
+        prop_assert_eq!(asm.pending_bytes(), 0);
+    }
+
+    /// A frame sent as header + payload is the frame sent whole: the same
+    /// bytes, over every field's range, and a receiver reassembles it
+    /// however the two pieces are chunked.
+    #[test]
+    fn frame_header_plus_payload_is_the_encoded_frame(
+        (seq, width, height) in (0u64..u64::MAX, 1u32..=u32::MAX, 1u32..=u32::MAX),
+        (quality, store_hit, scale_pm) in (0u8..=2, proptest::bool::ANY, 1u16..=1000),
+        payload in proptest::collection::vec(0u8..=255, 1..=4096),
+        chunk in 1usize..97,
+    ) {
+        let header =
+            frame_header(seq, width, height, quality, store_hit, scale_pm, payload.len());
+        let pieces = [&header[..], &payload[..]].concat();
+        let msg = WireMessage::Frame { seq, width, height, quality, store_hit, scale_pm, payload };
+        prop_assert_eq!(&pieces, &msg.encode_frame());
+        let (parts_header, parts_payload) = msg.frame_parts().expect("a frame");
+        prop_assert_eq!([&parts_header[..], parts_payload].concat(), pieces.clone());
+        let mut asm = FrameAssembler::new();
+        for piece in pieces.chunks(chunk) {
+            prop_assert_eq!(asm.next_message().unwrap(), None);
+            asm.push(piece);
+        }
+        prop_assert_eq!(asm.next_message().unwrap(), Some(msg));
         prop_assert_eq!(asm.pending_bytes(), 0);
     }
 

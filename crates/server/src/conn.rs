@@ -4,12 +4,12 @@
 //! # Backpressure policy: defer the pose, then discard the oldest
 //!
 //! A reply is produced only when it can be queued. A read pass decodes
-//! everything the socket holds into the connection's *inbox*; the event
-//! loop takes messages from it in arrival order while the egress queue
-//! has room (`queued_bytes < limit`) and goes on with the rest once the
-//! socket has drained some of the queue. A waiting pose costs its
-//! decoded size (about 100 bytes), not a rendered and encoded frame, and
-//! its frame is looked up when it can be sent.
+//! everything the socket holds into the connection's *inbox*;
+//! [`Connection::serve_pending`] takes messages from it in arrival order
+//! while the egress queue has room (`queued_bytes < limit`) and goes on
+//! with the rest once the socket has drained some of the queue. A
+//! waiting pose costs its decoded size (about 100 bytes), not a rendered
+//! and encoded frame, and its frame is looked up when it can be sent.
 //!
 //! Reading never pauses while replies wait: a peer blocked in `write`
 //! never gets to its `read`, so a server that stopped reading would
@@ -25,13 +25,32 @@
 //! controller: replies backing up mean the current scale is too much for
 //! the link, the paper's degrade trigger (ship smaller frames until it
 //! recovers).
+//!
+//! # Egress: segments, written together
+//!
+//! The queue holds segments, owned bytes (a control message, a frame's
+//! header) or a frame's payload shared with the payload cache, and
+//! `queued_bytes` counts their wire bytes. A flush is one `writev` of the
+//! queue's head, repeated until the queue is empty or the socket full; a
+//! partial write ends anywhere, between a header and its body included.
+//! A serve pass flushes (a) when the inbox is exhausted, (b) before it
+//! concludes there is no room, and (c) right after a reply that was
+//! *rendered*: cached replies cost a microsecond each and leave in one
+//! syscall, a rendered one cost a hundred and is not held for the renders
+//! behind it. A pose has *waited* only once a flush left the queue at or
+//! over the limit, never because its batch is not yet written (that
+//! reading degraded healthy rooms after every full batch).
 
 use crate::stream::Stream;
-use coterie_net::wire::{FrameAssembler, ShardEntry, WireMessage, TOKEN_BYTES};
+use bytes::Bytes;
+use coterie_net::wire::{FrameAssembler, ShardEntry, WireMessage, FRAME_HEADER_BYTES, TOKEN_BYTES};
 use coterie_world::GameId;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::mem::size_of;
+
+/// Segments one `writev` takes: a batch of 32 frames, header and payload.
+const WRITEV_SEGMENTS: usize = 64;
 
 /// Where a connection is in the session protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,13 +102,34 @@ fn pending_cost(msg: &WireMessage) -> usize {
     size_of::<WireMessage>() + heap
 }
 
-/// One accepted connection.
+/// One run of bytes in the egress queue: a control message, a frame's
+/// header, or a frame's payload, shared with whoever else holds it.
 #[derive(Debug)]
-pub struct Connection {
-    stream: Stream,
+enum Segment {
+    Owned(Vec<u8>),
+    Header([u8; FRAME_HEADER_BYTES]),
+    Shared(Bytes),
+}
+
+impl std::ops::Deref for Segment {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            Segment::Owned(bytes) => bytes,
+            Segment::Header(bytes) => bytes,
+            Segment::Shared(bytes) => bytes,
+        }
+    }
+}
+
+/// One accepted connection, over a [`Stream`] anywhere but in tests.
+#[derive(Debug)]
+pub struct Connection<S = Stream> {
+    stream: S,
     assembler: FrameAssembler,
     state: ConnState,
-    queue: VecDeque<Vec<u8>>,
+    /// No segment is empty.
+    queue: VecDeque<Segment>,
     queued_bytes: usize,
     /// Bytes of `queue.front()` already written to the socket.
     front_written: usize,
@@ -101,6 +141,8 @@ pub struct Connection {
     inbox_bytes: usize,
     /// Leading inbox messages already passed over for lack of room.
     waited: usize,
+    /// Whether the event loop has `EPOLLOUT` registered for the socket.
+    pub epollout_armed: bool,
     /// Scale the client was last told about (per-mille); a change
     /// queues a `Degrade` notice on the next interaction.
     pub last_notified_scale_pm: u16,
@@ -125,9 +167,9 @@ pub struct Connection {
     pub peak_queue_bytes: usize,
 }
 
-impl Connection {
+impl<S: Read + Write> Connection<S> {
     /// Wraps an accepted (already non-blocking) stream.
-    pub fn new(stream: Stream, limit_bytes: usize) -> Connection {
+    pub fn new(stream: S, limit_bytes: usize) -> Self {
         Connection {
             stream,
             assembler: FrameAssembler::new(),
@@ -139,6 +181,7 @@ impl Connection {
             inbox: VecDeque::new(),
             inbox_bytes: 0,
             waited: 0,
+            epollout_armed: false,
             last_notified_scale_pm: 1000,
             proto: 0,
             token: None,
@@ -161,7 +204,7 @@ impl Connection {
     }
 
     /// The wrapped stream (for raw-fd registration).
-    pub fn stream(&self) -> &Stream {
+    pub fn stream(&self) -> &S {
         &self.stream
     }
 
@@ -181,14 +224,27 @@ impl Connection {
         self.queued_bytes < self.limit_bytes.max(1)
     }
 
-    /// Queues a frame delivery. Returns `false` (and counts the drop)
-    /// only when called without room, as for a peer already gone.
+    /// Queues a frame delivery, its payload copied once. Returns `false`
+    /// (and counts the drop) only when called without room, as for a
+    /// peer already gone. Panics on anything but a `Frame`.
     pub fn enqueue_frame(&mut self, msg: &WireMessage) -> bool {
+        let (header, payload) = msg.frame_parts().expect("enqueue_frame takes a Frame");
+        self.enqueue_frame_parts(header, Bytes::copy_from_slice(payload))
+    }
+
+    /// [`Connection::enqueue_frame`] for a sender that holds the payload:
+    /// `header` is its `frame_header(..)`, the payload goes by reference.
+    pub fn enqueue_frame_parts(
+        &mut self,
+        header: [u8; FRAME_HEADER_BYTES],
+        payload: Bytes,
+    ) -> bool {
         if !self.has_room() {
             self.frames_dropped += 1;
             return false;
         }
-        self.push_bytes(msg.encode_frame());
+        self.push(Segment::Header(header));
+        self.push(Segment::Shared(payload));
         self.frames_queued += 1;
         true
     }
@@ -196,23 +252,39 @@ impl Connection {
     /// Queues a control message: a few bytes that answer a handled
     /// message or end the session, so they need no bound of their own.
     pub fn enqueue_control(&mut self, msg: &WireMessage) {
-        self.push_bytes(msg.encode_frame());
+        self.push(Segment::Owned(msg.encode_frame()));
     }
 
-    /// Takes the oldest pending message, with whether it had to wait for
-    /// room, if its replies can be queued: there is room, or `peer_gone`
-    /// and nothing queued will be read. After goodbye nothing is answered.
-    pub fn next_pending(&mut self, peer_gone: bool) -> Option<(WireMessage, bool)> {
-        let done = matches!(self.state, ConnState::Draining | ConnState::Closed);
-        if done || !(peer_gone || self.has_room()) {
-            self.waited = self.inbox.len();
-            return None;
+    /// Hands `handle` the pending messages in arrival order, each with
+    /// whether it had to wait for room, while their replies can be
+    /// queued: there is room, or `peer_gone` and nothing queued will be
+    /// read. After goodbye nothing is answered. `handle` returns whether
+    /// its reply was rendered and so leaves at once (module doc). The
+    /// rest of the inbox is for the next pass. `Err`: the socket is dead.
+    pub fn serve_pending(
+        &mut self,
+        peer_gone: bool,
+        mut handle: impl FnMut(&mut Self, WireMessage, bool) -> bool,
+    ) -> io::Result<()> {
+        while !matches!(self.state, ConnState::Draining | ConnState::Closed) {
+            if !(peer_gone || self.has_room()) {
+                self.flush()?;
+                if !self.has_room() {
+                    self.waited = self.inbox.len();
+                    return Ok(());
+                }
+            }
+            let Some(msg) = self.inbox.pop_front() else {
+                break;
+            };
+            self.inbox_bytes -= pending_cost(&msg);
+            let waited = self.waited > 0;
+            self.waited -= usize::from(waited);
+            if handle(self, msg, waited) {
+                self.flush()?;
+            }
         }
-        let msg = self.inbox.pop_front()?;
-        self.inbox_bytes -= pending_cost(&msg);
-        let waited = self.waited > 0;
-        self.waited -= usize::from(waited);
-        Some((msg, waited))
+        self.flush().map(drop)
     }
 
     /// Puts a decoded message in the inbox, discarding the oldest poses
@@ -237,18 +309,26 @@ impl Connection {
         true
     }
 
-    fn push_bytes(&mut self, bytes: Vec<u8>) {
-        self.queued_bytes += bytes.len();
-        self.peak_queue_bytes = self.peak_queue_bytes.max(self.queued_bytes);
-        self.queue.push_back(bytes);
+    fn push(&mut self, segment: Segment) {
+        if !segment.is_empty() {
+            self.queued_bytes += segment.len();
+            self.peak_queue_bytes = self.peak_queue_bytes.max(self.queued_bytes);
+            self.queue.push_back(segment);
+        }
     }
 
-    /// Drains as much of the egress queue as the socket accepts.
-    /// Returns `Ok(true)` if the queue is now empty.
+    /// Drains as much of the egress queue as the socket accepts, up to
+    /// [`WRITEV_SEGMENTS`] segments a syscall. Returns `Ok(true)` if the
+    /// queue is now empty.
     pub fn flush(&mut self) -> io::Result<bool> {
-        while let Some(front) = self.queue.front() {
-            let remaining = &front[self.front_written..];
-            match self.stream.write(remaining) {
+        while !self.queue.is_empty() {
+            let mut slices = [IoSlice::new(&[]); WRITEV_SEGMENTS];
+            for (slice, segment) in slices.iter_mut().zip(&self.queue) {
+                *slice = IoSlice::new(segment);
+            }
+            slices[0] = IoSlice::new(&self.queue[0][self.front_written..]);
+            let count = self.queue.len().min(WRITEV_SEGMENTS);
+            match self.stream.write_vectored(&slices[..count]) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::WriteZero,
@@ -256,12 +336,16 @@ impl Connection {
                     ));
                 }
                 Ok(n) => {
-                    self.front_written += n;
                     self.queued_bytes -= n;
                     self.bytes_written += n as u64;
-                    if self.front_written == front.len() {
+                    // The write may have ended inside any segment.
+                    self.front_written += n;
+                    while let Some(front) = self.queue.front() {
+                        if self.front_written < front.len() {
+                            break;
+                        }
+                        self.front_written -= front.len();
                         self.queue.pop_front();
-                        self.front_written = 0;
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
@@ -315,6 +399,81 @@ mod tests {
         (Connection::new(Stream::Unix(a), LIMIT), b)
     }
 
+    /// A socket the tests script byte by byte: `sndbuf` bytes of send
+    /// buffer that empty only as the peer reads, so a write ends wherever
+    /// the test wants it to.
+    #[derive(Debug, Default)]
+    struct Pipe {
+        /// Written by the peer, not yet read by the connection.
+        inbound: VecDeque<u8>,
+        /// Written by the connection, not yet read by the peer.
+        in_flight: VecDeque<u8>,
+        sndbuf: usize,
+    }
+
+    impl Pipe {
+        fn peer_reads(&mut self, max: usize) -> Vec<u8> {
+            let n = max.min(self.in_flight.len());
+            self.in_flight.drain(..n).collect()
+        }
+    }
+
+    impl Read for Pipe {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.inbound.is_empty() {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.inbound.len());
+            for (slot, byte) in buf.iter_mut().zip(self.inbound.drain(..n)) {
+                *slot = byte;
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let before = self.in_flight.len();
+            if before == self.sndbuf {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            for buf in bufs {
+                let take = buf.len().min(self.sndbuf - self.in_flight.len());
+                self.in_flight.extend(&buf[..take]);
+            }
+            Ok(self.in_flight.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn piped(sndbuf: usize) -> Connection<Pipe> {
+        let pipe = Pipe {
+            sndbuf,
+            ..Pipe::default()
+        };
+        Connection::new(pipe, LIMIT)
+    }
+
+    /// The peer sends poses `seqs` and the connection reads them.
+    fn arrive(conn: &mut Connection<Pipe>, seqs: std::ops::Range<u64>) {
+        for seq in seqs {
+            conn.stream.inbound.extend(pose_bytes(seq));
+        }
+        assert_eq!(conn.read_ready(), ReadOutcome::Progress);
+    }
+
+    /// The egress queue's bytes not yet on the socket, counted the slow way.
+    fn unsent<S>(conn: &Connection<S>) -> usize {
+        conn.queue.iter().map(|s| s.len()).sum::<usize>() - conn.front_written
+    }
+
     fn frame_msg(seq: u64, payload_len: usize) -> WireMessage {
         WireMessage::Frame {
             seq,
@@ -338,43 +497,21 @@ mod tests {
         .encode_frame()
     }
 
-    /// What the event loop does with the inbox, a frame of `payload_len`
-    /// bytes for every pose. Returns the poses answered.
-    fn serve(conn: &mut Connection, payload_len: usize) -> u64 {
-        let mut served = 0;
-        while let Some((msg, _)) = conn.next_pending(false) {
+    /// What the event loop does with the inbox, a cached frame of
+    /// `payload_len` bytes for every pose. Returns the poses answered,
+    /// each with whether it had waited.
+    fn serve<S: Read + Write>(conn: &mut Connection<S>, payload_len: usize) -> Vec<(u64, bool)> {
+        let mut served = Vec::new();
+        conn.serve_pending(false, |conn, msg, waited| {
             let WireMessage::Pose { seq, .. } = msg else {
                 panic!("only poses were sent, got {msg:?}");
             };
             assert!(conn.enqueue_frame(&frame_msg(seq, payload_len)));
-            conn.flush().unwrap();
-            served += 1;
-        }
+            served.push((seq, waited));
+            false
+        })
+        .unwrap();
         served
-    }
-
-    /// Reads up to `max` bytes from the peer's end and returns the `seq`
-    /// of every frame completed by them.
-    fn peer_reads(peer: &mut UnixStream, asm: &mut FrameAssembler, max: usize) -> Vec<u64> {
-        let mut buf = vec![0u8; max];
-        let mut got = 0;
-        while got < max {
-            match peer.read(&mut buf[got..]) {
-                Ok(0) => break,
-                Ok(n) => got += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) => panic!("peer read: {e}"),
-            }
-        }
-        asm.push(&buf[..got]);
-        let mut seqs = Vec::new();
-        while let Some(msg) = asm.next_message().unwrap() {
-            match msg {
-                WireMessage::Frame { seq, .. } => seqs.push(seq),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        seqs
     }
 
     #[test]
@@ -407,7 +544,7 @@ mod tests {
                 sent += 1;
             }
             assert_eq!(conn.read_ready(), ReadOutcome::Progress);
-            served += serve(&mut conn, 64 * 1024);
+            served += serve(&mut conn, 64 * 1024).len() as u64;
             assert!(conn.inbox_bytes <= LIMIT);
         }
         assert!(!conn.has_room() && served > 0 && served < sent / 2);
@@ -417,14 +554,9 @@ mod tests {
         assert_eq!(conn.frames_dropped, sent - served - fits as u64);
         // What is left are the newest poses, and each has waited.
         conn.queue.clear();
-        conn.queued_bytes = 0;
-        for seq in sent - fits as u64..sent {
-            match conn.next_pending(false) {
-                Some((WireMessage::Pose { seq: got, .. }, true)) => assert_eq!(got, seq),
-                other => panic!("expected pose {seq} to have waited, got {other:?}"),
-            }
-        }
-        assert_eq!(conn.next_pending(false), None);
+        (conn.queued_bytes, conn.front_written) = (0, 0);
+        let newest: Vec<_> = (sent - fits as u64..sent).map(|seq| (seq, true)).collect();
+        assert_eq!(serve(&mut conn, 0), newest);
     }
 
     #[test]
@@ -448,7 +580,8 @@ mod tests {
         peer.write_all(&pose_bytes(0)).unwrap();
         assert_eq!(conn.read_ready(), ReadOutcome::Progress);
         assert_eq!(conn.inbox.len(), 100);
-        assert_eq!(conn.next_pending(false), None);
+        conn.serve_pending(false, |_, msg, _| panic!("handled {msg:?} after goodbye"))
+            .unwrap();
     }
 
     #[test]
@@ -471,70 +604,172 @@ mod tests {
         let (mut conn, mut peer) = pair();
         peer.write_all(&WireMessage::Bye.encode_frame()).unwrap();
         assert_eq!(conn.read_ready(), ReadOutcome::Progress);
-        assert_eq!(conn.next_pending(false), Some((WireMessage::Bye, false)));
-        assert_eq!(conn.next_pending(false), None);
+        let mut handled = Vec::new();
+        let mut collect = |_: &mut Connection, msg, waited| {
+            handled.push((msg, waited));
+            false
+        };
+        conn.serve_pending(false, &mut collect).unwrap();
+        conn.serve_pending(false, &mut collect).unwrap();
+        assert_eq!(handled, [(WireMessage::Bye, false)]);
         drop(peer);
         assert_eq!(conn.read_ready(), ReadOutcome::Eof);
         assert_eq!(conn.inbox.len(), 0);
     }
 
+    /// A write that stops after any number of bytes, and a second one
+    /// that stops anywhere after that — inside a header, inside a
+    /// payload, on the boundary between any two segments — loses and
+    /// repeats nothing.
+    #[test]
+    fn a_partial_write_may_end_anywhere() {
+        let replies = [
+            frame_msg(0, 9),
+            WireMessage::Degrade { scale_pm: 750 },
+            frame_msg(1, 0),
+            frame_msg(2, 40),
+        ];
+        let wire: Vec<u8> = replies.iter().flat_map(|m| m.encode_frame()).collect();
+        for first in 0..=wire.len() {
+            for second in first..=wire.len() {
+                let mut conn = piped(0);
+                for reply in &replies {
+                    match reply {
+                        WireMessage::Frame { .. } => assert!(conn.enqueue_frame(reply)),
+                        control => conn.enqueue_control(control),
+                    }
+                }
+                assert_eq!(conn.queued_bytes(), wire.len());
+                for sndbuf in [first, second, wire.len()] {
+                    conn.stream.sndbuf = sndbuf;
+                    assert_eq!(conn.flush().unwrap(), sndbuf == wire.len());
+                    assert_eq!(conn.stream.in_flight, &wire[..sndbuf]);
+                    assert_eq!(conn.queued_bytes(), wire.len() - sndbuf);
+                    assert_eq!(conn.queued_bytes(), unsent(&conn));
+                }
+                assert!(conn.egress_idle() && conn.bytes_written == wire.len() as u64);
+            }
+        }
+    }
+
+    /// A pose has waited only if a flush left the queue at or over the
+    /// limit, not because its batch was still unwritten.
+    #[test]
+    fn only_a_full_socket_makes_a_pose_wait() {
+        let frame = frame_msg(0, 600).encode_frame().len();
+        let mut conn = piped(4 * frame);
+        arrive(&mut conn, 0..8);
+        // Two frames pass the limit; the flush before "no room" makes
+        // room twice, and then the socket is full.
+        let served: Vec<_> = (0..6).map(|seq| (seq, false)).collect();
+        assert_eq!(serve(&mut conn, 600), served);
+        assert_eq!(conn.stream.in_flight.len(), 4 * frame);
+        assert_eq!(conn.queued_bytes(), 2 * frame);
+        assert_eq!(conn.peak_queue_bytes, 2 * frame);
+        // Nothing moves while the peer reads nothing; then the two
+        // poses that were passed over are served, and say so.
+        assert_eq!(serve(&mut conn, 600), []);
+        conn.stream.peer_reads(4 * frame);
+        assert_eq!(serve(&mut conn, 600), [(6, true), (7, true)]);
+    }
+
+    /// A rendered reply is on the socket before the next message is
+    /// handled; the cached ones behind it wait for the end of the pass.
+    #[test]
+    fn a_rendered_reply_is_not_held_behind_the_batch() {
+        let frame = frame_msg(0, 100).encode_frame().len();
+        let mut conn = piped(usize::MAX);
+        arrive(&mut conn, 0..7);
+        let mut written_through = 0;
+        conn.serve_pending(false, |conn, msg, _| {
+            let WireMessage::Pose { seq, .. } = msg else {
+                panic!("only poses were sent, got {msg:?}");
+            };
+            assert_eq!(conn.stream.in_flight.len(), written_through * frame);
+            assert!(conn.enqueue_frame(&frame_msg(seq, 100)));
+            // Poses 2 and 3 miss the cache.
+            let rendered = seq == 2 || seq == 3;
+            if rendered {
+                written_through = seq as usize + 1;
+            }
+            rendered
+        })
+        .unwrap();
+        assert_eq!(written_through, 4);
+        assert_eq!(conn.stream.in_flight.len(), 7 * frame);
+        assert!(conn.egress_idle());
+    }
+
     /// One step of a connection's life, as the proptest draws it.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, Copy)]
     enum Step {
         /// The peer sends this many poses and the server reads them.
-        Arrive(usize),
+        Arrive(u64),
         /// The event loop handles what it may.
         Serve,
         /// The peer reads up to this many bytes of replies.
         PeerReads(usize),
+        /// The socket's buffer stops being what limits a write.
+        Widen,
     }
 
-    fn step() -> impl Strategy<Value = Step> {
-        (0u8..3, 1usize..16, 1usize..96 * 1024).prop_map(|(kind, poses, bytes)| match kind {
+    fn step(max_read: usize) -> impl Strategy<Value = Step> {
+        (0u8..3, 1u64..16, 1..max_read).prop_map(|(kind, poses, bytes)| match kind {
             0 => Step::Arrive(poses),
             1 => Step::Serve,
             _ => Step::PeerReads(bytes),
         })
     }
 
+    /// Small replies against a small send buffer, so that writes end in
+    /// and between headers; large ones against a large one.
+    fn sizes() -> impl Strategy<Value = (usize, usize, Vec<Step>)> {
+        (0usize..2).prop_flat_map(|large| {
+            let scale = [1, 512][large];
+            let steps = proptest::collection::vec(step(192 * scale), 1..120);
+            (0..96 * scale, 1..256 * scale, steps)
+        })
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Any interleaving of arrivals, serving and a peer reading at its
-        /// own pace: replies leave in arrival order, the queue and the
-        /// inbox stay inside the module's bounds, and every pose received
-        /// is served, pending or discarded.
+        /// own pace from a socket that takes only so much: the peer reads
+        /// the replies' bytes, whole and in arrival order, the queue and
+        /// the inbox stay inside the module's bounds, and every pose
+        /// received is served, pending or discarded.
         #[test]
-        fn deferred_poses_keep_order_and_bounds(
-            steps in proptest::collection::vec(step(), 1..120),
-            payload_len in 0usize..48 * 1024,
-        ) {
-            let (mut conn, mut peer) = pair();
-            let mut asm = FrameAssembler::new();
+        fn deferred_poses_keep_order_and_bounds((payload_len, sndbuf, steps) in sizes()) {
+            let mut conn = piped(sndbuf);
             let one_reply = frame_msg(0, payload_len).encode_frame().len();
             let (mut sent, mut served) = (0u64, 0u64);
-            let mut last_seen = None;
-            for step in steps.into_iter().chain([Step::Serve]) {
+            let (mut replied, mut read) = (Vec::new(), Vec::new());
+            let end = [Step::Widen, Step::Serve, Step::Serve];
+            for step in steps.into_iter().chain(end) {
                 match step {
                     Step::Arrive(poses) => {
-                        for _ in 0..poses {
-                            peer.write_all(&pose_bytes(sent)).unwrap();
-                            sent += 1;
-                        }
-                        prop_assert_eq!(conn.read_ready(), ReadOutcome::Progress);
+                        arrive(&mut conn, sent..sent + poses);
+                        sent += poses;
                     }
                     Step::Serve => {
-                        served += serve(&mut conn, payload_len);
+                        for (seq, _) in serve(&mut conn, payload_len) {
+                            replied.extend(frame_msg(seq, payload_len).encode_frame());
+                            served += 1;
+                        }
                         prop_assert!(conn.inbox.is_empty() || !conn.has_room());
                     }
                     Step::PeerReads(bytes) => {
-                        for seq in peer_reads(&mut peer, &mut asm, bytes) {
-                            prop_assert!(last_seen < Some(seq), "{seq} after {last_seen:?}");
-                            last_seen = Some(seq);
-                        }
+                        read.extend(conn.stream.peer_reads(bytes));
                         conn.flush().unwrap();
                     }
+                    Step::Widen => conn.stream.sndbuf = usize::MAX,
                 }
+                let written = read.len() + conn.stream.in_flight.len();
+                prop_assert_eq!(conn.queued_bytes(), replied.len() - written);
+                prop_assert_eq!(conn.queued_bytes(), unsent(&conn));
+                prop_assert_eq!(conn.bytes_written, written as u64);
+                prop_assert!(read == replied[..read.len()], "the peer read other bytes");
                 prop_assert!(conn.queued_bytes() < LIMIT + one_reply);
                 prop_assert!(conn.peak_queue_bytes < LIMIT + one_reply);
                 prop_assert!(conn.inbox_bytes <= LIMIT);
@@ -543,6 +778,9 @@ mod tests {
                 prop_assert_eq!(sent, served + conn.inbox.len() as u64 + conn.frames_dropped);
                 prop_assert_eq!(conn.frames_queued, served);
             }
+            prop_assert!(conn.inbox.is_empty() && conn.egress_idle());
+            read.extend(conn.stream.peer_reads(usize::MAX));
+            prop_assert_eq!(read, replied);
         }
     }
 }

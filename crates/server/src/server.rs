@@ -15,9 +15,10 @@
 //!
 //! Readiness is level-triggered. `EPOLLOUT` is armed only while a
 //! connection's egress queue is non-empty, so an idle socket costs no
-//! wakeups. A readiness event reads the socket dry into the
-//! connection's inbox, flushes if writable, then handles inbox messages
-//! while the egress queue has room ([`crate::conn`] has the policy).
+//! wakeups, and `epoll_ctl` is called only when that changes. A
+//! readiness event reads the socket dry into the connection's inbox,
+//! then handles inbox messages while the egress queue has room and
+//! writes what is queued ([`crate::conn`] has the policy).
 //! Shutdown sets a flag; workers notice within one poll
 //! timeout (25 ms), queue a `Goodbye` on every connection, drain
 //! egress queues, and close — bounded by a 2 s drain deadline so a
@@ -30,8 +31,8 @@ use crate::sys::{Epoll, EpollEvent, EPOLLEXCLUSIVE, EPOLLIN, EPOLLOUT, EPOLLRDHU
 use coterie_codec::EncodedFrame;
 use coterie_core::cache::FrameMeta;
 use coterie_net::wire::{
-    ByeReason, ErrorCode, ResumeRejectReason, ShardEntry, WireMessage, MIN_PROTO_VERSION,
-    PROTO_VERSION, TOKEN_BYTES,
+    frame_header, ByeReason, ErrorCode, ResumeRejectReason, ShardEntry, WireMessage,
+    MIN_PROTO_VERSION, PROTO_VERSION, TOKEN_BYTES,
 };
 use coterie_net::ResumeToken;
 use coterie_serve::PlacementPolicy;
@@ -352,9 +353,6 @@ fn worker_loop(shared: &Shared, worker: u32) {
             };
             let ready = ev.ready();
             let peer_gone = ready & (EPOLLIN | EPOLLRDHUP) != 0 && read_conn(shared, conn);
-            if ready & EPOLLOUT != 0 {
-                flush_conn(shared, conn);
-            }
             serve_pending(shared, conn, worker, peer_gone);
             sync_conn(&epoll, &mut conns, token, shared);
         }
@@ -367,7 +365,7 @@ fn worker_loop(shared: &Shared, worker: u32) {
             for token in tokens {
                 if let Some(conn) = conns.get_mut(&token) {
                     begin_goodbye(shared, conn, ByeReason::Shutdown);
-                    flush_conn(shared, conn);
+                    serve_pending(shared, conn, worker, false);
                     sync_conn(&epoll, &mut conns, token, shared);
                 }
             }
@@ -453,10 +451,10 @@ fn accept_burst(
     }
 }
 
-/// Reconciles a connection's epoll interest with its queue state and
-/// reaps it once closed.
+/// Reconciles a connection's epoll interest with its queue state, when
+/// the queue went empty or stopped being so, and reaps it once closed.
 fn sync_conn(epoll: &Epoll, conns: &mut HashMap<u64, Connection>, token: u64, shared: &Shared) {
-    let Some(conn) = conns.get(&token) else {
+    let Some(conn) = conns.get_mut(&token) else {
         return;
     };
     let done_draining = conn.state() == ConnState::Draining && conn.egress_idle();
@@ -464,11 +462,12 @@ fn sync_conn(epoll: &Epoll, conns: &mut HashMap<u64, Connection>, token: u64, sh
         close_conn(shared, epoll, conns, token);
         return;
     }
-    let mut interest = EPOLLIN | EPOLLRDHUP;
-    if !conn.egress_idle() {
-        interest |= EPOLLOUT;
+    let want_out = !conn.egress_idle();
+    if want_out != conn.epollout_armed {
+        conn.epollout_armed = want_out;
+        let interest = EPOLLIN | EPOLLRDHUP | if want_out { EPOLLOUT } else { 0 };
+        let _ = epoll.modify(conn.stream().raw_fd(), interest, token);
     }
-    let _ = epoll.modify(conn.stream().raw_fd(), interest, token);
 }
 
 fn close_conn(shared: &Shared, epoll: &Epoll, conns: &mut HashMap<u64, Connection>, token: u64) {
@@ -536,27 +535,6 @@ fn gc_parked(shared: &Shared) {
     }
 }
 
-fn flush_conn(shared: &Shared, conn: &mut Connection) {
-    let before = conn.bytes_written;
-    match conn.flush() {
-        Ok(_) => {
-            let delta = conn.bytes_written - before;
-            if delta > 0 {
-                shared
-                    .counters
-                    .bytes_sent
-                    .fetch_add(delta, Ordering::Relaxed);
-            }
-        }
-        Err(_) => {
-            // Write error: the socket is dead mid-session, the resume
-            // case parking exists for.
-            park_or_leave(shared, conn);
-            conn.set_state(ConnState::Closed);
-        }
-    }
-}
-
 fn begin_goodbye(shared: &Shared, conn: &mut Connection, reason: ByeReason) {
     if matches!(conn.state(), ConnState::Draining | ConnState::Closed) {
         return;
@@ -598,30 +576,36 @@ fn read_conn(shared: &Shared, conn: &mut Connection) -> bool {
     }
 }
 
-/// Handles the inbox in order while replies can be queued; the rest is
-/// taken up on the next `EPOLLOUT`. A peer that is gone has everything
-/// handled: its last message decides between leaving and parking.
+/// Handles the inbox in order while replies can be queued and writes
+/// what is queued; the rest is taken up on the next `EPOLLOUT`. A peer
+/// that is gone has everything handled: its last message decides
+/// between leaving and parking.
 fn serve_pending(shared: &Shared, conn: &mut Connection, worker: u32, peer_gone: bool) {
-    while let Some((msg, waited)) = conn.next_pending(peer_gone) {
-        handle_message(shared, conn, msg, waited, worker);
-    }
-    if peer_gone && conn.state() != ConnState::Closed {
-        // Whatever is queued can never matter. An EOF without a clean
-        // `Bye` is exactly the dropped-connection case resume tokens
-        // exist for, so park rather than leave.
+    let before = conn.bytes_written;
+    let result = conn.serve_pending(peer_gone, |conn, msg, waited| {
+        handle_message(shared, conn, msg, waited, worker)
+    });
+    let sent = &shared.counters.bytes_sent;
+    sent.fetch_add(conn.bytes_written - before, Ordering::Relaxed);
+    if result.is_err() || peer_gone {
+        // Whatever is queued can never matter. A write error or an EOF
+        // without a clean `Bye` is exactly the dropped-connection case
+        // resume tokens exist for, so park rather than leave.
         park_or_leave(shared, conn);
         conn.set_state(ConnState::Closed);
     }
 }
 
 /// `waited`: the message sat in the inbox for lack of egress room.
+/// Returns whether the reply was rendered for this message, which sends
+/// it on its way at once ([`crate::conn`]).
 fn handle_message(
     shared: &Shared,
     conn: &mut Connection,
     msg: WireMessage,
     waited: bool,
     worker: u32,
-) {
+) -> bool {
     match (conn.state(), msg) {
         (
             ConnState::Handshake,
@@ -648,7 +632,7 @@ fn handle_message(
                     max: PROTO_VERSION,
                 });
                 begin_goodbye(shared, conn, ByeReason::Normal);
-                return;
+                return false;
             }
             // Placement: first-fit honors the requested room exactly
             // (the pre-matchmaker behaviour, byte for byte); affinity
@@ -691,7 +675,7 @@ fn handle_message(
                     max: PROTO_VERSION,
                 });
                 begin_goodbye(shared, conn, ByeReason::Normal);
-                return;
+                return false;
             }
             let reject = |reason| {
                 shared
@@ -703,7 +687,7 @@ fn handle_message(
             if ResumeToken::verify(&token, shared.secret).is_none() {
                 conn.enqueue_control(&reject(ResumeRejectReason::Malformed));
                 begin_goodbye(shared, conn, ByeReason::Normal);
-                return;
+                return false;
             }
             let parked = shared.parked.lock().remove(&token);
             match parked {
@@ -748,9 +732,10 @@ fn handle_message(
             }
         }
         (ConnState::Active { game, room, .. }, WireMessage::Pose { seq, x, z, .. }) => {
-            let delivered = serve_pose(shared, conn, game, room, seq, Vec2::new(x, z), worker);
+            let (delivered, rendered) =
+                serve_pose(shared, conn, game, room, seq, Vec2::new(x, z), worker);
             note_delivery(shared, conn, game, room, waited || !delivered);
-            flush_conn(shared, conn);
+            return rendered;
         }
         (ConnState::Handshake, WireMessage::ShardHello { proto, shard, .. }) => {
             // A fellow worker's exchange link. Same version window as
@@ -765,7 +750,7 @@ fn handle_message(
                     max: PROTO_VERSION,
                 });
                 begin_goodbye(shared, conn, ByeReason::Normal);
-                return;
+                return false;
             }
             conn.set_state(ConnState::ShardPeer { shard });
         }
@@ -821,6 +806,7 @@ fn handle_message(
             begin_goodbye(shared, conn, ByeReason::Normal);
         }
     }
+    false
 }
 
 /// splitmix64: derives the token-signing secret from the world seed
@@ -884,8 +870,9 @@ fn note_delivery(shared: &Shared, conn: &mut Connection, game: GameId, room: u32
     }
 }
 
-/// Looks up (or renders) the pose's frame and queues it. Returns whether
-/// the queue took it.
+/// Looks up (or renders) the pose's frame and queues it, the payload by
+/// reference. Returns whether the queue took it, and whether it was
+/// rendered.
 fn serve_pose(
     shared: &Shared,
     conn: &mut Connection,
@@ -894,27 +881,28 @@ fn serve_pose(
     seq: u64,
     pos: Vec2,
     worker: u32,
-) -> bool {
+) -> (bool, bool) {
     let FrameReply {
         encoded,
         store_hit,
         scale_pm,
+        rendered,
     } = shared.service.frame_for(game, room, pos, worker);
 
     // Another connection may have triggered a degrade since this client
     // last heard: notify lazily.
     notify_scale(shared, conn, scale_pm);
 
-    let frame = WireMessage::Frame {
+    let header = frame_header(
         seq,
-        width: encoded.width,
-        height: encoded.height,
-        quality: quality_to_wire(encoded.quality),
+        encoded.width,
+        encoded.height,
+        quality_to_wire(encoded.quality),
         store_hit,
         scale_pm,
-        payload: encoded.payload.to_vec(),
-    };
-    let delivered = conn.enqueue_frame(&frame);
+        encoded.payload.len(),
+    );
+    let delivered = conn.enqueue_frame_parts(header, encoded.payload.clone());
     let counters = &shared.counters;
     let outcome = if delivered {
         &counters.frames_sent
@@ -923,5 +911,5 @@ fn serve_pose(
     };
     outcome.fetch_add(1, Ordering::Relaxed);
     shared.counters.note_peak(conn.queued_bytes() as u64);
-    delivered
+    (delivered, rendered)
 }

@@ -28,8 +28,9 @@ use coterie_serve::farm::PrerenderFarm;
 use coterie_serve::{FrameStore, LocalStore, StoreConfig};
 use coterie_telemetry::{Stage, TelemetrySink, TrackId, SERVE_PID, VSYNC_BUDGET_MS};
 use coterie_world::{GameId, GameSpec, GridPoint, LeafId, Scene, Vec2};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Consecutive poses that waited or lost their frame before a room degrades.
@@ -97,6 +98,9 @@ pub struct FrameReply {
     pub store_hit: bool,
     /// The room's current quality scale, per-mille.
     pub scale_pm: u16,
+    /// Whether the frame was rendered and encoded for this pose, not
+    /// taken from the payload cache.
+    pub rendered: bool,
 }
 
 /// Aggregate service counters (monotonic).
@@ -116,6 +120,21 @@ pub struct ServiceStats {
     pub shard_frames_applied: u64,
 }
 
+/// [`ServiceStats`] as the workers count it: statistics only, so relaxed.
+#[derive(Default)]
+struct ServiceCounters {
+    frames_served: AtomicU64,
+    store_hits: AtomicU64,
+    store_misses: AtomicU64,
+    scale_changes: AtomicU64,
+    shard_frames_shared: AtomicU64,
+    shard_frames_applied: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
 /// One freshly rendered frame queued for the shard coordinator to ship
 /// to peer workers: everything a peer needs to admit the frame into its
 /// own store and payload cache without re-rendering.
@@ -133,12 +152,13 @@ pub struct ShardShare {
 
 /// Shared serving state; one per server, `Arc`-shared across workers.
 pub struct ServiceCore {
-    worlds: Mutex<HashMap<GameId, Arc<World>>>,
+    /// Written once per game, read on every pose.
+    worlds: RwLock<HashMap<GameId, Arc<World>>>,
     store: Arc<dyn FrameStore>,
     payloads: Mutex<PayloadCache>,
     farm: Mutex<PrerenderFarm>,
     rooms: Mutex<HashMap<(GameId, u32), RoomState>>,
-    stats: Mutex<ServiceStats>,
+    stats: ServiceCounters,
     shard_outbox: Mutex<ShardOutbox>,
     encoder: Encoder,
     telemetry: TelemetrySink,
@@ -182,7 +202,7 @@ impl ServiceCore {
         telemetry: TelemetrySink,
     ) -> ServiceCore {
         ServiceCore {
-            worlds: Mutex::new(HashMap::new()),
+            worlds: RwLock::new(HashMap::new()),
             store,
             payloads: Mutex::new(PayloadCache {
                 map: HashMap::new(),
@@ -190,7 +210,7 @@ impl ServiceCore {
             }),
             farm: Mutex::new(PrerenderFarm::new()),
             rooms: Mutex::new(HashMap::new()),
-            stats: Mutex::new(ServiceStats::default()),
+            stats: ServiceCounters::default(),
             shard_outbox: Mutex::new(ShardOutbox {
                 enabled: false,
                 queue: VecDeque::new(),
@@ -240,14 +260,22 @@ impl ServiceCore {
                     }
                 }
             }
-            self.stats.lock().shard_frames_applied += 1;
+            bump(&self.stats.shard_frames_applied);
         }
         admitted
     }
 
     /// Aggregate counters so far.
     pub fn stats(&self) -> ServiceStats {
-        *self.stats.lock()
+        let c = &self.stats;
+        ServiceStats {
+            frames_served: c.frames_served.load(Ordering::Relaxed),
+            store_hits: c.store_hits.load(Ordering::Relaxed),
+            store_misses: c.store_misses.load(Ordering::Relaxed),
+            scale_changes: c.scale_changes.load(Ordering::Relaxed),
+            shard_frames_shared: c.shard_frames_shared.load(Ordering::Relaxed),
+            shard_frames_applied: c.shard_frames_applied.load(Ordering::Relaxed),
+        }
     }
 
     /// The vsync budget advertised in `Welcome`.
@@ -256,7 +284,10 @@ impl ServiceCore {
     }
 
     fn world(&self, game: GameId) -> Arc<World> {
-        let mut worlds = self.worlds.lock();
+        if let Some(world) = self.worlds.read().get(&game) {
+            return world.clone();
+        }
+        let mut worlds = self.worlds.write();
         worlds
             .entry(game)
             .or_insert_with(|| {
@@ -362,7 +393,7 @@ impl ServiceCore {
                 let next = ((state.scale_pm as f64 * DEGRADE_STEP) as u16).max(MIN_SCALE_PM);
                 if next != state.scale_pm {
                     state.scale_pm = next;
-                    self.stats.lock().scale_changes += 1;
+                    bump(&self.stats.scale_changes);
                     return Some(next);
                 }
             }
@@ -377,7 +408,7 @@ impl ServiceCore {
                     .min(state.ceiling_pm);
                 if next > state.scale_pm {
                     state.scale_pm = next;
-                    self.stats.lock().scale_changes += 1;
+                    bump(&self.stats.scale_changes);
                     return Some(next);
                 }
             }
@@ -429,6 +460,7 @@ impl ServiceCore {
             None
         };
 
+        let rendered = cached.is_none();
         let encoded = match cached {
             Some(e) => e,
             None => {
@@ -486,26 +518,24 @@ impl ServiceCore {
                             encoded: encoded.clone(),
                             scale_pm,
                         });
-                        self.stats.lock().shard_frames_shared += 1;
+                        bump(&self.stats.shard_frames_shared);
                     }
                 }
                 encoded
             }
         };
 
-        {
-            let mut stats = self.stats.lock();
-            stats.frames_served += 1;
-            if store_hit {
-                stats.store_hits += 1;
-            } else {
-                stats.store_misses += 1;
-            }
-        }
+        bump(&self.stats.frames_served);
+        bump(if store_hit {
+            &self.stats.store_hits
+        } else {
+            &self.stats.store_misses
+        });
         FrameReply {
             encoded,
             store_hit,
             scale_pm,
+            rendered,
         }
     }
 
@@ -634,6 +664,7 @@ mod tests {
         assert!(!first.store_hit);
         let second = c.frame_for(GameId::Fps, 3, pos, 0);
         assert!(second.store_hit);
+        assert!(first.rendered && !second.rendered);
         assert_eq!(first.encoded.payload, second.encoded.payload);
         let stats = c.stats();
         assert_eq!(stats.frames_served, 2);

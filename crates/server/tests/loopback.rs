@@ -287,6 +287,81 @@ fn reader_that_falls_behind_loses_nothing() {
     assert_eq!((stats.frames_sent, stats.frames_dropped), (400, 0));
 }
 
+/// 32 poses for cached grid points, arriving together, are answered in
+/// one pass: their frames queue up behind one another (a server that
+/// wrote after every pose never held two), leave in order, and nobody
+/// takes the unwritten batch for a slow link.
+#[test]
+fn a_batch_of_hits_leaves_in_one_pass() {
+    let (server, path) = start_uds("batch", ServerConfig::default());
+    let (mut stream, mut asm) = join(&path);
+    let mut frame_bytes = 0;
+    // `pose` repeats every 35, so the batch asks for what this caches.
+    for seq in 0..35 {
+        stream.write_all(&pose(seq)).expect("pose");
+        match read_msg(&mut stream, &mut asm, Duration::from_secs(5)) {
+            Some(msg @ WireMessage::Frame { .. }) => frame_bytes = msg.encode_frame().len(),
+            other => panic!("expected frame {seq}, got {other:?}"),
+        }
+    }
+    // One write, so one read pass on the other side.
+    let batch: Vec<u8> = (35..67).flat_map(pose).collect();
+    stream.write_all(&batch).expect("poses");
+    for want in 35..67 {
+        match read_msg(&mut stream, &mut asm, Duration::from_secs(5)) {
+            Some(WireMessage::Frame { seq, store_hit, .. }) => {
+                assert_eq!((seq, store_hit), (want, true));
+            }
+            other => panic!("expected frame {want}, got {other:?}"),
+        }
+    }
+    drop(stream);
+    let stats = server.stop();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!((stats.frames_sent, stats.degrades_sent), (67, 0));
+    assert!(
+        stats.peak_queue_bytes >= 2 * frame_bytes as u64,
+        "replies left one at a time: {stats:?}"
+    );
+}
+
+/// A pose that has to be rendered is answered when it is rendered, not
+/// when the read pass it arrived in is through: the first frame is in
+/// the client's hands while the server still has renders to do.
+#[test]
+fn a_miss_is_not_held_behind_the_batch() {
+    let (server, path) = start_uds("missfirst", ServerConfig::default());
+    let (mut stream, mut asm) = join(&path);
+    // A tenth of a second of renders in an optimised build, all misses.
+    let poses = 1000;
+    let batch: Vec<u8> = (0..poses).flat_map(roam_pose).collect();
+    stream.write_all(&batch).expect("poses");
+    assert!(matches!(
+        read_msg(&mut stream, &mut asm, Duration::from_secs(5)),
+        Some(WireMessage::Frame { seq: 0, .. })
+    ));
+    let served = server.stats().frames_sent;
+    assert!(
+        served < poses,
+        "the first frame waited for all {served} renders"
+    );
+    let mut next_seq = 1;
+    while next_seq < poses {
+        match read_msg(&mut stream, &mut asm, Duration::from_secs(5)) {
+            Some(WireMessage::Frame { seq, .. }) => {
+                assert_eq!(seq, next_seq, "frames out of order or missing");
+                next_seq += 1;
+            }
+            Some(WireMessage::Degrade { .. }) => {}
+            other => panic!("expected frame {next_seq}, got {other:?}"),
+        }
+    }
+    drop(stream);
+    let stats = server.stop();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!((stats.frames_sent, stats.frames_dropped), (poses, 0));
+}
+
 /// Shutdown while a session is mid-stream: the client receives a
 /// `Goodbye(Shutdown)` notice, not a silent reset.
 #[test]
