@@ -15,7 +15,7 @@ use coterie_frame::{ssim, ssim_with_simd, LumaFrame, SsimOptions};
 use coterie_net::wire::{frame_header, WireMessage, FRAME_HEADER_BYTES};
 use coterie_parallel::simd;
 use coterie_render::{FovOptions, RenderFilter, RenderOptions, Renderer};
-use coterie_serve::{SharedFrameStore, StoreConfig};
+use coterie_serve::{LocalStore, StoreConfig};
 use coterie_server::{Connection, ReadOutcome, Stream};
 use coterie_telemetry::{Stage, TelemetryConfig, TelemetrySink, TrackId};
 use coterie_world::{GameId, GameSpec, GridPoint, LeafId, Terrain, Vec2, Vec3};
@@ -225,7 +225,7 @@ fn bench_cutoff(c: &mut Criterion) {
 fn bench_fleet_store(c: &mut Criterion) {
     // The fleet's sharded store on the hot path: a similar-match lookup
     // against a populated shard, and the insert + global-budget path.
-    let store = SharedFrameStore::new(StoreConfig::default());
+    let store = LocalStore::new(StoreConfig::default());
     for i in 0..2000i32 {
         let pos = Vec2::new((i % 100) as f64, (i / 100) as f64);
         store.insert(
@@ -249,6 +249,42 @@ fn bench_fleet_store(c: &mut Criterion) {
     c.bench_function("fleet_store_lookup_2000_entries", |bench| {
         bench.iter(|| store.lookup(GameId::VikingVillage, black_box(&query)))
     });
+    // The `party_warm` shape: a 600-point lap at 1/32 m, filed in 8x8-point
+    // leaves and looked up in lap order at the serving threshold (0.75 of
+    // the grid step). Every lookup hits its own point's frame, which is
+    // the least recently used in its leaf cache, so every hit moves that
+    // cache's head.
+    let lap: Vec<CacheQuery> = (0..600)
+        .map(|i| {
+            let t = i % 150;
+            let (ix, iz) = [(t, 0), (150, t), (150 - t, 150), (0, 150 - t)][(i / 150) as usize];
+            CacheQuery {
+                grid: GridPoint::new(ix, iz),
+                pos: Vec2::new(ix as f64 / 32.0, iz as f64 / 32.0),
+                leaf: LeafId(((ix >> 3) as u32) << 16 | (iz >> 3) as u32),
+                near_hash: 1,
+                dist_thresh: 0.0234,
+            }
+        })
+        .collect();
+    let lap_store = LocalStore::new(StoreConfig::default());
+    for q in &lap {
+        let meta = FrameMeta {
+            grid: q.grid,
+            pos: q.pos,
+            leaf: q.leaf,
+            near_hash: q.near_hash,
+        };
+        lap_store.insert(GameId::VikingVillage, meta, 1500);
+    }
+    let mut next = 0;
+    c.bench_function("store_hit_lap", |bench| {
+        bench.iter(|| {
+            next = (next + 1) % lap.len();
+            lap_store.lookup(GameId::VikingVillage, black_box(&lap[next]))
+        })
+    });
+    assert_eq!(lap_store.stats().misses, 0, "every lap lookup hits");
     let mut n = 0i32;
     c.bench_function("fleet_store_insert", |bench| {
         bench.iter(|| {
@@ -289,7 +325,7 @@ fn bench_store_scaling(c: &mut Criterion) {
     for n in [10_000usize, 100_000, 1_000_000] {
         let side = (n as f64).sqrt().ceil() as usize;
 
-        let store = SharedFrameStore::new(StoreConfig {
+        let store = LocalStore::new(StoreConfig {
             capacity_bytes: n as u64 * FRAME_BYTES,
             ..StoreConfig::default()
         });

@@ -187,7 +187,7 @@ impl PrerenderFarm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{SharedFrameStore, StoreConfig};
+    use crate::store::{LocalStore, StoreConfig};
     use coterie_core::CacheQuery;
     use coterie_world::LeafId;
 
@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn backfill_makes_neighbors_hit() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let mut farm = PrerenderFarm::new();
         farm.enqueue_neighbors(0, GameId::VikingVillage, miss_meta(), 400_000, 0.4);
         assert_eq!(farm.pending(), 2);
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn duplicate_jobs_render_once() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let mut farm = PrerenderFarm::new();
         for _ in 0..5 {
             farm.enqueue_neighbors(0, GameId::VikingVillage, miss_meta(), 400_000, 0.4);
@@ -239,7 +239,7 @@ mod tests {
         // A blind neighbour and a predicted job land on the same grid
         // point; the predicted (higher-scored) copy must win the dedup
         // even though it was queued later.
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let mut farm = PrerenderFarm::new();
         farm.enqueue_neighbors(0, GameId::VikingVillage, miss_meta(), 400_000, 0.4);
         let neighbor = FrameMeta {

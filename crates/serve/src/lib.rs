@@ -10,7 +10,7 @@
 //!
 //! * [`Room`] wraps a [`coterie_sim::SessionSim`] and routes its
 //!   prefetch misses through the fleet instead of a private server.
-//! * [`SharedFrameStore`] is a sharded, globally-budgeted, cross-session
+//! * [`LocalStore`] is a sharded, globally-budgeted, cross-session
 //!   frame cache: shards are keyed by `(game, leaf region)` behind
 //!   `parking_lot` mutexes, one atomic clock totally orders accesses,
 //!   and eviction runs a single LRU across every shard. Lookups extend
@@ -92,4 +92,4 @@ pub use metrics::{percentile, FleetMetrics};
 pub use predict::{PosePredictor, PredictorKind};
 pub use room::{Room, RoomReport};
 pub use shard::{partition_key, HashRing, ShardFabric, ShardMetrics, ShardedStore, StoreBackend};
-pub use store::{Admission, FrameStore, LocalStore, SharedFrameStore, StoreConfig, StoreStats};
+pub use store::{Admission, FrameStore, LocalStore, StoreConfig, StoreStats};

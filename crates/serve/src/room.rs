@@ -438,7 +438,7 @@ impl Room {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{SharedFrameStore, StoreConfig};
+    use crate::store::{LocalStore, StoreConfig};
     use coterie_sim::SystemKind;
     use coterie_world::GameId;
 
@@ -452,7 +452,7 @@ mod tests {
 
     #[test]
     fn room_runs_to_completion_through_store() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let mut egress = FleetEgress::new(1000.0);
         let mut farm = PrerenderFarm::new();
         let mut room = Room::new(0, room_config(1), 64);
@@ -478,7 +478,7 @@ mod tests {
         // a store warmed by a different room of the same game. The only
         // difference is the cross-session frames, so any hit-ratio gain
         // is pure cross-session reuse.
-        let run = |seed: u64, store: &SharedFrameStore| {
+        let run = |seed: u64, store: &LocalStore| {
             let mut egress = FleetEgress::new(10_000.0);
             let mut farm = PrerenderFarm::new();
             let mut room = Room::new(seed as usize, room_config(seed), 1024);
@@ -491,9 +491,9 @@ mod tests {
             }
             room.finish()
         };
-        let cold_store = SharedFrameStore::new(StoreConfig::default());
+        let cold_store = LocalStore::new(StoreConfig::default());
         let cold = run(2, &cold_store);
-        let warm_store = SharedFrameStore::new(StoreConfig::default());
+        let warm_store = LocalStore::new(StoreConfig::default());
         let _first = run(1, &warm_store);
         let warm = run(2, &warm_store);
         assert!(
@@ -506,7 +506,7 @@ mod tests {
 
     #[test]
     fn controller_degrades_after_sustained_violation_and_recovers() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let mut egress = FleetEgress::new(1000.0);
         let mut farm = PrerenderFarm::new();
         let mut room = Room::new(0, room_config(3), 64);
@@ -534,7 +534,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_overflows_bypass_store() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let mut egress = FleetEgress::new(1000.0);
         let mut farm = PrerenderFarm::new();
         // Queue depth 1 and a single never-ending epoch: everything

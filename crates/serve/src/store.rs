@@ -12,8 +12,7 @@
 //! program against the [`FrameStore`] trait, so the backend is
 //! swappable at construction time:
 //!
-//! - [`LocalStore`] — one in-process store (this module), the original
-//!   `SharedFrameStore` behaviour byte for byte.
+//! - [`LocalStore`] — one in-process store (this module).
 //! - [`crate::ShardedStore`] — a fleet-wide store partitioned across
 //!   worker processes by consistent hashing (see [`crate::shard`]).
 //!
@@ -31,15 +30,24 @@
 //! it costs no scan. Each cache threads its entries onto a recency list,
 //! so its least recently used entry is the list head; each stripe keeps
 //! a `BTreeSet` head index of `(head stamp, game, leaf)`, one key per
-//! cache, fixed up only when an operation changes that cache's head; and
-//! the global victim is the smallest of the stripes' first keys. One
-//! victim costs O(stripes · log leaves), whatever the number of frames.
-//! The index is keyed by the whole triple because stamps are unique only
-//! while operations are serialized: a worker takes its ticket before it
-//! takes the stripe lock, so with several workers two caches can carry
-//! the same head stamp, and a stamp-keyed index would drop one of them
-//! from eviction for good. Equal stamps go to the lowest stripe, then
-//! the lowest `(game, leaf)`.
+//! cache; and the global victim is the smallest of the stripes' first
+//! keys. One victim costs O(stripes · log leaves), whatever the number
+//! of frames. The index is keyed by the whole triple because stamps are
+//! unique only while operations are serialized: a worker takes its
+//! ticket before it takes the stripe lock, so with several workers two
+//! caches can carry the same head stamp, and a stamp-keyed index would
+//! drop one of them from eviction for good. Equal stamps go to the
+//! lowest stripe, then the lowest `(game, leaf)`.
+//!
+//! The index is exact except for caches a hit has moved. A hit touches
+//! its frame, which in a leaf cache of a handful of frames is nearly
+//! always the head; but a hit only *raises* a head stamp, so instead of
+//! a B-tree remove and insert it flags the cache stale and lists it once
+//! under its filed stamp. A stripe re-files its listed caches before any
+//! other operation on a cache and before its oldest entry is read. Checking
+//! each stripe's first key against its cache on every read instead would
+//! cost every eviction a hash probe per stripe, and a full store evicts on
+//! every insert.
 
 use crate::farm::render_cost_ms;
 use coterie_core::{
@@ -271,40 +279,84 @@ struct FrameTag {
 /// A `(game, leaf region)` pair: the key of one leaf cache.
 type LeafKey = (GameId, u32);
 
+/// A leaf cache and whether a hit has moved its head since it was filed
+/// in the head index (the stripe's `stale` list then names it).
+#[derive(Debug)]
+struct Leaf {
+    cache: FrameCache<FrameTag>,
+    stale: bool,
+}
+
 /// One lock-striped stripe: the leaf caches of every `(game, leaf)`
 /// pair that hashes to it, none of them empty.
 #[derive(Debug, Default)]
 struct Stripe {
-    caches: HashMap<LeafKey, FrameCache<FrameTag>>,
+    caches: HashMap<LeafKey, Leaf>,
     /// The head index: `(stamp, game, leaf)` of every cache's least
     /// recently used entry, so the stripe's oldest entry is the first
-    /// key. The cache key is part of the index key because two caches
-    /// can carry the same stamp (see the module doc).
+    /// key once `stale` is re-filed. The cache key is part of the index
+    /// key because two caches can carry the same stamp (see the module
+    /// doc).
     heads: BTreeSet<(u64, LeafKey)>,
+    /// `(filed stamp, key)` of every cache flagged stale, once each.
+    stale: Vec<(u64, LeafKey)>,
 }
 
 impl Stripe {
-    /// Runs `op` on the cache of `key` (`None` if there is none and
-    /// `create` is unset), then re-files the cache in the head index if
-    /// `op` changed its oldest entry and drops it if `op` emptied it.
-    /// Every mutation of a leaf cache goes through here.
+    /// Re-files every cache a hit has moved at its true head stamp.
+    fn refile(&mut self) {
+        for (filed, key) in self.stale.drain(..) {
+            let leaf = self.caches.get_mut(&key).expect("a stale cache is kept");
+            leaf.stale = false;
+            let head = leaf.cache.oldest_access().expect("a hit empties no cache");
+            self.heads.remove(&(filed, key));
+            self.heads.insert((head, key));
+        }
+    }
+
+    /// Runs the lookup `op` on the cache of `key` (`None` if there is
+    /// none). A hit only ever raises the head stamp, so a cache whose
+    /// head moved is flagged and listed stale instead of re-filed.
+    fn lookup<R>(
+        &mut self,
+        key: LeafKey,
+        op: impl FnOnce(&mut FrameCache<FrameTag>) -> R,
+    ) -> Option<R> {
+        let leaf = self.caches.get_mut(&key)?;
+        let filed = leaf.cache.oldest_access();
+        let result = op(&mut leaf.cache);
+        if !leaf.stale && leaf.cache.oldest_access() != filed {
+            leaf.stale = true;
+            self.stale.extend(filed.map(|stamp| (stamp, key)));
+        }
+        Some(result)
+    }
+
+    /// Re-files the stale caches, runs `op` on the cache of `key`
+    /// (`None` if there is none and `create` is unset), then re-files
+    /// the cache in the head index if `op` changed its oldest entry and
+    /// drops it if `op` emptied it. Every mutation of a leaf cache goes
+    /// through here.
     fn on_cache<R>(
         &mut self,
         key: LeafKey,
         create: bool,
         op: impl FnOnce(&mut FrameCache<FrameTag>) -> R,
     ) -> Option<R> {
-        let cache = if create {
-            self.caches.entry(key).or_insert_with(|| {
-                FrameCache::new(CacheConfig {
+        self.refile();
+        let leaf = if create {
+            self.caches.entry(key).or_insert_with(|| Leaf {
+                cache: FrameCache::new(CacheConfig {
                     capacity_bytes: u64::MAX, // budget is enforced globally
                     policy: EvictionPolicy::Lru,
                     version: CacheVersion::FLEET,
-                })
+                }),
+                stale: false,
             })
         } else {
             self.caches.get_mut(&key)?
         };
+        let cache = &mut leaf.cache;
         let before = cache.oldest_access();
         let result = op(cache);
         let after = cache.oldest_access();
@@ -383,10 +435,6 @@ pub struct LocalStore {
     spec_rejected: AtomicU64,
 }
 
-/// The pre-trait name of [`LocalStore`], kept as an alias so existing
-/// call sites and docs keep compiling unchanged.
-pub type SharedFrameStore = LocalStore;
-
 impl LocalStore {
     /// Creates an empty store.
     ///
@@ -459,7 +507,13 @@ impl LocalStore {
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|s| s.lock().caches.values().map(FrameCache::len).sum::<usize>())
+            .map(|s| {
+                s.lock()
+                    .caches
+                    .values()
+                    .map(|l| l.cache.len())
+                    .sum::<usize>()
+            })
             .sum()
     }
 
@@ -527,7 +581,7 @@ impl LocalStore {
         let mut spec_hit = false;
         let mut first_use = false;
         let hit = stripe
-            .on_cache((game, query.leaf.0), false, |cache| {
+            .lookup((game, query.leaf.0), |cache| {
                 cache.advance_clock(ticket);
                 match cache.lookup_mut(query) {
                     Some(tag) => {
@@ -617,12 +671,14 @@ impl LocalStore {
 
     /// Where this store's oldest entry lives — stripe, cache and stamp —
     /// or `None` when the store is empty: the smallest first key of the
-    /// stripes' head indexes. The one victim search every LRU decision
-    /// shares.
+    /// stripes' head indexes, each made exact first. The one victim
+    /// search every LRU decision shares.
     fn oldest(&self) -> Option<(usize, LeafKey, u64)> {
         let mut oldest: Option<(usize, LeafKey, u64)> = None;
         for (si, stripe) in self.stripes.iter().enumerate() {
-            if let Some(&(stamp, key)) = stripe.lock().heads.first() {
+            let mut stripe = stripe.lock();
+            stripe.refile();
+            if let Some(&(stamp, key)) = stripe.heads.first() {
                 if oldest.map(|(_, _, v)| stamp < v).unwrap_or(true) {
                     oldest = Some((si, key, stamp));
                 }
@@ -636,7 +692,7 @@ impl LocalStore {
     fn oldest_value(&self) -> Option<f64> {
         let (si, key, _) = self.oldest()?;
         let stripe = self.stripes[si].lock();
-        let (_, tag) = stripe.caches.get(&key)?.oldest_entry()?;
+        let (_, tag) = stripe.caches.get(&key)?.cache.oldest_entry()?;
         Some(tag.value)
     }
 
@@ -737,15 +793,47 @@ impl LocalStore {
 #[cfg(test)]
 impl LocalStore {
     /// Leaf caches held, how many of them are empty, head-index keys,
-    /// and the sum of the caches' own byte counts.
+    /// and the sum of the caches' own byte counts. Panics unless every
+    /// cache has one head key: its true head stamp, or for a cache
+    /// flagged stale the stamp it is listed under.
     fn census(&self) -> (usize, usize, usize, u64) {
         let (mut caches, mut empty, mut heads, mut bytes) = (0, 0, 0, 0);
         for stripe in &self.stripes {
             let stripe = stripe.lock();
+            let listed: HashMap<LeafKey, u64> = stripe
+                .stale
+                .iter()
+                .map(|&(stamp, key)| (key, stamp))
+                .collect();
+            assert_eq!(
+                listed.len(),
+                stripe.stale.len(),
+                "a cache listed stale twice"
+            );
+            for (&key, leaf) in &stripe.caches {
+                let filed = if leaf.stale {
+                    listed.get(&key).copied()
+                } else {
+                    leaf.cache.oldest_access()
+                };
+                let found = filed.is_some_and(|stamp| stripe.heads.contains(&(stamp, key)));
+                assert!(found, "{key:?} is not filed at {filed:?}");
+            }
+            assert_eq!(
+                stripe.heads.len(),
+                stripe.caches.len(),
+                "one head key per cache"
+            );
+            let flagged = stripe.caches.values().filter(|l| l.stale).count();
+            assert_eq!(flagged, listed.len(), "every listed cache is flagged");
             caches += stripe.caches.len();
-            empty += stripe.caches.values().filter(|c| c.is_empty()).count();
+            empty += stripe
+                .caches
+                .values()
+                .filter(|l| l.cache.is_empty())
+                .count();
             heads += stripe.heads.len();
-            bytes += stripe.caches.values().map(FrameCache::bytes).sum::<u64>();
+            bytes += stripe.caches.values().map(|l| l.cache.bytes()).sum::<u64>();
         }
         (caches, empty, heads, bytes)
     }
@@ -817,7 +905,7 @@ mod tests {
 
     #[test]
     fn cross_session_frames_hit_without_session_id() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let m = meta(10, 10, 3, 7);
         // "Session A" contributes; "session B" asks for a nearby point.
         assert!(store.insert(GameId::VikingVillage, m, 500_000));
@@ -845,7 +933,7 @@ mod tests {
 
     #[test]
     fn games_are_isolated() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let m = meta(10, 10, 3, 7);
         store.insert(GameId::VikingVillage, m, 100);
         assert!(
@@ -856,7 +944,7 @@ mod tests {
 
     #[test]
     fn three_criteria_still_apply() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let m = meta(10, 10, 3, 7);
         store.insert(GameId::VikingVillage, m, 100);
         // Wrong leaf.
@@ -874,7 +962,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_skipped() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let m = meta(10, 10, 3, 7);
         assert!(store.insert(GameId::VikingVillage, m, 100));
         assert!(!store.insert(GameId::VikingVillage, m, 100));
@@ -891,7 +979,7 @@ mod tests {
         // repeated re-encodes made `bytes()` drift away from the true
         // sum of entry sizes; now the old size is debited before the
         // new one is credited.
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let m = meta(10, 10, 3, 7);
         assert!(store.insert(GameId::VikingVillage, m, 100));
         assert_eq!(store.bytes(), 100);
@@ -927,7 +1015,7 @@ mod tests {
 
     #[test]
     fn same_size_reinsert_is_still_a_duplicate() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let m = meta(10, 10, 3, 7);
         assert!(store.insert(GameId::VikingVillage, m, 100));
         assert!(!store.insert(GameId::VikingVillage, m, 100));
@@ -938,7 +1026,7 @@ mod tests {
 
     #[test]
     fn speculative_frames_are_tracked_through_use() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let a = meta(10, 10, 3, 7);
         let b = meta(20, 20, 3, 7);
         assert!(store.insert_speculative(GameId::VikingVillage, a, 100, 1.0));
@@ -957,7 +1045,7 @@ mod tests {
 
     #[test]
     fn cost_aware_admission_refuses_low_value_speculation() {
-        let store = SharedFrameStore::new(StoreConfig {
+        let store = LocalStore::new(StoreConfig {
             capacity_bytes: 250,
             shards: 4,
             admission: Admission::CostAware,
@@ -981,7 +1069,7 @@ mod tests {
 
     #[test]
     fn lru_admission_always_admits_speculation() {
-        let store = SharedFrameStore::new(StoreConfig {
+        let store = LocalStore::new(StoreConfig {
             capacity_bytes: 250,
             shards: 4,
             ..StoreConfig::default()
@@ -1001,7 +1089,7 @@ mod tests {
         // Three frames of 100 B in *different leaves* (hence different
         // stripes) under a 250 B budget: the first-inserted frame is
         // the globally oldest and must be the one evicted.
-        let store = SharedFrameStore::new(StoreConfig {
+        let store = LocalStore::new(StoreConfig {
             capacity_bytes: 250,
             shards: 4,
             ..StoreConfig::default()
@@ -1025,7 +1113,7 @@ mod tests {
 
     #[test]
     fn hits_refresh_global_recency() {
-        let store = SharedFrameStore::new(StoreConfig {
+        let store = LocalStore::new(StoreConfig {
             capacity_bytes: 250,
             shards: 4,
             ..StoreConfig::default()
@@ -1132,7 +1220,7 @@ mod tests {
         // Smoke test: hammer the store from several threads. Results
         // are not asserted deterministic here (the fleet serializes for
         // that) — only that counters and budget stay coherent.
-        let store = std::sync::Arc::new(SharedFrameStore::new(StoreConfig {
+        let store = std::sync::Arc::new(LocalStore::new(StoreConfig {
             capacity_bytes: 10_000,
             shards: 4,
             ..StoreConfig::default()

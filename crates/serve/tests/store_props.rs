@@ -8,12 +8,15 @@
 //! `bytes()`, `len()`, `stats()` and `oldest_stamp()`, and at the end on
 //! the order in which the survivors are evicted — so an index that loses
 //! a cache, a list that misses a touch, or a budget that drifts shows up
-//! as a divergence, not as a slow leak.
+//! as a divergence, not as a slow leak. A second property reads the
+//! oldest entry only every few steps, so the caches that hits leave
+//! stale in the head index pile up between reads.
 
 use coterie_core::{CacheQuery, FrameMeta};
 use coterie_serve::{render_cost_ms, Admission, LocalStore, StoreConfig, StoreStats};
 use coterie_world::{GameId, GridPoint, LeafId, Vec2};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 #[derive(Debug, Clone)]
 struct Op {
@@ -199,6 +202,107 @@ impl Model {
     }
 }
 
+/// What a step does with an [`Op`]'s operands.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Lookup,
+    Insert,
+    InsertSpeculative,
+    SetCapacity,
+    EvictOldest,
+}
+
+/// Runs one step on both sides and checks that they answer alike and
+/// agree on `stats()`, `bytes()` and `len()`, none of which reads the
+/// stores' head indexes. A lookup's radius is `knob · reach`.
+fn step(
+    store: &LocalStore,
+    model: &mut Model,
+    kind: Kind,
+    op: &Op,
+    initial_capacity: u64,
+    reach: f64,
+) -> Result<(), TestCaseError> {
+    let Op {
+        game,
+        meta,
+        size,
+        knob,
+        ..
+    } = *op;
+    match kind {
+        Kind::Lookup => {
+            let q = CacheQuery {
+                grid: meta.grid,
+                pos: meta.pos,
+                leaf: meta.leaf,
+                near_hash: meta.near_hash,
+                dist_thresh: knob * reach,
+            };
+            prop_assert_eq!(store.lookup(game, &q), model.lookup(game, &q), "lookup");
+        }
+        Kind::Insert => prop_assert_eq!(
+            store.insert(game, meta, size),
+            model.insert(game, meta, size, None),
+            "insert"
+        ),
+        Kind::InsertSpeculative => {
+            let score = knob * 4.0;
+            prop_assert_eq!(
+                store.insert_speculative(game, meta, size, score),
+                model.insert(game, meta, size, Some(score)),
+                "insert_speculative"
+            );
+        }
+        Kind::SetCapacity => {
+            // Often a shrink below occupancy; nothing is evicted until
+            // the next insert.
+            let budget = (initial_capacity as f64 * (0.3 + knob)) as u64;
+            store.set_capacity_bytes(budget);
+            model.capacity = budget;
+        }
+        Kind::EvictOldest => prop_assert_eq!(store.evict_oldest(), model.evict_oldest(), "evict"),
+    }
+    prop_assert_eq!(store.stats(), model.stats, "stats");
+    prop_assert_eq!(store.bytes(), model.bytes(), "bytes");
+    prop_assert_eq!(store.len(), model.frames.len(), "len");
+    Ok(())
+}
+
+fn new_pair(capacity: u64, shards: usize, cost_aware: bool) -> (LocalStore, Model) {
+    let admission = if cost_aware {
+        Admission::CostAware
+    } else {
+        Admission::Lru
+    };
+    let store = LocalStore::new(StoreConfig {
+        capacity_bytes: capacity,
+        shards,
+        admission,
+    });
+    let model = Model {
+        frames: Vec::new(),
+        clock: 0,
+        seq: 0,
+        capacity,
+        admission,
+        stats: StoreStats::default(),
+    };
+    (store, model)
+}
+
+/// Drain: the survivors leave in the same order, one each.
+fn drain(store: &LocalStore, model: &mut Model) -> Result<(), TestCaseError> {
+    while !model.frames.is_empty() {
+        prop_assert_eq!(store.oldest_stamp(), model.oldest_stamp());
+        prop_assert_eq!(store.evict_oldest(), model.evict_oldest());
+    }
+    prop_assert_eq!(store.evict_oldest(), None);
+    prop_assert_eq!(store.oldest_stamp(), None);
+    prop_assert_eq!((store.bytes(), store.len()), (0, 0));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -209,63 +313,50 @@ proptest! {
         shards in 1usize..6,
         cost_aware in proptest::bool::ANY,
     ) {
-        let admission = if cost_aware { Admission::CostAware } else { Admission::Lru };
-        let store = LocalStore::new(StoreConfig { capacity_bytes: capacity, shards, admission });
-        let mut model = Model {
-            frames: Vec::new(),
-            clock: 0,
-            seq: 0,
-            capacity,
-            admission,
-            stats: StoreStats::default(),
-        };
-        for (step, op) in ops.iter().enumerate() {
-            let Op { game, meta, size, knob, .. } = *op;
-            match op.kind {
-                0..=3 => {
-                    let q = CacheQuery {
-                        grid: meta.grid,
-                        pos: meta.pos,
-                        leaf: meta.leaf,
-                        near_hash: meta.near_hash,
-                        dist_thresh: knob,
-                    };
-                    prop_assert_eq!(store.lookup(game, &q), model.lookup(game, &q), "step {step} lookup");
-                }
-                4..=6 => prop_assert_eq!(
-                    store.insert(game, meta, size),
-                    model.insert(game, meta, size, None),
-                    "step {step} insert"
-                ),
-                7..=9 => {
-                    let score = knob * 4.0;
-                    prop_assert_eq!(
-                        store.insert_speculative(game, meta, size, score),
-                        model.insert(game, meta, size, Some(score)),
-                        "step {step} insert_speculative"
-                    );
-                }
-                10 => {
-                    // Often a shrink below occupancy; nothing is
-                    // evicted until the next insert.
-                    let budget = (capacity as f64 * (0.3 + knob)) as u64;
-                    store.set_capacity_bytes(budget);
-                    model.capacity = budget;
-                }
-                _ => prop_assert_eq!(store.evict_oldest(), model.evict_oldest(), "step {step} evict"),
+        let (store, mut model) = new_pair(capacity, shards, cost_aware);
+        for (i, op) in ops.iter().enumerate() {
+            let kind = match op.kind {
+                0..=3 => Kind::Lookup,
+                4..=6 => Kind::Insert,
+                7..=9 => Kind::InsertSpeculative,
+                10 => Kind::SetCapacity,
+                _ => Kind::EvictOldest,
+            };
+            step(&store, &mut model, kind, op, capacity, 1.0)
+                .map_err(|e| TestCaseError::fail(format!("step {i} {op:?}: {e}")))?;
+            prop_assert_eq!(store.oldest_stamp(), model.oldest_stamp(), "step {i} oldest after {op:?}");
+        }
+        drain(&store, &mut model)?;
+    }
+
+    /// The store re-files the caches hits have moved only before it
+    /// mutates a cache or reads its oldest entry. Reading that only
+    /// every `k`-th step lets hits pile up stale caches in between, so
+    /// a mutation or a read that skips the re-filing shows up in the
+    /// eviction order.
+    #[test]
+    fn hits_between_sparse_reads_keep_the_eviction_order(
+        ops in proptest::collection::vec(op_strategy(), 1..300),
+        every in 5usize..50,
+        capacity in 500u64..5_000,
+        shards in 1usize..6,
+        cost_aware in proptest::bool::ANY,
+    ) {
+        let (store, mut model) = new_pair(capacity, shards, cost_aware);
+        for (i, op) in ops.iter().enumerate() {
+            let kind = match op.kind {
+                0..=7 => Kind::Lookup,
+                8..=9 => Kind::Insert,
+                10 => Kind::InsertSpeculative,
+                _ => Kind::SetCapacity,
+            };
+            step(&store, &mut model, kind, op, capacity, 3.0)
+                .map_err(|e| TestCaseError::fail(format!("step {i} {op:?}: {e}")))?;
+            if i % every == every - 1 {
+                prop_assert_eq!(store.oldest_stamp(), model.oldest_stamp(), "step {i}");
+                prop_assert_eq!(store.evict_oldest(), model.evict_oldest(), "step {i}");
             }
-            prop_assert_eq!(store.stats(), model.stats, "step {step} stats after {op:?}");
-            prop_assert_eq!(store.bytes(), model.bytes(), "step {step} bytes after {op:?}");
-            prop_assert_eq!(store.len(), model.frames.len(), "step {step} len after {op:?}");
-            prop_assert_eq!(store.oldest_stamp(), model.oldest_stamp(), "step {step} oldest after {op:?}");
         }
-        // Drain: the survivors leave in the same order, one each.
-        while !model.frames.is_empty() {
-            prop_assert_eq!(store.oldest_stamp(), model.oldest_stamp());
-            prop_assert_eq!(store.evict_oldest(), model.evict_oldest());
-        }
-        prop_assert_eq!(store.evict_oldest(), None);
-        prop_assert_eq!(store.oldest_stamp(), None);
-        prop_assert_eq!((store.bytes(), store.len()), (0, 0));
+        drain(&store, &mut model)?;
     }
 }
