@@ -28,8 +28,7 @@ fn bench_ssim(c: &mut Criterion) {
         bench.iter(|| ssim(black_box(&a), black_box(&b)))
     });
     // Default options at the renderer's default resolution — the exact
-    // configuration the simulator's similarity sweeps run, and the one
-    // BENCH_render.json tracks.
+    // configuration the simulator's similarity sweeps run.
     let a = LumaFrame::from_fn(256, 128, |x, y| ((x * 7 + y * 13) % 97) as f32 / 96.0);
     let mut b = a.clone();
     b.set(70, 70, 1.0);
@@ -68,7 +67,7 @@ fn bench_render(c: &mut Criterion) {
         })
     });
     // Per-filter benches at the default 256x128 resolution — the hot-path
-    // configuration the experiments and BENCH_render.json measure.
+    // configuration the experiments measure.
     let renderer = Renderer::new(RenderOptions::default());
     let cutoff = 10.0;
     c.bench_function("render_all_256x128", |bench| {
@@ -374,8 +373,7 @@ fn bench_store_scaling(c: &mut Criterion) {
 fn bench_telemetry(c: &mut Criterion) {
     // The zero-cost-when-disabled gate. `render_all_256x128` above
     // already runs the instrumented hot path with the default disabled
-    // sink, so BENCH_render.json tracks any regression against the
-    // pre-telemetry seed; these benches make the overhead directly
+    // sink; these benches make the overhead directly
     // visible: the raw no-op call, and the same render with a disabled
     // vs a recording sink explicitly attached (the disabled variant
     // must stay within 1 % of `render_all_256x128`).

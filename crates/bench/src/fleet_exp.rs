@@ -15,7 +15,7 @@ use coterie_net::NetScenario;
 use coterie_serve::{
     ChurnScenario, Fleet, FleetConfig, FleetReport, PlacementPolicy, PredictorKind, StoreBackend,
 };
-use coterie_telemetry::{chrome_trace_json_full, Stage, TelemetryConfig, TelemetrySink};
+use coterie_telemetry::{TelemetryConfig, TelemetrySink};
 use coterie_world::GameId;
 
 /// Builds the fleet configuration for the experiment.
@@ -45,6 +45,15 @@ pub fn fleet_config(
     }
 }
 
+/// A recording sink when `trace` is set, a disabled one otherwise.
+fn trace_sink(trace: bool) -> TelemetrySink {
+    if trace {
+        TelemetrySink::recording(TelemetryConfig::default())
+    } else {
+        TelemetrySink::disabled()
+    }
+}
+
 /// Runs the shared-vs-isolated comparison and renders the report.
 ///
 /// `net` selects the FI fault scenario applied to every room
@@ -54,6 +63,12 @@ pub fn fleet_config(
 /// ([`PredictorKind::None`] reproduces the predictor-less table byte
 /// for byte); cv/vpm runs append speculation precision/recall notes.
 ///
+/// When `trace` is set the *shared* fleet runs with a recording
+/// [`TelemetrySink`]; the returned string is the Chrome `trace_event`
+/// JSON export (loadable in Perfetto / `chrome://tracing`) and the
+/// report gains a telemetry note. Telemetry is observation-only, so the
+/// comparison table is byte-identical either way.
+///
 /// The run is deterministic: the same `ExpConfig` seed, room/player
 /// counts, scenario and predictor reproduce the report byte for byte.
 pub fn fleet(
@@ -62,44 +77,16 @@ pub fn fleet(
     players: usize,
     net: NetScenario,
     predictor: PredictorKind,
-) -> (Report, FleetReport, FleetReport) {
-    let (report, shared, isolated, _) = fleet_traced(config, rooms, players, net, predictor, false);
-    (report, shared, isolated)
-}
-
-/// [`fleet`] with optional budget-attribution tracing of the *shared*
-/// run. When `trace` is set the shared fleet runs with a recording
-/// [`TelemetrySink`]; the returned string is the Chrome `trace_event`
-/// JSON export (loadable in Perfetto / `chrome://tracing`) and the
-/// report gains a telemetry note. Telemetry is observation-only, so the
-/// comparison table is byte-identical either way.
-pub fn fleet_traced(
-    config: &ExpConfig,
-    rooms: usize,
-    players: usize,
-    net: NetScenario,
-    predictor: PredictorKind,
     trace: bool,
 ) -> (Report, FleetReport, FleetReport, Option<String>) {
-    let sink = if trace {
-        TelemetrySink::recording(TelemetryConfig::default())
-    } else {
-        TelemetrySink::disabled()
-    };
+    let sink = trace_sink(trace);
     let shared = Fleet::new_with_telemetry(
         fleet_config(config, rooms, players, true, net, predictor),
         sink.clone(),
     )
     .run();
     let isolated = Fleet::new(fleet_config(config, rooms, players, false, net, predictor)).run();
-    let trace_json = sink.is_enabled().then(|| {
-        chrome_trace_json_full(
-            &sink.spans_snapshot(),
-            &sink.frames_snapshot(),
-            &sink.counters_snapshot(),
-            sink.budget_ms(),
-        )
-    });
+    let trace_json = sink.is_enabled().then(|| crate::chrome_trace(&sink));
 
     let mut report = Report::new("Fleet: shared vs isolated cross-session frame store");
     report.note(format!(
@@ -312,7 +299,7 @@ pub fn sharded_fleet_config(
 /// worker's process lane (each worker's spans rebased onto the shared
 /// fleet epoch). Deterministic: same inputs, byte-identical report.
 #[allow(clippy::too_many_arguments)]
-pub fn fleet_sharded_traced(
+pub fn fleet_sharded(
     config: &ExpConfig,
     rooms: usize,
     players: usize,
@@ -322,11 +309,7 @@ pub fn fleet_sharded_traced(
     predictor: PredictorKind,
     trace: bool,
 ) -> (Report, FleetReport, Option<FleetReport>, Option<String>) {
-    let sink = if trace {
-        TelemetrySink::recording(TelemetryConfig::default())
-    } else {
-        TelemetrySink::disabled()
-    };
+    let sink = trace_sink(trace);
     let primary = Fleet::new_with_telemetry(
         sharded_fleet_config(config, rooms, players, shards, backend, net, predictor),
         sink.clone(),
@@ -344,14 +327,7 @@ pub fn fleet_sharded_traced(
         ))
         .run()
     });
-    let trace_json = sink.is_enabled().then(|| {
-        chrome_trace_json_full(
-            &sink.spans_snapshot(),
-            &sink.frames_snapshot(),
-            &sink.counters_snapshot(),
-            sink.budget_ms(),
-        )
-    });
+    let trace_json = sink.is_enabled().then(|| crate::chrome_trace(&sink));
 
     let mut report = Report::new("Fleet: sharded store across worker processes");
     report.note(format!(
@@ -424,210 +400,6 @@ pub fn fleet_sharded_traced(
     (report, primary, isolated, trace_json)
 }
 
-/// One point of the worker-scaling curve committed in
-/// `BENCH_fleet.json`: the sharded fabric and the isolated-workers
-/// baseline at the same worker count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardScalingPoint {
-    /// Worker count.
-    pub shards: usize,
-    /// Store hit ratio with the sharded fabric.
-    pub hit_ratio: f64,
-    /// Pre-render GPU-hours with the sharded fabric.
-    pub gpu_hours: f64,
-    /// Store hit ratio with isolated per-worker stores.
-    pub isolated_hit_ratio: f64,
-    /// Pre-render GPU-hours with isolated per-worker stores.
-    pub isolated_gpu_hours: f64,
-    /// Exchange-plane bytes the sharded run put on the wire.
-    pub exchange_bytes: u64,
-}
-
-/// Runs the scaling sweep: for each worker count, the sharded fleet and
-/// the isolated-workers fleet at identical load and total byte budget.
-/// At one worker the two wirings coincide, anchoring the curve at zero
-/// uplift.
-pub fn fleet_scaling(
-    config: &ExpConfig,
-    rooms: usize,
-    players: usize,
-    counts: &[usize],
-) -> Vec<ShardScalingPoint> {
-    counts
-        .iter()
-        .map(|&shards| {
-            let run = |backend| {
-                Fleet::new(sharded_fleet_config(
-                    config,
-                    rooms,
-                    players,
-                    shards,
-                    backend,
-                    NetScenario::None,
-                    PredictorKind::None,
-                ))
-                .run()
-            };
-            let sharded = run(StoreBackend::Sharded);
-            let isolated = run(StoreBackend::Local);
-            ShardScalingPoint {
-                shards,
-                hit_ratio: sharded.metrics.store_hit_ratio,
-                gpu_hours: sharded.metrics.prerender_gpu_hours,
-                isolated_hit_ratio: isolated.metrics.store_hit_ratio,
-                isolated_gpu_hours: isolated.metrics.prerender_gpu_hours,
-                exchange_bytes: sharded
-                    .metrics
-                    .sharding
-                    .as_ref()
-                    .map(|s| s.wire_bytes)
-                    .unwrap_or(0),
-            }
-        })
-        .collect()
-}
-
-/// Renders the shared-store fleet headline numbers as the committed
-/// `BENCH_fleet.json` document (the fleet-level companion of
-/// `BENCH_render.json`): tail FPS percentiles, store hit ratio and
-/// shipped egress for a fixed rooms/players/net configuration.
-///
-/// A predictor-driven run (`metrics.predictor != None`) appends a
-/// per-policy `speculation` object — precision, recall and (when the
-/// matching `--predictor none` baseline is supplied) the hit-ratio
-/// delta the policy bought. A predictor-less run emits the historical
-/// document byte for byte, so committed benchmark archives stay
-/// diffable across the predictor plane's introduction.
-///
-/// Supplying `sharding` appends the worker-scaling curve: one object
-/// per worker count with the sharded fabric's hit ratio / GPU-hours
-/// next to the isolated-workers baseline. `None` leaves the document
-/// byte-identical to the pre-sharding format.
-///
-/// Supplying `matchmaking` (the first-fit and affinity runs of the same
-/// churn scenario) appends a `matchmaking` section comparing the two
-/// policies' placement outcomes and resulting fleet health. `None`
-/// leaves the document byte-identical to the pre-matchmaking format.
-pub fn fleet_bench_json(
-    metrics: &coterie_serve::FleetMetrics,
-    rooms: usize,
-    players: usize,
-    net: NetScenario,
-    baseline: Option<&coterie_serve::FleetMetrics>,
-    sharding: Option<&[ShardScalingPoint]>,
-    matchmaking: Option<(&coterie_serve::FleetMetrics, &coterie_serve::FleetMetrics)>,
-) -> String {
-    let mut out = format!(
-        "{{\n  \"config\": {{ \"rooms\": {rooms}, \"players\": {players}, \"net\": \"{net}\" }},\n  \
-         \"fleet\": {{\n    \"fps_p50\": {:.4},\n    \"fps_p95\": {:.4},\n    \"fps_p99\": {:.4},\n    \
-         \"store_hit_ratio\": {:.6},\n    \"egress_mbps\": {:.4}\n  }}",
-        metrics.fps_p50, metrics.fps_p95, metrics.fps_p99, metrics.store_hit_ratio, metrics.egress_mbps
-    );
-    if metrics.predictor != PredictorKind::None {
-        out.push_str(&format!(
-            ",\n  \"speculation\": {{\n    \"policy\": \"{}\",\n    \"rendered\": {},\n    \
-             \"used\": {},\n    \"hits\": {},\n    \"rejected\": {},\n    \
-             \"precision\": {:.6},\n    \"recall\": {:.6}",
-            metrics.predictor,
-            metrics.spec_rendered,
-            metrics.spec_used,
-            metrics.spec_hits,
-            metrics.spec_rejected,
-            metrics.spec_precision,
-            metrics.spec_recall,
-        ));
-        if let Some(base) = baseline {
-            out.push_str(&format!(
-                ",\n    \"baseline_hit_ratio\": {:.6},\n    \"hit_ratio_delta\": {:.6}",
-                base.store_hit_ratio,
-                metrics.store_hit_ratio - base.store_hit_ratio,
-            ));
-        }
-        out.push_str("\n  }");
-    }
-    if let Some(points) = sharding {
-        out.push_str(",\n  \"sharding\": {\n    \"curve\": [\n");
-        for (i, p) in points.iter().enumerate() {
-            let sep = if i + 1 == points.len() { "" } else { "," };
-            out.push_str(&format!(
-                "      {{ \"shards\": {}, \"hit_ratio\": {:.6}, \"gpu_hours\": {:.6}, \
-                 \"isolated_hit_ratio\": {:.6}, \"isolated_gpu_hours\": {:.6}, \
-                 \"exchange_bytes\": {} }}{sep}\n",
-                p.shards,
-                p.hit_ratio,
-                p.gpu_hours,
-                p.isolated_hit_ratio,
-                p.isolated_gpu_hours,
-                p.exchange_bytes,
-            ));
-        }
-        out.push_str("    ]\n  }");
-    }
-    if let Some((first_fit, affinity)) = matchmaking {
-        let scenario = first_fit
-            .matchmaking
-            .map(|m| m.scenario)
-            .unwrap_or(ChurnScenario::None);
-        out.push_str(&format!(
-            ",\n  \"matchmaking\": {{\n    \"scenario\": \"{scenario}\",\n"
-        ));
-        for (i, (key, m)) in [("first_fit", first_fit), ("affinity", affinity)]
-            .into_iter()
-            .enumerate()
-        {
-            let sep = if i == 0 { "," } else { "" };
-            let mm = m.matchmaking.expect("churned metrics carry matchmaking");
-            out.push_str(&format!(
-                "    \"{key}\": {{ \"store_hit_ratio\": {:.6}, \"fps_p50\": {:.4}, \
-                 \"fps_p99\": {:.4}, \"arrivals\": {}, \"placed\": {}, \"queued\": {}, \
-                 \"overflow_rooms\": {}, \"mean_wait_ms\": {:.4} }}{sep}\n",
-                m.store_hit_ratio,
-                m.fps_p50,
-                m.fps_p99,
-                mm.arrivals,
-                mm.placed,
-                mm.queued,
-                mm.overflow_rooms,
-                mm.mean_wait_ms,
-            ));
-        }
-        out.push_str("  }");
-    }
-    // Full mergeable histograms when the run was traced: bucket counts
-    // sum across runs, so later tooling can recompute any percentile
-    // over combined benchmark archives, not just read the quantiles we
-    // happened to print.
-    if let Some(t) = &metrics.telemetry {
-        out.push_str(",\n  \"telemetry\": {\n");
-        out.push_str(&format!(
-            "    \"frames\": {},\n    \"over_budget\": {},\n    \"frame_hist\": {},\n",
-            t.frames,
-            t.over_budget,
-            t.frame_hist.to_sparse_json()
-        ));
-        out.push_str("    \"stage_hists\": {\n");
-        for (i, (stage, hist)) in Stage::ATTRIBUTED
-            .iter()
-            .zip(t.stage_hists.iter())
-            .enumerate()
-        {
-            let sep = if i + 1 == Stage::ATTRIBUTED.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!(
-                "      \"{}\": {}{sep}\n",
-                stage.name(),
-                hist.to_sparse_json()
-            ));
-        }
-        out.push_str("    }\n  }");
-    }
-    out.push_str("\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,8 +407,8 @@ mod tests {
     #[test]
     fn fleet_report_has_both_modes() {
         let config = ExpConfig::quick();
-        let (report, shared, isolated) =
-            fleet(&config, 2, 2, NetScenario::None, PredictorKind::None);
+        let (report, shared, isolated, _) =
+            fleet(&config, 2, 2, NetScenario::None, PredictorKind::None, false);
         assert_eq!(report.len(), 2);
         assert_eq!(report.cell(0, 0), Some("shared"));
         assert_eq!(report.cell(1, 0), Some("isolated"));
@@ -649,8 +421,8 @@ mod tests {
     #[test]
     fn fleet_experiment_is_deterministic() {
         let config = ExpConfig::quick();
-        let a = fleet(&config, 2, 2, NetScenario::None, PredictorKind::None).0;
-        let b = fleet(&config, 2, 2, NetScenario::None, PredictorKind::None).0;
+        let a = fleet(&config, 2, 2, NetScenario::None, PredictorKind::None, false).0;
+        let b = fleet(&config, 2, 2, NetScenario::None, PredictorKind::None, false).0;
         assert_eq!(format!("{a}"), format!("{b}"));
     }
 
@@ -658,7 +430,7 @@ mod tests {
     fn traced_fleet_exports_valid_chrome_trace() {
         let config = ExpConfig::quick();
         let (report, shared, _, trace_json) =
-            fleet_traced(&config, 1, 2, NetScenario::None, PredictorKind::None, true);
+            fleet(&config, 1, 2, NetScenario::None, PredictorKind::None, true);
         let json = trace_json.expect("traced run exports JSON");
         let check = coterie_telemetry::validate_chrome_trace(&json).expect("trace validates");
         assert!(check.events > 0);
@@ -668,7 +440,7 @@ mod tests {
         assert!(summary.frames > 0);
         assert!(format!("{report}").contains("telemetry shared"));
         // The comparison table itself is unchanged by tracing.
-        let untraced = fleet(&config, 1, 2, NetScenario::None, PredictorKind::None).0;
+        let untraced = fleet(&config, 1, 2, NetScenario::None, PredictorKind::None, false).0;
         let strip_notes = |r: String| -> String {
             r.lines()
                 .filter(|l| !l.contains("telemetry shared"))
@@ -682,76 +454,20 @@ mod tests {
     }
 
     #[test]
-    fn fleet_bench_json_is_well_formed() {
-        let config = ExpConfig::quick();
-        let (_, shared, _) = fleet(&config, 1, 2, NetScenario::None, PredictorKind::None);
-        let json = fleet_bench_json(&shared.metrics, 1, 2, NetScenario::None, None, None, None);
-        let doc = coterie_telemetry::parse_json(&json).expect("valid JSON");
-        let fleet = doc.get("fleet").expect("fleet object");
-        for key in [
-            "fps_p50",
-            "fps_p95",
-            "fps_p99",
-            "store_hit_ratio",
-            "egress_mbps",
-        ] {
-            let v = fleet.get(key).and_then(|v| v.as_f64()).expect(key);
-            assert!(v.is_finite(), "{key} = {v}");
-        }
-        assert_eq!(
-            doc.get("config")
-                .and_then(|c| c.get("rooms"))
-                .and_then(|v| v.as_f64()),
-            Some(1.0)
-        );
-    }
-
-    #[test]
     fn predictor_fleet_reports_speculation_and_json_delta() {
         let config = ExpConfig::quick();
-        let (report, vpm, _) = fleet(&config, 2, 2, NetScenario::None, PredictorKind::Vpm);
+        let (report, vpm, _, _) =
+            fleet(&config, 2, 2, NetScenario::None, PredictorKind::Vpm, false);
         let text = format!("{report}");
         assert!(text.contains("speculation policy 'vpm'"), "got: {text}");
         assert!(text.contains("speculation shared"), "got: {text}");
         assert!(vpm.metrics.spec_rendered > 0);
-
-        let (_, none, _) = fleet(&config, 2, 2, NetScenario::None, PredictorKind::None);
-        let json = fleet_bench_json(
-            &vpm.metrics,
-            2,
-            2,
-            NetScenario::None,
-            Some(&none.metrics),
-            None,
-            None,
-        );
-        let doc = coterie_telemetry::parse_json(&json).expect("valid JSON");
-        let spec = doc.get("speculation").expect("speculation object");
-        for key in [
-            "rendered",
-            "used",
-            "hits",
-            "rejected",
-            "precision",
-            "recall",
-        ] {
-            let v = spec.get(key).and_then(|v| v.as_f64()).expect(key);
-            assert!(v.is_finite(), "{key} = {v}");
-        }
-        let delta = spec
-            .get("hit_ratio_delta")
-            .and_then(|v| v.as_f64())
-            .expect("delta vs baseline");
-        assert!(delta.is_finite());
-        // The predictor-less document is unchanged: no speculation key.
-        let base_json = fleet_bench_json(&none.metrics, 2, 2, NetScenario::None, None, None, None);
-        assert!(!base_json.contains("speculation"), "got: {base_json}");
     }
 
     #[test]
     fn sharded_fleet_experiment_reports_uplift() {
         let config = ExpConfig::quick();
-        let (report, sharded, isolated, _) = fleet_sharded_traced(
+        let (report, sharded, isolated, _) = fleet_sharded(
             &config,
             4,
             2,
@@ -776,7 +492,7 @@ mod tests {
             iso.metrics.store_hit_ratio
         );
         // Deterministic: same inputs reproduce the report byte for byte.
-        let again = fleet_sharded_traced(
+        let again = fleet_sharded(
             &config,
             4,
             2,
@@ -793,7 +509,7 @@ mod tests {
     #[test]
     fn local_backend_runs_isolated_workers_only() {
         let config = ExpConfig::quick();
-        let (report, primary, isolated, _) = fleet_sharded_traced(
+        let (report, primary, isolated, _) = fleet_sharded(
             &config,
             2,
             2,
@@ -807,49 +523,6 @@ mod tests {
         assert_eq!(report.cell(0, 0), Some("local"));
         assert!(isolated.is_none());
         assert!(primary.metrics.sharding.is_none());
-    }
-
-    #[test]
-    fn scaling_curve_lands_in_bench_json() {
-        let config = ExpConfig::quick();
-        let points = fleet_scaling(&config, 2, 2, &[1, 2]);
-        assert_eq!(points.len(), 2);
-        // One worker: both wirings are the same shared store.
-        assert_eq!(points[0].hit_ratio, points[0].isolated_hit_ratio);
-        assert_eq!(points[0].exchange_bytes, 0);
-        assert!(points[1].exchange_bytes > 0);
-
-        let (_, shared, _) = fleet(&config, 1, 2, NetScenario::None, PredictorKind::None);
-        let json = fleet_bench_json(
-            &shared.metrics,
-            1,
-            2,
-            NetScenario::None,
-            None,
-            Some(&points),
-            None,
-        );
-        let doc = coterie_telemetry::parse_json(&json).expect("valid JSON");
-        let curve = doc
-            .get("sharding")
-            .and_then(|s| s.get("curve"))
-            .and_then(|c| c.as_array())
-            .expect("sharding curve");
-        assert_eq!(curve.len(), 2);
-        assert_eq!(curve[1].get("shards").and_then(|v| v.as_f64()), Some(2.0));
-        for key in [
-            "hit_ratio",
-            "gpu_hours",
-            "isolated_hit_ratio",
-            "isolated_gpu_hours",
-            "exchange_bytes",
-        ] {
-            let v = curve[1].get(key).and_then(|v| v.as_f64()).expect(key);
-            assert!(v.is_finite(), "{key} = {v}");
-        }
-        // Without the curve the document has no sharding key.
-        let base = fleet_bench_json(&shared.metrics, 1, 2, NetScenario::None, None, None, None);
-        assert!(!base.contains("sharding"), "got: {base}");
     }
 
     #[test]
@@ -899,64 +572,16 @@ mod tests {
     }
 
     #[test]
-    fn matchmaking_section_lands_in_bench_json() {
+    fn lossy_fleet_experiment_reports_recovery() {
         let config = ExpConfig::quick();
-        let (_, first_fit, affinity) = matchmaking(
+        let (report, shared, _, _) = fleet(
             &config,
             2,
             2,
-            ChurnScenario::Flash,
-            PlacementPolicy::FirstFit,
+            NetScenario::BurstLoss,
+            PredictorKind::None,
+            false,
         );
-        let json = fleet_bench_json(
-            &first_fit.metrics,
-            2,
-            2,
-            NetScenario::None,
-            None,
-            None,
-            Some((&first_fit.metrics, &affinity.metrics)),
-        );
-        let doc = coterie_telemetry::parse_json(&json).expect("valid JSON");
-        let mm = doc.get("matchmaking").expect("matchmaking object");
-        assert_eq!(
-            mm.get("scenario").and_then(|v| v.as_str()),
-            Some("flash"),
-            "got: {json}"
-        );
-        for key in ["first_fit", "affinity"] {
-            let policy = mm.get(key).expect(key);
-            for field in [
-                "store_hit_ratio",
-                "fps_p50",
-                "fps_p99",
-                "arrivals",
-                "placed",
-                "queued",
-                "overflow_rooms",
-                "mean_wait_ms",
-            ] {
-                let v = policy.get(field).and_then(|v| v.as_f64()).expect(field);
-                assert!(v.is_finite(), "{key}.{field} = {v}");
-            }
-        }
-        // Without the comparison the document has no matchmaking key.
-        let base = fleet_bench_json(
-            &first_fit.metrics,
-            2,
-            2,
-            NetScenario::None,
-            None,
-            None,
-            None,
-        );
-        assert!(!base.contains("matchmaking"), "got: {base}");
-    }
-
-    #[test]
-    fn lossy_fleet_experiment_reports_recovery() {
-        let config = ExpConfig::quick();
-        let (report, shared, _) = fleet(&config, 2, 2, NetScenario::BurstLoss, PredictorKind::None);
         assert!(shared.metrics.fi_retries > 0);
         assert!(shared.metrics.fi_stale_frames > 0);
         let text = format!("{report}");

@@ -16,8 +16,8 @@ use crate::ExpConfig;
 use coterie_core::cutoff::{CutoffConfig, CutoffMap};
 use coterie_device::DeviceProfile;
 use coterie_frame::{ssim_with, Cdf, SsimOptions};
+use coterie_parallel::par_map;
 use coterie_render::{RenderFilter, RenderOptions, Renderer};
-use coterie_sim::parallel::par_map;
 use coterie_world::{GameCatalog, GameId, GameSpec, Scene, Trajectory, Vec2};
 
 /// Resolution-compensated analogue of the paper's SSIM > 0.9 quality

@@ -7,29 +7,11 @@ use coterie_sim::{run_study, Session, SessionConfig, SessionSim, StudyConfig, Sy
 use coterie_telemetry::TelemetrySink;
 use coterie_world::GameId;
 
-fn run(
-    game: GameId,
-    system: SystemKind,
-    players: usize,
-    config: &ExpConfig,
-    quality: usize,
-) -> coterie_sim::SessionReport {
-    run_traced(
-        game,
-        system,
-        players,
-        config,
-        quality,
-        &TelemetrySink::disabled(),
-        0,
-    )
-}
-
 /// One session with budget attribution routed into `sink`; `room`
 /// becomes the trace lane, so each table cell gets its own row in the
-/// exported Chrome trace. With a disabled sink this is exactly the
-/// untraced run.
-fn run_traced(
+/// exported Chrome trace. A disabled sink records nothing and leaves
+/// the report unchanged.
+fn run(
     game: GameId,
     system: SystemKind,
     players: usize,
@@ -48,13 +30,9 @@ fn run_traced(
 }
 
 /// Table 1: Mobile, Thin-client and Multi-Furion with 1 and 2 players on
-/// the three testbed games.
-pub fn table1(config: &ExpConfig) -> Report {
-    table1_traced(config, &TelemetrySink::disabled())
-}
-
-/// [`table1`] with per-session budget attribution routed into `sink`.
-pub fn table1_traced(config: &ExpConfig, sink: &TelemetrySink) -> Report {
+/// the three testbed games. Each session's budget attribution goes to
+/// `sink`.
+pub fn table1(config: &ExpConfig, sink: &TelemetrySink) -> Report {
     let mut report = Report::new("Table 1: Mobile / Thin-client / Multi-Furion, 1P and 2P");
     report.headers([
         "App (players)",
@@ -74,7 +52,7 @@ pub fn table1_traced(config: &ExpConfig, sink: &TelemetrySink) -> Report {
         report.note(format!("--- {}", system.label()));
         for players in [1usize, 2] {
             for &game in &GameId::TESTBED {
-                let m = run_traced(game, system, players, config, 0, sink, lane).aggregate();
+                let m = run(game, system, players, config, 0, sink, lane).aggregate();
                 lane += 1;
                 report.row([
                     format!("{} ({}P, {})", game.short_name(), players, system.label()),
@@ -92,13 +70,9 @@ pub fn table1_traced(config: &ExpConfig, sink: &TelemetrySink) -> Report {
 }
 
 /// Table 7: visual quality (SSIM), FPS and responsiveness for
-/// Thin-client, Multi-Furion and Coterie with 2 players.
-pub fn table7(config: &ExpConfig) -> Report {
-    table7_traced(config, &TelemetrySink::disabled())
-}
-
-/// [`table7`] with per-session budget attribution routed into `sink`.
-pub fn table7_traced(config: &ExpConfig, sink: &TelemetrySink) -> Report {
+/// Thin-client, Multi-Furion and Coterie with 2 players. Each
+/// session's budget attribution goes to `sink`.
+pub fn table7(config: &ExpConfig, sink: &TelemetrySink) -> Report {
     let quality = if config.quick { 3 } else { 8 };
     let mut report = Report::new("Table 7: visual quality, FPS, responsiveness (2 players)");
     report.note("T: Thin-client, M: Multi-Furion, C: Coterie");
@@ -110,7 +84,7 @@ pub fn table7_traced(config: &ExpConfig, sink: &TelemetrySink) -> Report {
         (SystemKind::coterie(), "C"),
     ] {
         for &game in &GameId::TESTBED {
-            let m = run_traced(game, system, 2, config, quality, sink, lane).aggregate();
+            let m = run(game, system, 2, config, quality, sink, lane).aggregate();
             lane += 1;
             report.row([
                 format!("{} ({tag})", game.short_name()),
@@ -123,13 +97,9 @@ pub fn table7_traced(config: &ExpConfig, sink: &TelemetrySink) -> Report {
     report
 }
 
-/// Table 8: Coterie's full metrics for 1 and 2 players.
-pub fn table8(config: &ExpConfig) -> Report {
-    table8_traced(config, &TelemetrySink::disabled())
-}
-
-/// [`table8`] with per-session budget attribution routed into `sink`.
-pub fn table8_traced(config: &ExpConfig, sink: &TelemetrySink) -> Report {
+/// Table 8: Coterie's full metrics for 1 and 2 players. Each session's
+/// budget attribution goes to `sink`.
+pub fn table8(config: &ExpConfig, sink: &TelemetrySink) -> Report {
     let mut report = Report::new("Table 8: Coterie on Pixel 2 over 802.11ac");
     report.headers([
         "App (players)",
@@ -143,8 +113,7 @@ pub fn table8_traced(config: &ExpConfig, sink: &TelemetrySink) -> Report {
     let mut lane = 0u32;
     for players in [1usize, 2] {
         for &game in &GameId::TESTBED {
-            let m =
-                run_traced(game, SystemKind::coterie(), players, config, 0, sink, lane).aggregate();
+            let m = run(game, SystemKind::coterie(), players, config, 0, sink, lane).aggregate();
             lane += 1;
             report.row([
                 format!("{} ({players}P)", game.short_name()),
@@ -176,15 +145,24 @@ pub fn table9(config: &ExpConfig) -> (Report, Vec<(GameId, f64)>) {
         "Reduction",
     ]);
     let mut reductions = Vec::new();
+    let untraced = TelemetrySink::disabled();
     for &game in &GameId::TESTBED {
-        let mf = run(game, SystemKind::multi_furion(), 1, config, 0).aggregate();
+        let mf = run(game, SystemKind::multi_furion(), 1, config, 0, &untraced, 0).aggregate();
         let mut cells = vec![
             game.short_name().to_string(),
             format!("{:.0}/{:.0}", mf.be_mbps, mf.fi_kbps),
         ];
         let mut coterie_1p = 0.0;
         for players in 1..=4usize {
-            let report_n = run(game, SystemKind::coterie(), players, config, 0);
+            let report_n = run(
+                game,
+                SystemKind::coterie(),
+                players,
+                config,
+                0,
+                &untraced,
+                0,
+            );
             // Table 9 reports aggregate server-side BE bandwidth.
             let total_be: f64 = report_n.players.iter().map(|p| p.be_mbps).sum();
             let fi = report_n.aggregate().fi_kbps;
@@ -235,11 +213,12 @@ pub fn fig11(config: &ExpConfig) -> (Report, Vec<(GameId, SystemKind, Vec<f64>)>
     let mut results = Vec::new();
     let mut report = Report::new("Figure 11: FPS vs number of players");
     report.headers(["Game", "System", "1P", "2P", "3P", "4P"]);
+    let untraced = TelemetrySink::disabled();
     for &game in &GameId::TESTBED {
         for system in systems {
             let mut fps = Vec::new();
             for players in 1..=4usize {
-                let m = run(game, system, players, config, 0).aggregate();
+                let m = run(game, system, players, config, 0, &untraced, 0).aggregate();
                 fps.push(m.avg_fps);
             }
             report.row([
@@ -304,12 +283,27 @@ mod tests {
 
     #[test]
     fn table8_coterie_hits_60fps() {
-        let r = table8(&ExpConfig::quick());
+        let r = table8(&ExpConfig::quick(), &TelemetrySink::disabled());
         assert_eq!(r.len(), 6);
         for row in 0..r.len() {
             let fps: f64 = r.cell(row, 1).expect("fps cell").parse().expect("number");
             assert!(fps >= 55.0, "Coterie row {row} at {fps} FPS");
         }
+    }
+
+    #[test]
+    fn traced_table8_matches_untraced_and_exports_a_valid_trace() {
+        use coterie_telemetry::{validate_chrome_trace, TelemetryConfig};
+        let config = ExpConfig::quick();
+        let recording = TelemetrySink::recording(TelemetryConfig::default());
+        let traced = table8(&config, &recording);
+        let untraced = table8(&config, &TelemetrySink::disabled());
+        assert_eq!(traced.to_string(), untraced.to_string());
+        let summary = recording.summary().expect("a recording sink summarizes");
+        assert!(summary.frames >= 1, "no frame attributed");
+        let json = crate::chrome_trace(&recording);
+        let check = validate_chrome_trace(&json).expect("trace validates");
+        assert!(check.frames > 0);
     }
 
     #[test]

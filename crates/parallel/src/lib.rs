@@ -5,15 +5,13 @@
 //! (separable SSIM on large frames), the simulator (similarity sweeps,
 //! pre-render batches) and the serve fleet (room boot, farm batches).
 //!
-//! Three primitives cover every hot path in the workspace:
+//! Two primitives cover every hot path in the workspace:
 //!
 //! * [`par_map`] — chunked fan-out for uniform per-item cost,
-//! * [`par_map_ws`] — work-stealing-style dynamic claiming for skewed
-//!   per-item cost,
 //! * [`par_for_each`] — explicit task-per-thread execution for callers
 //!   that pre-partition mutable state (e.g. disjoint frame bands).
 //!
-//! All three preserve determinism: results come back in input order and
+//! Both preserve determinism: results come back in input order and
 //! side effects land in caller-partitioned disjoint state, so output is
 //! independent of scheduling and thread count.
 
@@ -69,88 +67,6 @@ where
     })
     .expect("parallel workers must not panic");
 
-    results
-        .into_iter()
-        .map(|r| r.expect("every slot filled"))
-        .collect()
-}
-
-/// Applies `f` to every item with dynamic (work-stealing) scheduling,
-/// returning results in input order.
-///
-/// Unlike [`par_map`], which hands each worker one contiguous chunk up
-/// front, workers here claim items one at a time: a shared counter
-/// hands out indices and each worker parks `(index, result)` pairs in
-/// its own deque until the queue drains. A single pathologically
-/// expensive item therefore occupies one worker while the rest of the
-/// input flows through the others — no straggling tail. Use it when
-/// per-item cost is non-uniform (e.g. pre-rendering frames whose
-/// triangle counts vary by orders of magnitude); for uniform work it
-/// falls back to the cheaper chunked path, since dynamic claiming only
-/// adds contention there.
-///
-/// # Example
-///
-/// ```
-/// use coterie_parallel::par_map_ws;
-/// let squares = par_map_ws(&[1, 2, 3, 4], |&x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16]);
-/// ```
-pub fn par_map_ws<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items.len().max(1));
-    // With at most one item per worker there is nothing to steal;
-    // the chunked path handles these (and the serial cases) fine.
-    if threads <= 1 || items.len() <= threads {
-        return par_map(items, f);
-    }
-
-    let next = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, R)>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let f = &f;
-                let next = &next;
-                scope.spawn(move |_| {
-                    let worker = crossbeam::deque::Worker::new_fifo();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        worker.push((i, f(&items[i])));
-                    }
-                    let mut out = Vec::new();
-                    while let Some(pair) = worker.pop() {
-                        out.push(pair);
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel workers must not panic"))
-            .collect()
-    })
-    .expect("parallel workers must not panic");
-
-    // Re-assemble in input order regardless of which worker produced
-    // which item, so callers see deterministic output.
-    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
-    for (i, r) in per_worker.into_iter().flatten() {
-        results[i] = Some(r);
-    }
     results
         .into_iter()
         .map(|r| r.expect("every slot filled"))
@@ -238,78 +154,6 @@ mod tests {
         let input: Vec<u64> = (0..64).collect();
         let out = par_map(&input, |&x| x * factor);
         assert_eq!(out[10], 30);
-    }
-
-    #[test]
-    fn ws_matches_serial_map() {
-        let input: Vec<f64> = (0..513).map(|i| i as f64 * 0.31).collect();
-        let serial: Vec<f64> = input.iter().map(|&x| x.cos()).collect();
-        assert_eq!(par_map_ws(&input, |&x| x.cos()), serial);
-    }
-
-    #[test]
-    fn ws_empty_and_small_inputs() {
-        let out: Vec<u32> = par_map_ws(&[] as &[u32], |&x| x);
-        assert!(out.is_empty());
-        assert_eq!(par_map_ws(&[7], |&x| x + 1), vec![8]);
-        assert_eq!(par_map_ws(&[1, 2], |&x| x * 10), vec![10, 20]);
-    }
-
-    /// One item that cannot finish until every other item has: dynamic
-    /// claiming must let the remaining workers drain the rest of the
-    /// input past it. Item 0 (claimed first) waits for the other 255 to
-    /// be done; under an up-front chunked split its own worker would
-    /// still hold some of them and the wait would never end, so it gives
-    /// up after a bound that only a failing run reaches. Nothing here
-    /// depends on how fast or on which thread an item runs.
-    #[test]
-    fn ws_skewed_workload_does_not_straggle() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::{Condvar, Mutex};
-        use std::time::Duration;
-
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if threads < 2 {
-            return; // no second worker to drain past the blocked one
-        }
-        const ITEMS: usize = 256;
-        let claims: Vec<AtomicUsize> = (0..ITEMS).map(|_| AtomicUsize::new(0)).collect();
-        let light_done = Mutex::new(0usize);
-        let all_light_done = Condvar::new();
-        let input: Vec<usize> = (0..ITEMS).collect();
-        let out = par_map_ws(&input, |&i| {
-            claims[i].fetch_add(1, Ordering::SeqCst);
-            if i == 0 {
-                let done = light_done.lock().expect("no worker panics");
-                let (done, _) = all_light_done
-                    .wait_timeout_while(done, Duration::from_secs(30), |d| *d < ITEMS - 1)
-                    .expect("no worker panics");
-                return (i, *done);
-            }
-            *light_done.lock().expect("no worker panics") += 1;
-            all_light_done.notify_all();
-            (i, 0)
-        });
-        // Results in input order, every item claimed exactly once.
-        assert_eq!(
-            out.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-            input,
-            "results out of input order"
-        );
-        for (i, c) in claims.iter().enumerate() {
-            assert_eq!(
-                c.load(Ordering::SeqCst),
-                1,
-                "item {i} claimed more or less than once"
-            );
-        }
-        assert_eq!(
-            out[0].1,
-            ITEMS - 1,
-            "the other workers did not drain the input past the blocked item"
-        );
     }
 
     #[test]

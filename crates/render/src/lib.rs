@@ -40,6 +40,6 @@ pub mod panorama;
 pub mod stereo;
 
 pub use fov::FovOptions;
-pub use merge::{merge, merge_with_simd};
+pub use merge::merge;
 pub use panorama::{Panorama, RenderFilter, RenderOptions, Renderer};
 pub use stereo::{StereoOptions, StereoPair};

@@ -24,16 +24,6 @@ use coterie_parallel::simd;
 ///
 /// Panics if the layers have different dimensions.
 pub fn merge(near: &Panorama, far: &Panorama) -> LumaFrame {
-    merge_with_simd(near, far, simd::detected_level())
-}
-
-/// [`merge`] pinned to an explicit SIMD dispatch level (all levels are
-/// bit-identical — the select copies near-layer bits verbatim).
-///
-/// # Panics
-///
-/// Panics if the layers have different dimensions.
-pub fn merge_with_simd(near: &Panorama, far: &Panorama, level: simd::SimdLevel) -> LumaFrame {
     assert_eq!(near.frame.width(), far.frame.width(), "layer widths differ");
     assert_eq!(
         near.frame.height(),
@@ -46,7 +36,12 @@ pub fn merge_with_simd(near: &Panorama, far: &Panorama, level: simd::SimdLevel) 
     // Bulk-copy the far plane, then overwrite the near-masked pixels with
     // a masked select over the whole plane.
     out.data_mut().copy_from_slice(far.frame.data());
-    simd::masked_select_f32(out.data_mut(), near.frame.data(), &near.mask, level);
+    simd::masked_select_f32(
+        out.data_mut(),
+        near.frame.data(),
+        &near.mask,
+        simd::detected_level(),
+    );
     out
 }
 

@@ -29,7 +29,7 @@ use crate::room::{Room, RoomReport};
 use crate::shard::{ShardFabric, StoreBackend};
 use crate::store::{FrameStore, LocalStore, StoreConfig, StoreStats};
 use coterie_net::{FleetEgress, NetScenario};
-use coterie_parallel::par_map_ws;
+use coterie_parallel::par_map;
 use coterie_sim::{SessionConfig, SystemKind};
 use coterie_telemetry::{
     player_tid, room_pid, room_tid, shard_pid, Stage, TelemetryConfig, TelemetrySink, TrackId,
@@ -275,9 +275,8 @@ impl Fleet {
                 (cfg, windows)
             })
             .collect();
-        // Work-stealing construction: room build cost varies a lot by
-        // game (scene complexity, trace length), the exact non-uniform
-        // workload par_map_ws exists for. Results come back in input
+        // Parallel construction: rooms alternate between games, so the
+        // chunks carry balanced build cost. Results come back in input
         // order, so parallelism cannot perturb room identity.
         let rooms: Vec<Room> = {
             let queue_depth = config.queue_depth;
@@ -288,7 +287,7 @@ impl Fleet {
                 .map(|(id, (cfg, windows))| (id, cfg, windows))
                 .collect();
             let predictor = config.predictor;
-            par_map_ws(&indexed, |(id, cfg, windows)| {
+            par_map(&indexed, |(id, cfg, windows)| {
                 let room = Room::new_with_telemetry(
                     *id,
                     *cfg,

@@ -25,9 +25,8 @@
 //! When no room of the requested game has a seat, the arrival is
 //! *queued* — deferred to the earliest seat release, if that wait is
 //! short — or an *overflow room* is spawned. Both are counted in
-//! [`MatchmakingMetrics`], which lands in the fleet report (and
-//! `BENCH_fleet.json`) so the two policies can be compared per churn
-//! scenario.
+//! [`MatchmakingMetrics`], which lands in the fleet report so the two
+//! policies can be compared per churn scenario.
 
 use crate::churn::{generate_arrivals, Arrival, ChurnScenario};
 use crate::fleet::FleetConfig;

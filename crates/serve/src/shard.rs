@@ -150,8 +150,8 @@ impl HashRing {
     }
 }
 
-/// Sharding counters surfaced in [`crate::FleetMetrics`] and
-/// BENCH_fleet.json.
+/// Sharding counters surfaced in [`crate::FleetMetrics`] and the fleet
+/// report's `exchange:` note.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardMetrics {
     /// Fleet width.

@@ -3,7 +3,7 @@
 //! (a) `--predictor none` is bit-for-bit identical to a fleet predating
 //!     the predictor plane (the default config) — metrics, Display and
 //!     store stats — at any seed/room count. Worker count cannot perturb
-//!     this either: `coterie_parallel::par_map_ws` reassembles results
+//!     this either: `coterie_parallel::par_map` reassembles results
 //!     in input order and the fleet serializes store transactions in
 //!     room-id order, so parallel scheduling never reaches the report.
 //! (b) `cv` and `vpm` are deterministic: the same seed reproduces the
@@ -40,8 +40,7 @@ proptest! {
     ) {
         // The default config IS the pre-predictor fleet: the predictor
         // field defaults to None and every predictor-less call site
-        // (golden tables, BENCH_fleet.json, the CLI without the flag)
-        // goes through it.
+        // (golden tables, the CLI without the flag) goes through it.
         let plain = Fleet::new(FleetConfig {
             rooms,
             players: 2,

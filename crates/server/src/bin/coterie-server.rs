@@ -9,7 +9,6 @@
 //! coterie-server smoke   [--clients N] [--frames N]
 //! coterie-server shard-smoke [--clients N] [--frames N]
 //! coterie-server reconnect-smoke [--clients N] [--frames N]
-//! coterie-server bench   [--quick] [--frames N] [--seed N]
 //! ```
 //!
 //! `serve` runs until the process is killed. `loadgen` connects to a
@@ -20,14 +19,12 @@
 //! into a shard fleet over UDS, proving frames rendered on one worker
 //! serve store hits on the other. `reconnect-smoke` starts a UDS
 //! server and has every client drop its socket mid-session and resume
-//! by token, proving session continuity survives churn. `bench` runs
-//! the connection ladder and writes `BENCH_serve.json`.
+//! by token, proving session continuity survives churn.
 
 use coterie_net::NetScenario;
 use coterie_serve::PlacementPolicy;
 use coterie_server::{
-    bench, loadgen, Endpoint, Listener, LoadConfig, Server, ServerConfig, ShardCoordinator,
-    ShardPlan,
+    loadgen, Endpoint, Listener, LoadConfig, Server, ServerConfig, ShardCoordinator, ShardPlan,
 };
 use coterie_telemetry::TelemetrySink;
 use coterie_world::GameId;
@@ -35,7 +32,7 @@ use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: coterie-server <serve|loadgen|smoke|shard-smoke|reconnect-smoke|bench> [options]\n\
+        "usage: coterie-server <serve|loadgen|smoke|shard-smoke|reconnect-smoke> [options]\n\
          serve   [--tcp HOST:PORT | --uds PATH] [--workers N] [--seed N]\n\
                  [--policy first-fit|affinity] [--resume-ttl-ms N]\n\
          loadgen [--tcp HOST:PORT | --uds PATH] [--clients N] [--frames N]\n\
@@ -43,8 +40,7 @@ fn usage() -> ! {
                  [--reconnect-at N]\n\
          smoke   [--clients N] [--frames N]\n\
          shard-smoke [--clients N] [--frames N]\n\
-         reconnect-smoke [--clients N] [--frames N]\n\
-         bench   [--quick] [--frames N] [--seed N]"
+         reconnect-smoke [--clients N] [--frames N]"
     );
     std::process::exit(2);
 }
@@ -59,7 +55,6 @@ struct Args {
     net: NetScenario,
     seed: u64,
     realtime: bool,
-    quick: bool,
     policy: PlacementPolicy,
     resume_ttl_ms: u64,
     reconnect_at: Option<u64>,
@@ -77,7 +72,6 @@ impl Default for Args {
             net: NetScenario::None,
             seed: 42,
             realtime: false,
-            quick: false,
             policy: PlacementPolicy::FirstFit,
             resume_ttl_ms: ServerConfig::default().resume_ttl_ms,
             reconnect_at: None,
@@ -114,7 +108,6 @@ fn parse_args(raw: &[String]) -> Args {
                 });
             }
             "--realtime" => args.realtime = true,
-            "--quick" => args.quick = true,
             "--policy" => {
                 let v = value("--policy", iter.next());
                 args.policy = PlacementPolicy::parse(&v).unwrap_or_else(|| {
@@ -413,25 +406,6 @@ fn cmd_reconnect_smoke(args: &Args) {
     }
 }
 
-fn cmd_bench(args: &Args) {
-    let mut config = if args.quick {
-        bench::ServeBenchConfig::quick()
-    } else {
-        bench::ServeBenchConfig::default()
-    };
-    config.seed = args.seed;
-    if args.frames != Args::default().frames {
-        config.frames_per_client = args.frames;
-    }
-    let result = bench::serve_bench(&config);
-    let json = bench::serve_bench_json(&result);
-    std::fs::write("BENCH_serve.json", &json).unwrap_or_else(|e| {
-        eprintln!("writing BENCH_serve.json: {e}");
-        std::process::exit(1);
-    });
-    print!("wrote BENCH_serve.json\n{json}");
-}
-
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = raw.split_first() else {
@@ -444,7 +418,6 @@ fn main() {
         "smoke" => cmd_smoke(&args),
         "shard-smoke" => cmd_shard_smoke(&args),
         "reconnect-smoke" => cmd_reconnect_smoke(&args),
-        "bench" => cmd_bench(&args),
         _ => usage(),
     }
 }

@@ -28,7 +28,6 @@
 //!   multi-process fleet shares one logical store.
 //! - [`loadgen`] — a blocking-socket client fleet replaying
 //!   trajectory-driven sessions with FI-scenario pacing.
-//! - [`bench`] — the connection ladder producing `BENCH_serve.json`.
 //!
 //! Everything a server does on the hot path is spanned into the
 //! [`coterie_telemetry`] sink under the `serve` process lane, so a
@@ -38,7 +37,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod conn;
 pub mod loadgen;
 pub mod server;
@@ -47,7 +45,6 @@ pub mod shard;
 pub mod stream;
 pub mod sys;
 
-pub use bench::{serve_bench, serve_bench_json, ServeBench, ServeBenchConfig};
 pub use conn::{ConnState, Connection, ReadOutcome};
 pub use loadgen::{LoadConfig, LoadReport};
 pub use server::{Server, ServerConfig, ServerStats};

@@ -37,7 +37,6 @@
 
 pub mod fi;
 pub mod metrics;
-pub mod parallel;
 pub mod prerender;
 pub mod quality;
 pub mod server;

@@ -9,9 +9,9 @@
 //! deployment necessarily renders at reuse granularity (one frame per
 //! `dist_thresh` disc), which the accounting below also reports.
 
-use crate::parallel::par_map;
 use crate::server::RenderServer;
 use coterie_core::CutoffMap;
+use coterie_parallel::par_map;
 use coterie_world::{GridPoint, Scene, Vec2};
 use serde::{Deserialize, Serialize};
 

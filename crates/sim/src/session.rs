@@ -24,7 +24,6 @@
 
 use crate::fi::{self, FiSync, DEAD_RECKON_CAP_MS};
 use crate::metrics::{percentile, FiReport, PlayerMetrics, ResourceSeries, SessionReport};
-use crate::parallel::par_map;
 use crate::quality;
 use crate::server::RenderServer;
 use coterie_core::{
@@ -33,6 +32,7 @@ use coterie_core::{
 };
 use coterie_device::{DeviceProfile, PowerModel, ThermalModel, FRAME_BUDGET_MS};
 use coterie_net::{FiChannel, NetScenario, SharedLink};
+use coterie_parallel::par_map;
 use coterie_render::{RenderOptions, Renderer};
 use coterie_telemetry::{
     room_pid, AttributionModel, FrameRecord, FrameStats, Stage, TelemetrySink, TrackId, KERNEL_PID,

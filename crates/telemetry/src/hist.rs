@@ -152,41 +152,6 @@ impl LogHistogram {
         self.max_ms()
     }
 
-    /// Serializes the histogram into a compact JSON object with
-    /// *sparse* bucket counts — `[[index, count], …]` pairs for the
-    /// occupied buckets only — plus the exact aggregates and the bucket
-    /// geometry constants, so a consumer can rebuild edges (via
-    /// [`LogHistogram::bucket_upper_ms`]) and merge histograms across
-    /// runs by adding counts index-wise. Deterministic for
-    /// deterministic inputs.
-    pub fn to_sparse_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(128);
-        let _ = write!(
-            out,
-            "{{\"buckets\":{BUCKETS},\"buckets_per_doubling\":{BUCKETS_PER_DOUBLING},\
-             \"min_tracked_ms\":{MIN_TRACKED_MS},\"count\":{},\"sum_ms\":{:.6},\
-             \"min_ms\":{:.6},\"max_ms\":{:.6},\"sparse\":[",
-            self.total,
-            self.sum_ms,
-            self.min_ms(),
-            self.max_ms(),
-        );
-        let mut first = true;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "[{i},{c}]");
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// Adds `other`'s samples into `self`. Counts are conserved
     /// exactly; `sum` merges by addition (floating-point, so merge
     /// order can shift the last bits of the mean but never the counts
@@ -276,29 +241,6 @@ mod tests {
         assert_eq!(m.max_ms(), b.max_ms());
         let direct: u64 = m.counts().iter().sum();
         assert_eq!(direct, 100);
-    }
-
-    #[test]
-    fn sparse_json_round_trips_counts() {
-        let mut h = LogHistogram::new();
-        for v in [0.0, 0.5, 0.5, 16.7, 16.7, 16.7, 200.0] {
-            h.record(v);
-        }
-        let json = h.to_sparse_json();
-        // Re-read via a dumb scan: every occupied bucket appears once
-        // and the pair counts sum to the total.
-        let sparse = json.split("\"sparse\":[").nth(1).unwrap();
-        let mut seen = 0u64;
-        for pair in sparse.trim_end_matches("]}").split("],[") {
-            let pair = pair.trim_matches(|c| c == '[' || c == ']');
-            let (idx, count) = pair.split_once(',').unwrap();
-            let idx: usize = idx.parse().unwrap();
-            let count: u64 = count.parse().unwrap();
-            assert_eq!(h.counts()[idx], count);
-            seen += count;
-        }
-        assert_eq!(seen, h.count());
-        assert!(json.contains("\"count\":7"), "{json}");
     }
 
     #[test]

@@ -447,13 +447,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are sound).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or escape. Both
+                    // are ASCII and the input is a &str, so the run is
+                    // whole characters; checking only the run keeps the
+                    // parse linear in the document's length.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let run = std::str::from_utf8(&self.bytes[self.pos..end])
                         .map_err(|_| self.err("invalid utf8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -771,6 +776,15 @@ mod tests {
         assert_eq!(arr[1].as_f64(), Some(-25.0));
         assert_eq!(arr[2].as_bool(), Some(true));
         assert_eq!(arr[4].as_str(), Some("x\n\"yA"));
+    }
+
+    #[test]
+    fn parser_copies_multibyte_runs_whole() {
+        let v = parse_json(r#"["µs → ms \"q\" é", "aéb"]"#).unwrap();
+        let arr = v.as_array().unwrap();
+        assert_eq!(arr[0].as_str(), Some("µs → ms \"q\" é"));
+        assert_eq!(arr[1].as_str(), Some("aéb"));
+        assert!(parse_json("\"µs").is_err());
     }
 
     #[test]
