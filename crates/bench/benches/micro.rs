@@ -222,8 +222,8 @@ fn bench_cutoff(c: &mut Criterion) {
 }
 
 fn bench_fleet_store(c: &mut Criterion) {
-    // The fleet's sharded store on the hot path: a similar-match lookup
-    // against a populated shard, and the insert + global-budget path.
+    // The fleet's shared store on the hot path: a similar-match lookup
+    // against a populated stripe, and the insert + global-budget path.
     let store = LocalStore::new(StoreConfig::default());
     for i in 0..2000i32 {
         let pos = Vec2::new((i % 100) as f64, (i / 100) as f64);

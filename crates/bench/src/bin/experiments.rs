@@ -2,14 +2,12 @@
 //!
 //! ```text
 //! experiments [--quick] [--seed N] [--rooms N] [--players N] [--net SCENARIO]
-//!             [--predictor POLICY] [--shards N] [--store local|sharded]
-//!             [--churn SCENARIO] [--policy first-fit|affinity]
-//!             [--trace FILE] <name>...
+//!             [--predictor POLICY] [--churn SCENARIO]
+//!             [--policy first-fit|affinity] [--trace FILE] <name>...
 //! experiments all
 //! experiments fleet --rooms 256 --players 2
 //! experiments fleet --rooms 2 --players 2 --net burst-loss
 //! experiments fleet --rooms 4 --predictor vpm
-//! experiments fleet --rooms 8 --shards 4
 //! experiments fleet --rooms 4 --churn steady --policy affinity
 //! experiments fleet --trace trace.json
 //! ```
@@ -25,12 +23,6 @@
 //! `vpm`; default `none` reproduces predictor-less reports byte for
 //! byte, cv/vpm rank the farm queue by predicted pose occupancy and
 //! report speculation precision/recall).
-//! `--shards N` spreads the fleet over N worker processes; with more
-//! than one worker the fleet experiment compares the sharded store
-//! fabric against isolated per-worker stores. `--store` picks the
-//! backend (`local`, `sharded`; default sharded when `--shards` > 1,
-//! local otherwise — `--shards 1 --store local` reproduces the
-//! single-worker report byte for byte).
 //! `--churn SCENARIO` replaces the static fleet with a seeded arrival
 //! process (`none`, `steady`, `flash`, `daycurve`) placed by the
 //! matchmaker: the `fleet` experiment then compares `--policy` against
@@ -50,7 +42,7 @@ use coterie_bench::{
     ablation, cache_exp, cutoff_exp, fleet_exp, similarity, system_exp, ExpConfig,
 };
 use coterie_net::NetScenario;
-use coterie_serve::{ChurnScenario, PlacementPolicy, PredictorKind, StoreBackend};
+use coterie_serve::{ChurnScenario, PlacementPolicy, PredictorKind};
 use coterie_telemetry::{validate_chrome_trace, TelemetryConfig, TelemetrySink};
 use std::time::Instant;
 
@@ -109,23 +101,9 @@ struct FleetArgs {
     players: usize,
     net: NetScenario,
     predictor: PredictorKind,
-    shards: usize,
-    store: Option<StoreBackend>,
     trace: Option<String>,
     churn: ChurnScenario,
     policy: PlacementPolicy,
-}
-
-impl FleetArgs {
-    /// The store backend after defaulting: sharded for a multi-worker
-    /// fleet, local otherwise.
-    fn backend(&self) -> StoreBackend {
-        self.store.unwrap_or(if self.shards > 1 {
-            StoreBackend::Sharded
-        } else {
-            StoreBackend::Local
-        })
-    }
 }
 
 /// Runs a single-session table, optionally with `--trace FILE` budget
@@ -199,33 +177,14 @@ fn run_one(name: &str, config: &ExpConfig, fleet_args: &FleetArgs) -> Result<Str
                 );
                 return Ok(report.to_string());
             }
-            // A multi-worker fleet takes the sharded-comparison path;
-            // one worker keeps the historical shared-vs-isolated table
-            // (so `--shards 1 --store local` is byte-identical to the
-            // flagless run).
-            let (report, shared, trace_json) = if fleet_args.shards > 1 {
-                let (report, primary, _isolated, trace_json) = fleet_exp::fleet_sharded(
-                    config,
-                    fleet_args.rooms,
-                    fleet_args.players,
-                    fleet_args.shards,
-                    fleet_args.backend(),
-                    fleet_args.net,
-                    fleet_args.predictor,
-                    fleet_args.trace.is_some(),
-                );
-                (report, primary, trace_json)
-            } else {
-                let (report, shared, _isolated, trace_json) = fleet_exp::fleet(
-                    config,
-                    fleet_args.rooms,
-                    fleet_args.players,
-                    fleet_args.net,
-                    fleet_args.predictor,
-                    fleet_args.trace.is_some(),
-                );
-                (report, shared, trace_json)
-            };
+            let (report, shared, _isolated, trace_json) = fleet_exp::fleet(
+                config,
+                fleet_args.rooms,
+                fleet_args.players,
+                fleet_args.net,
+                fleet_args.predictor,
+                fleet_args.trace.is_some(),
+            );
             let mut out = report.to_string();
             if let (Some(path), Some(json)) = (&fleet_args.trace, &trace_json) {
                 std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
@@ -262,8 +221,6 @@ fn main() {
         players: 2,
         net: NetScenario::None,
         predictor: PredictorKind::None,
-        shards: 1,
-        store: None,
         trace: None,
         churn: ChurnScenario::None,
         policy: PlacementPolicy::FirstFit,
@@ -288,17 +245,6 @@ fn main() {
             }
             "--players" => {
                 fleet_args.players = parse_usize("--players", iter.next());
-            }
-            "--shards" => {
-                fleet_args.shards = parse_usize("--shards", iter.next()).max(1);
-            }
-            "--store" => {
-                let v = iter.next().unwrap_or_default();
-                fleet_args.store = Some(StoreBackend::parse(&v).unwrap_or_else(|| {
-                    let names: Vec<&str> = StoreBackend::ALL.iter().map(|b| b.name()).collect();
-                    eprintln!("invalid --store value '{v}' (one of: {})", names.join(" "));
-                    std::process::exit(2);
-                }));
             }
             "--trace" => {
                 let v = iter.next().unwrap_or_default();
@@ -350,8 +296,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: experiments [--quick] [--seed N] [--rooms N] [--players N] \
-                     [--net SCENARIO] [--predictor POLICY] [--shards N] \
-                     [--store local|sharded] [--churn SCENARIO] \
+                     [--net SCENARIO] [--predictor POLICY] [--churn SCENARIO] \
                      [--policy first-fit|affinity] [--trace FILE] <name>...|all"
                 );
                 eprintln!("experiments: {}", ALL.join(" "));
@@ -359,8 +304,6 @@ fn main() {
                 eprintln!("net scenarios: {}", names.join(" "));
                 let policies: Vec<&str> = PredictorKind::ALL.iter().map(|p| p.name()).collect();
                 eprintln!("predictor policies: {}", policies.join(" "));
-                let backends: Vec<&str> = StoreBackend::ALL.iter().map(|b| b.name()).collect();
-                eprintln!("store backends: {}", backends.join(" "));
                 let churns: Vec<&str> =
                     ChurnScenario::ALL.iter().map(ChurnScenario::name).collect();
                 eprintln!("churn scenarios: {}", churns.join(" "));

@@ -13,7 +13,7 @@ use crate::report::{f, pct, Report};
 use crate::ExpConfig;
 use coterie_net::NetScenario;
 use coterie_serve::{
-    ChurnScenario, Fleet, FleetConfig, FleetReport, PlacementPolicy, PredictorKind, StoreBackend,
+    ChurnScenario, Fleet, FleetConfig, FleetReport, PlacementPolicy, PredictorKind,
 };
 use coterie_telemetry::{TelemetryConfig, TelemetrySink};
 use coterie_world::GameId;
@@ -264,142 +264,6 @@ pub fn matchmaking(
     (report, lead_run, other_run)
 }
 
-/// Builds the multi-worker fleet configuration: the same rooms/players
-/// mix spread round-robin over `shards` worker processes, with
-/// `backend` selecting the store wiring ([`StoreBackend::Sharded`] =
-/// one partitioned store exchanged between workers,
-/// [`StoreBackend::Local`] = fully isolated per-worker stores with the
-/// same total byte budget).
-pub fn sharded_fleet_config(
-    config: &ExpConfig,
-    rooms: usize,
-    players: usize,
-    shards: usize,
-    backend: StoreBackend,
-    net: NetScenario,
-    predictor: PredictorKind,
-) -> FleetConfig {
-    FleetConfig {
-        shards: shards.max(1),
-        backend,
-        ..fleet_config(config, rooms, players, true, net, predictor)
-    }
-}
-
-/// Runs the multi-worker fleet experiment: the sharded store fabric
-/// against the same byte budget split into isolated per-worker stores.
-///
-/// With `backend` = [`StoreBackend::Sharded`] the report compares both
-/// wirings (rows `sharded` and `isolated`) and the returned pair is
-/// (sharded run, isolated baseline). With [`StoreBackend::Local`] only
-/// the isolated fleet runs — a single `local` row, baseline `None`.
-///
-/// When `trace` is set the primary run records telemetry; the returned
-/// string is the merged Chrome `trace_event` export spanning every
-/// worker's process lane (each worker's spans rebased onto the shared
-/// fleet epoch). Deterministic: same inputs, byte-identical report.
-#[allow(clippy::too_many_arguments)]
-pub fn fleet_sharded(
-    config: &ExpConfig,
-    rooms: usize,
-    players: usize,
-    shards: usize,
-    backend: StoreBackend,
-    net: NetScenario,
-    predictor: PredictorKind,
-    trace: bool,
-) -> (Report, FleetReport, Option<FleetReport>, Option<String>) {
-    let sink = trace_sink(trace);
-    let primary = Fleet::new_with_telemetry(
-        sharded_fleet_config(config, rooms, players, shards, backend, net, predictor),
-        sink.clone(),
-    )
-    .run();
-    let isolated = (backend == StoreBackend::Sharded).then(|| {
-        Fleet::new(sharded_fleet_config(
-            config,
-            rooms,
-            players,
-            shards,
-            StoreBackend::Local,
-            net,
-            predictor,
-        ))
-        .run()
-    });
-    let trace_json = sink.is_enabled().then(|| crate::chrome_trace(&sink));
-
-    let mut report = Report::new("Fleet: sharded store across worker processes");
-    report.note(format!(
-        "{} rooms x {} players over {} workers, seed {}, games Viking Village + FPS",
-        rooms.max(1),
-        players.max(1),
-        shards.max(1),
-        config.seed
-    ));
-    report.note(match backend {
-        StoreBackend::Sharded => {
-            "consistent-hash partitions + epoch exchange vs the same byte budget isolated per worker"
-        }
-        StoreBackend::Local => "isolated per-worker stores (no exchange plane)",
-    });
-    report.headers([
-        "store",
-        "fps p50",
-        "fps p95",
-        "fps p99",
-        "hit ratio",
-        "egress Mbps",
-        "GPU-hours",
-        "peak degC",
-        "degraded",
-    ]);
-    let primary_label = match backend {
-        StoreBackend::Sharded => "sharded",
-        StoreBackend::Local => "local",
-    };
-    let mut rows: Vec<(&str, &FleetReport)> = vec![(primary_label, &primary)];
-    if let Some(iso) = &isolated {
-        rows.push(("isolated", iso));
-    }
-    for (label, run) in rows {
-        let m = &run.metrics;
-        report.row([
-            label.to_string(),
-            f(m.fps_p50, 2),
-            f(m.fps_p95, 2),
-            f(m.fps_p99, 2),
-            pct(m.store_hit_ratio),
-            f(m.egress_mbps, 2),
-            f(m.prerender_gpu_hours, 6),
-            f(m.peak_temperature_c, 2),
-            format!("{}", m.degraded_rooms),
-        ]);
-    }
-    if let Some(s) = &primary.metrics.sharding {
-        report.note(format!(
-            "exchange: {} forwards, {} replica hits, {} replica inserts, \
-             {} msgs / {} bytes on the wire, {} anti-entropy evictions",
-            s.forwards,
-            s.replica_hits,
-            s.replica_inserts,
-            s.wire_msgs,
-            s.wire_bytes,
-            s.anti_entropy_evictions,
-        ));
-    }
-    if let Some(t) = &primary.metrics.telemetry {
-        report.note(format!(
-            "telemetry {primary_label}: {} frames attributed, {} over the {} ms budget ({})",
-            t.frames,
-            t.over_budget,
-            f(t.budget_ms, 1),
-            pct(t.over_budget_ratio()),
-        ));
-    }
-    (report, primary, isolated, trace_json)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,67 +326,6 @@ mod tests {
         assert!(text.contains("speculation policy 'vpm'"), "got: {text}");
         assert!(text.contains("speculation shared"), "got: {text}");
         assert!(vpm.metrics.spec_rendered > 0);
-    }
-
-    #[test]
-    fn sharded_fleet_experiment_reports_uplift() {
-        let config = ExpConfig::quick();
-        let (report, sharded, isolated, _) = fleet_sharded(
-            &config,
-            4,
-            2,
-            4,
-            StoreBackend::Sharded,
-            NetScenario::None,
-            PredictorKind::None,
-            false,
-        );
-        assert_eq!(report.cell(0, 0), Some("sharded"));
-        assert_eq!(report.cell(1, 0), Some("isolated"));
-        let text = format!("{report}");
-        assert!(text.contains("exchange:"), "exchange note printed: {text}");
-        let s = sharded.metrics.sharding.expect("sharded metrics");
-        assert_eq!(s.shards, 4);
-        assert!(s.wire_msgs > 0);
-        let iso = isolated.expect("comparison baseline ran");
-        assert!(
-            sharded.metrics.store_hit_ratio > iso.metrics.store_hit_ratio,
-            "sharded {} vs isolated {}",
-            sharded.metrics.store_hit_ratio,
-            iso.metrics.store_hit_ratio
-        );
-        // Deterministic: same inputs reproduce the report byte for byte.
-        let again = fleet_sharded(
-            &config,
-            4,
-            2,
-            4,
-            StoreBackend::Sharded,
-            NetScenario::None,
-            PredictorKind::None,
-            false,
-        )
-        .0;
-        assert_eq!(format!("{report}"), format!("{again}"));
-    }
-
-    #[test]
-    fn local_backend_runs_isolated_workers_only() {
-        let config = ExpConfig::quick();
-        let (report, primary, isolated, _) = fleet_sharded(
-            &config,
-            2,
-            2,
-            2,
-            StoreBackend::Local,
-            NetScenario::None,
-            PredictorKind::None,
-            false,
-        );
-        assert_eq!(report.len(), 1);
-        assert_eq!(report.cell(0, 0), Some("local"));
-        assert!(isolated.is_none());
-        assert!(primary.metrics.sharding.is_none());
     }
 
     #[test]

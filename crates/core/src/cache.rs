@@ -564,9 +564,9 @@ impl<T> FrameCache<T> {
 
     /// Raises the logical clock to at least `clock`.
     ///
-    /// A fleet store sharing one recency order across many shard caches
-    /// stamps every shard from a global clock; without this, each
-    /// shard's private clock would restart at zero and cross-shard LRU
+    /// A fleet store sharing one recency order across many leaf caches
+    /// stamps every cache from a global clock; without this, each
+    /// cache's private clock would restart at zero and cross-cache LRU
     /// comparisons would be meaningless.
     pub fn advance_clock(&mut self, clock: u64) {
         self.clock = self.clock.max(clock);
@@ -591,8 +591,8 @@ impl<T> FrameCache<T> {
 
     /// Evicts the least recently used entry regardless of the configured
     /// policy, returning its payload size. Used by a fleet store to run
-    /// one global LRU across shards (the shard holding the globally
-    /// oldest entry is asked to evict).
+    /// one global LRU across its leaf caches (the cache holding the
+    /// globally oldest entry is asked to evict).
     pub fn evict_lru(&mut self) -> Option<u64> {
         self.evict_slot(self.head)
     }
@@ -936,7 +936,7 @@ mod tests {
 
     #[test]
     fn global_clock_orders_lru_across_caches() {
-        // Two shard caches stamped from one global clock: the entry
+        // Two leaf caches stamped from one global clock: the entry
         // inserted earliest (globally) is the one evict_lru removes.
         let mut a: FrameCache<u32> = FrameCache::new(CacheConfig::infinite(CacheVersion::FLEET));
         let mut b: FrameCache<u32> = FrameCache::new(CacheConfig::infinite(CacheVersion::FLEET));

@@ -37,7 +37,7 @@ pub mod wire;
 pub use channel::{DatagramChannel, Delivery, PacketLost};
 pub use fault::{FiChannel, NetScenario};
 pub use token::ResumeToken;
-pub use wire::{FrameAssembler, ShardEntry, WireError, WireMessage};
+pub use wire::{FrameAssembler, WireError, WireMessage};
 
 use serde::{Deserialize, Serialize};
 

@@ -35,18 +35,19 @@ use coterie_world::GameId;
 /// Protocol revision carried in [`WireMessage::Hello`].
 ///
 /// v1: the session family (tags `0x01`–`0x08`). v2 adds the
-/// inter-shard family in its own reserved type-byte range (`0x40+`)
-/// and the structured [`WireMessage::VersionReject`] reply; every v1
-/// message encodes byte-identically under v2, so v1 clients keep
-/// decoding session traffic cleanly. v3 adds session resumption:
+/// structured [`WireMessage::VersionReject`] reply; every v1 message
+/// encodes byte-identically under v2, so v1 clients keep decoding
+/// session traffic cleanly. v3 adds session resumption:
 /// [`WireMessage::Welcome`] may carry an opaque signed reconnect
 /// token as a fixed-length tail (only ever sent to v3 clients, so
 /// v1/v2 Welcome bytes are unchanged), and the session-control range
 /// gains [`WireMessage::Resume`] / [`WireMessage::ResumeReject`].
+/// Tags `0x40`–`0x4f` are unassigned and decode as
+/// [`WireError::UnknownType`].
 pub const PROTO_VERSION: u16 = 3;
 
 /// Oldest protocol revision the server still accepts in a
-/// [`WireMessage::Hello`] / [`WireMessage::ShardHello`].
+/// [`WireMessage::Hello`].
 pub const MIN_PROTO_VERSION: u16 = 1;
 
 /// Hard cap on one frame's body, bytes. Far-BE payloads at our render
@@ -76,19 +77,7 @@ mod tag {
     // v3 additions (session resumption).
     pub const RESUME: u8 = 0x11;
     pub const RESUME_REJECT: u8 = 0x12;
-    // 0x40–0x4f: the inter-shard family (worker ↔ worker only; never
-    // sent to game clients).
-    pub const SHARD_HELLO: u8 = 0x40;
-    pub const SHARD_ADVERT: u8 = 0x41;
-    pub const SHARD_USAGE: u8 = 0x42;
-    pub const SHARD_FRAME: u8 = 0x43;
 }
-
-/// Decode-side cap on the entries of one [`WireMessage::ShardAdvert`],
-/// so a hostile peer cannot force a huge allocation from a small
-/// frame. Senders batch well under this (the store's advert buffer
-/// caps at 1024 and exchanges drain per epoch in smaller chunks).
-pub const MAX_SHARD_ENTRIES: usize = 4096;
 
 /// Exact size of a reconnect token on the wire, bytes: the session
 /// identity (`game:u8 room:u32 player:u32 issued_ms:u64`) plus a
@@ -164,36 +153,6 @@ impl ResumeRejectReason {
             _ => Err(WireError::BadValue("resume reject reason")),
         }
     }
-}
-
-/// One hot store entry advertised between shard workers: everything a
-/// peer needs to replicate the frame's *identity* (the three lookup
-/// criteria) plus the recency/value state that keeps the fleet-wide
-/// LRU coherent. Payload bytes travel separately (in
-/// [`WireMessage::ShardFrame`]) and only for entries hot enough to
-/// replicate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardEntry {
-    /// Game the frame belongs to.
-    pub game: GameId,
-    /// Grid x index of the rendering position.
-    pub grid_ix: i32,
-    /// Grid z index of the rendering position.
-    pub grid_iz: i32,
-    /// Exact world x the frame was rendered at, meters.
-    pub pos_x: f64,
-    /// Exact world z the frame was rendered at, meters.
-    pub pos_z: f64,
-    /// Leaf region id (criterion 2).
-    pub leaf: u32,
-    /// Near-BE object-set hash (criterion 3).
-    pub near_hash: u64,
-    /// Payload size, bytes (budget accounting on the replica side).
-    pub bytes: u64,
-    /// Global-clock access stamp (fleet-wide LRU ordering).
-    pub stamp: u64,
-    /// Admission value (predicted reuse × render cost).
-    pub value: f64,
 }
 
 /// One protocol message.
@@ -301,66 +260,6 @@ pub enum WireMessage {
         /// Why.
         reason: ResumeRejectReason,
     },
-    /// Shard-worker handshake: worker `shard` of a `shards`-wide fleet
-    /// introduces itself on an inter-shard connection (proto-checked
-    /// like a session hello; answered with [`WireMessage::VersionReject`]
-    /// on mismatch).
-    ShardHello {
-        /// Protocol revision ([`PROTO_VERSION`]).
-        proto: u16,
-        /// The sender's shard index.
-        shard: u16,
-        /// Fleet width the sender believes in (peers must agree).
-        shards: u16,
-        /// The sender's current exchange epoch.
-        epoch: u64,
-    },
-    /// Epoch-batched hot-entry metadata advert: the entries this owner
-    /// inserted since its last exchange, for peers to replicate into
-    /// their hot-replica caches.
-    ShardAdvert {
-        /// Advertising shard.
-        shard: u16,
-        /// Exchange epoch the batch closes.
-        epoch: u64,
-        /// The advertised entries (capped at [`MAX_SHARD_ENTRIES`]).
-        entries: Vec<ShardEntry>,
-    },
-    /// Anti-entropy usage digest: one shard's LRU/byte-budget state,
-    /// exchanged every epoch so eviction can stay globally coherent
-    /// without shipping entry lists.
-    ShardUsage {
-        /// Reporting shard.
-        shard: u16,
-        /// Exchange epoch the digest closes.
-        epoch: u64,
-        /// Cached payload bytes the shard holds.
-        bytes: u64,
-        /// The shard's view of the shared global clock.
-        clock: u64,
-        /// Access stamp of the shard's oldest entry (`u64::MAX` when
-        /// the shard is empty).
-        oldest_stamp: u64,
-    },
-    /// Replicated frame payload: an owner pushes a hot frame (identity
-    /// plus encoded bytes) to a peer's replica cache so the peer's
-    /// next lookup is a local hit instead of a forward.
-    ShardFrame {
-        /// Sending (owner) shard.
-        shard: u16,
-        /// The frame's store identity and recency state.
-        entry: ShardEntry,
-        /// Encoded frame width, px.
-        width: u32,
-        /// Encoded frame height, px.
-        height: u32,
-        /// Codec quality code (0 = CRF18, 1 = CRF25, 2 = CRF32).
-        quality: u8,
-        /// Quality scale the frame was produced at, per-mille.
-        scale_pm: u16,
-        /// The codec-encoded payload.
-        payload: Vec<u8>,
-    },
 }
 
 /// Decode/stream errors. Any of these on a live connection is a
@@ -431,23 +330,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
-}
-
-fn put_i32(out: &mut Vec<u8>, v: i32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_entry(out: &mut Vec<u8>, e: &ShardEntry) {
-    out.push(game_to_wire(e.game));
-    put_i32(out, e.grid_ix);
-    put_i32(out, e.grid_iz);
-    put_f64(out, e.pos_x);
-    put_f64(out, e.pos_z);
-    put_u32(out, e.leaf);
-    put_u64(out, e.near_hash);
-    put_u64(out, e.bytes);
-    put_u64(out, e.stamp);
-    put_f64(out, e.value);
 }
 
 /// Everything of a `Frame` message's wire encoding that precedes its
@@ -561,68 +443,6 @@ impl WireMessage {
             WireMessage::ResumeReject { reason } => {
                 out.push(tag::RESUME_REJECT);
                 out.push(*reason as u8);
-            }
-            WireMessage::ShardHello {
-                proto,
-                shard,
-                shards,
-                epoch,
-            } => {
-                out.push(tag::SHARD_HELLO);
-                put_u16(out, *proto);
-                put_u16(out, *shard);
-                put_u16(out, *shards);
-                put_u64(out, *epoch);
-            }
-            WireMessage::ShardAdvert {
-                shard,
-                epoch,
-                entries,
-            } => {
-                assert!(
-                    entries.len() <= MAX_SHARD_ENTRIES,
-                    "advert of {} entries exceeds the wire cap",
-                    entries.len()
-                );
-                out.push(tag::SHARD_ADVERT);
-                put_u16(out, *shard);
-                put_u64(out, *epoch);
-                put_u32(out, entries.len() as u32);
-                for e in entries {
-                    put_entry(out, e);
-                }
-            }
-            WireMessage::ShardUsage {
-                shard,
-                epoch,
-                bytes,
-                clock,
-                oldest_stamp,
-            } => {
-                out.push(tag::SHARD_USAGE);
-                put_u16(out, *shard);
-                put_u64(out, *epoch);
-                put_u64(out, *bytes);
-                put_u64(out, *clock);
-                put_u64(out, *oldest_stamp);
-            }
-            WireMessage::ShardFrame {
-                shard,
-                entry,
-                width,
-                height,
-                quality,
-                scale_pm,
-                payload,
-            } => {
-                out.push(tag::SHARD_FRAME);
-                put_u16(out, *shard);
-                put_entry(out, entry);
-                put_u32(out, *width);
-                put_u32(out, *height);
-                out.push(*quality);
-                put_u16(out, *scale_pm);
-                out.extend_from_slice(payload);
             }
         }
     }
@@ -788,75 +608,6 @@ impl WireMessage {
             tag::RESUME_REJECT => WireMessage::ResumeReject {
                 reason: ResumeRejectReason::from_wire(r.u8()?)?,
             },
-            tag::SHARD_HELLO => {
-                let proto = r.u16()?;
-                let shard = r.u16()?;
-                let shards = r.u16()?;
-                let epoch = r.u64()?;
-                if shards == 0 || shard >= shards {
-                    return Err(WireError::BadValue("shard index"));
-                }
-                WireMessage::ShardHello {
-                    proto,
-                    shard,
-                    shards,
-                    epoch,
-                }
-            }
-            tag::SHARD_ADVERT => {
-                let shard = r.u16()?;
-                let epoch = r.u64()?;
-                let count = r.u32()? as usize;
-                if count > MAX_SHARD_ENTRIES {
-                    return Err(WireError::BadValue("advert entry count"));
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    entries.push(r.entry()?);
-                }
-                WireMessage::ShardAdvert {
-                    shard,
-                    epoch,
-                    entries,
-                }
-            }
-            tag::SHARD_USAGE => WireMessage::ShardUsage {
-                shard: r.u16()?,
-                epoch: r.u64()?,
-                bytes: r.u64()?,
-                clock: r.u64()?,
-                oldest_stamp: r.u64()?,
-            },
-            tag::SHARD_FRAME => {
-                let shard = r.u16()?;
-                let entry = r.entry()?;
-                let width = r.u32()?;
-                let height = r.u32()?;
-                if width == 0 || height == 0 {
-                    return Err(WireError::BadValue("frame dims"));
-                }
-                let quality = r.u8()?;
-                if quality > 2 {
-                    return Err(WireError::BadValue("quality code"));
-                }
-                let scale_pm = r.u16()?;
-                if scale_pm == 0 || scale_pm > 1000 {
-                    return Err(WireError::BadValue("scale per-mille"));
-                }
-                let payload = r.rest().to_vec();
-                if payload.is_empty() {
-                    return Err(WireError::BadValue("frame payload"));
-                }
-                return Ok(WireMessage::ShardFrame {
-                    shard,
-                    entry,
-                    width,
-                    height,
-                    quality,
-                    scale_pm,
-                    payload,
-                });
-            }
             other => return Err(WireError::UnknownType(other)),
         };
         if r.pos != r.buf.len() {
@@ -908,41 +659,6 @@ impl<'a> Reader<'a> {
         } else {
             Err(WireError::BadValue(what))
         }
-    }
-
-    fn i32(&mut self) -> Result<i32, WireError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// One [`ShardEntry`]. Positions must be finite (physical
-    /// quantities) and the admission value finite and non-negative
-    /// (it is a product of a reuse probability and a render cost).
-    fn entry(&mut self) -> Result<ShardEntry, WireError> {
-        let game = game_from_wire(self.u8()?)?;
-        let grid_ix = self.i32()?;
-        let grid_iz = self.i32()?;
-        let pos_x = self.finite_f64("entry pos_x")?;
-        let pos_z = self.finite_f64("entry pos_z")?;
-        let leaf = self.u32()?;
-        let near_hash = self.u64()?;
-        let bytes = self.u64()?;
-        let stamp = self.u64()?;
-        let value = self.finite_f64("entry value")?;
-        if value < 0.0 {
-            return Err(WireError::BadValue("entry value"));
-        }
-        Ok(ShardEntry {
-            game,
-            grid_ix,
-            grid_iz,
-            pos_x,
-            pos_z,
-            leaf,
-            near_hash,
-            bytes,
-            stamp,
-            value,
-        })
     }
 
     fn rest(&mut self) -> &'a [u8] {
@@ -1075,39 +791,6 @@ mod tests {
                 min: MIN_PROTO_VERSION,
                 max: PROTO_VERSION,
             },
-            WireMessage::ShardHello {
-                proto: PROTO_VERSION,
-                shard: 1,
-                shards: 4,
-                epoch: 17,
-            },
-            WireMessage::ShardAdvert {
-                shard: 1,
-                epoch: 17,
-                entries: vec![
-                    sample_entry(),
-                    ShardEntry {
-                        leaf: 9,
-                        ..sample_entry()
-                    },
-                ],
-            },
-            WireMessage::ShardUsage {
-                shard: 2,
-                epoch: 17,
-                bytes: 123_456,
-                clock: 9_001,
-                oldest_stamp: u64::MAX,
-            },
-            WireMessage::ShardFrame {
-                shard: 3,
-                entry: sample_entry(),
-                width: 96,
-                height: 48,
-                quality: 2,
-                scale_pm: 1000,
-                payload: vec![9, 8, 7],
-            },
         ]
     }
 
@@ -1117,21 +800,6 @@ mod tests {
             *b = i as u8 ^ 0xA5;
         }
         t
-    }
-
-    fn sample_entry() -> ShardEntry {
-        ShardEntry {
-            game: GameId::Fps,
-            grid_ix: -4,
-            grid_iz: 11,
-            pos_x: -1.25,
-            pos_z: 3.5,
-            leaf: 7,
-            near_hash: 0xFEED_F00D,
-            bytes: 48_000,
-            stamp: 321,
-            value: 4.5,
-        }
     }
 
     #[test]

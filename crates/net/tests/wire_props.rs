@@ -16,8 +16,8 @@
 //!    variants the server logic matches on.
 
 use coterie_net::wire::{
-    frame_header, game_from_wire, ByeReason, ErrorCode, ResumeRejectReason, ShardEntry,
-    HEADER_BYTES, MAX_BODY_BYTES, MAX_SHARD_ENTRIES, PROTO_VERSION, TOKEN_BYTES,
+    frame_header, game_from_wire, ByeReason, ErrorCode, ResumeRejectReason, HEADER_BYTES,
+    MAX_BODY_BYTES, PROTO_VERSION, TOKEN_BYTES,
 };
 use coterie_net::{FrameAssembler, ResumeToken, WireError, WireMessage};
 use coterie_world::GameId;
@@ -31,108 +31,11 @@ fn finite_f64() -> impl Strategy<Value = f64> {
     (-1.0e6f64..1.0e6).prop_map(|v| v)
 }
 
-fn any_entry() -> impl Strategy<Value = ShardEntry> {
-    (
-        (
-            any_game(),
-            -10_000i32..10_000,
-            -10_000i32..10_000,
-            finite_f64(),
-            finite_f64(),
-        ),
-        (
-            0u32..1 << 20,
-            0u64..u64::MAX,
-            0u64..1 << 40,
-            0u64..u64::MAX,
-            0.0f64..1.0e6,
-        ),
-    )
-        .prop_map(
-            |((game, grid_ix, grid_iz, pos_x, pos_z), (leaf, near_hash, bytes, stamp, value))| {
-                ShardEntry {
-                    game,
-                    grid_ix,
-                    grid_iz,
-                    pos_x,
-                    pos_z,
-                    leaf,
-                    near_hash,
-                    bytes,
-                    stamp,
-                    value,
-                }
-            },
-        )
-}
-
-/// The v2 inter-shard family plus the structured version reject.
-fn any_shard_message() -> impl Strategy<Value = WireMessage> {
-    let reject = (0u16..100, 0u16..100).prop_map(|(a, b)| WireMessage::VersionReject {
+/// The v2 addition: the structured version reject.
+fn any_version_reject() -> impl Strategy<Value = WireMessage> {
+    (0u16..100, 0u16..100).prop_map(|(a, b)| WireMessage::VersionReject {
         min: a.min(b),
         max: a.max(b),
-    });
-    let hello = (1u16..64, 0u16..64, 0u64..u64::MAX).prop_map(|(shards, s, epoch)| {
-        WireMessage::ShardHello {
-            proto: PROTO_VERSION,
-            shard: s % shards,
-            shards,
-            epoch,
-        }
-    });
-    let advert = (
-        0u16..64,
-        0u64..u64::MAX,
-        proptest::collection::vec(any_entry(), 0..8),
-    )
-        .prop_map(|(shard, epoch, entries)| WireMessage::ShardAdvert {
-            shard,
-            epoch,
-            entries,
-        });
-    let usage = (
-        0u16..64,
-        0u64..u64::MAX,
-        0u64..1 << 40,
-        0u64..u64::MAX,
-        0u64..u64::MAX,
-    )
-        .prop_map(
-            |(shard, epoch, bytes, clock, oldest_stamp)| WireMessage::ShardUsage {
-                shard,
-                epoch,
-                bytes,
-                clock,
-                oldest_stamp,
-            },
-        );
-    let frame = (
-        (0u16..64, any_entry(), 1u32..4096, 1u32..4096),
-        (
-            0u8..3,
-            1u16..=1000,
-            proptest::collection::vec(0u8..=255, 1..256),
-        ),
-    )
-        .prop_map(
-            |((shard, entry, width, height), (quality, scale_pm, payload))| {
-                WireMessage::ShardFrame {
-                    shard,
-                    entry,
-                    width,
-                    height,
-                    quality,
-                    scale_pm,
-                    payload,
-                }
-            },
-        );
-    (0u8..5, reject, hello, advert, usage, frame).prop_map(|(pick, r, h, a, u, f)| match pick {
-        0 => r,
-        1 => h,
-        2 => a,
-        3 => u,
-        _ => f,
     })
 }
 
@@ -248,18 +151,18 @@ fn any_resume_message() -> impl Strategy<Value = WireMessage> {
     })
 }
 
-/// Any protocol message: one in four draws from the v2 shard family and
-/// one in four from the v3 resumption family, so every property also
-/// covers the 0x40+ and 0x11/0x12 tag ranges.
+/// Any protocol message: one in four is a v2 version reject and one in
+/// four from the v3 resumption family, so every property also covers
+/// the 0x10–0x12 tag range.
 fn any_message() -> impl Strategy<Value = WireMessage> {
     (
         0u8..4,
         any_session_message(),
-        any_shard_message(),
+        any_version_reject(),
         any_resume_message(),
     )
-        .prop_map(|(pick, session, shard, resume)| match pick {
-            0 => shard,
+        .prop_map(|(pick, session, reject, resume)| match pick {
+            0 => reject,
             1 => resume,
             _ => session,
         })
@@ -359,26 +262,21 @@ proptest! {
 
     /// The v2/v3 additions live strictly outside the v1 tag space:
     /// every session message a v1 client can receive keeps its v1 type
-    /// byte, every v2 addition sits at `VERSION_REJECT` (0x10) or in
-    /// the reserved inter-shard range (0x40+), and the v3 resumption
-    /// messages stay inside the reserved session-control range
-    /// (0x10–0x3f) — except the tokened Welcome, which reuses the v1
+    /// byte, the v2 addition sits at `VERSION_REJECT` (0x10), and the
+    /// v3 resumption messages stay inside the reserved session-control
+    /// range (0x10–0x3f) — except the tokened Welcome, which reuses the v1
     /// Welcome tag but is only ever sent to clients that negotiated
     /// v3. This is the wire-level guarantee that old clients decode a
     /// newer server's session traffic unchanged.
     #[test]
     fn new_tags_stay_out_of_the_v1_range(
         session in any_session_message(),
-        shard in any_shard_message(),
+        reject in any_version_reject(),
         resume in any_resume_message(),
     ) {
         let session_tag = session.encode_frame()[HEADER_BYTES];
         prop_assert!(session_tag < 0x10, "session tag 0x{session_tag:02x}");
-        let shard_tag = shard.encode_frame()[HEADER_BYTES];
-        prop_assert!(
-            shard_tag == 0x10 || shard_tag >= 0x40,
-            "v2 tag 0x{shard_tag:02x} collides with the v1 range"
-        );
+        prop_assert_eq!(reject.encode_frame()[HEADER_BYTES], 0x10);
         let resume_tag = resume.encode_frame()[HEADER_BYTES];
         let tokened_welcome = matches!(resume, WireMessage::Welcome { .. });
         prop_assert!(
@@ -577,46 +475,45 @@ fn malformed_corpus_maps_to_expected_errors() {
             },
             WireError::BadValue("version range"),
         ),
+        // 0x40–0x4f are unassigned: the bytes of the deleted
+        // inter-shard messages decode as unknown types, whatever follows.
         (
-            "shard hello with shard past the fleet width",
+            "0x40: a former shard hello",
             {
                 let mut b = vec![0x40u8];
                 b.extend_from_slice(&PROTO_VERSION.to_le_bytes());
-                b.extend_from_slice(&5u16.to_le_bytes()); // shard = 5
-                b.extend_from_slice(&2u16.to_le_bytes()); // shards = 2
+                b.extend_from_slice(&0u16.to_le_bytes()); // shard
+                b.extend_from_slice(&2u16.to_le_bytes()); // shards
                 b.extend_from_slice(&0u64.to_le_bytes()); // epoch
                 frame_of(&b)
             },
-            WireError::BadValue("shard index"),
+            WireError::UnknownType(0x40),
         ),
         (
-            "shard advert with oversize entry count",
+            "0x41: a former shard advert",
             {
                 let mut b = vec![0x41u8];
                 b.extend_from_slice(&0u16.to_le_bytes()); // shard
                 b.extend_from_slice(&1u64.to_le_bytes()); // epoch
-                b.extend_from_slice(&(MAX_SHARD_ENTRIES as u32 + 1).to_le_bytes());
+                b.extend_from_slice(&0u32.to_le_bytes()); // no entries
                 frame_of(&b)
             },
-            WireError::BadValue("advert entry count"),
+            WireError::UnknownType(0x41),
         ),
         (
-            "shard advert entry with NaN position",
+            "0x42: a former shard usage digest",
             {
-                let mut b = vec![0x41u8];
+                let mut b = vec![0x42u8];
                 b.extend_from_slice(&0u16.to_le_bytes()); // shard
-                b.extend_from_slice(&1u64.to_le_bytes()); // epoch
-                b.extend_from_slice(&1u32.to_le_bytes()); // one entry
-                b.push(0); // game
-                b.extend_from_slice(&0i32.to_le_bytes()); // grid_ix
-                b.extend_from_slice(&0i32.to_le_bytes()); // grid_iz
-                b.extend_from_slice(&f64::NAN.to_bits().to_le_bytes()); // pos_x
+                for field in [1u64, 64, 9, u64::MAX] {
+                    b.extend_from_slice(&field.to_le_bytes());
+                }
                 frame_of(&b)
             },
-            WireError::BadValue("entry pos_x"),
+            WireError::UnknownType(0x42),
         ),
         (
-            "shard frame with negative admission value",
+            "0x43: a former shard frame",
             {
                 let mut b = vec![0x43u8];
                 b.extend_from_slice(&0u16.to_le_bytes()); // shard
@@ -629,10 +526,15 @@ fn malformed_corpus_maps_to_expected_errors() {
                 b.extend_from_slice(&0u64.to_le_bytes()); // near_hash
                 b.extend_from_slice(&64u64.to_le_bytes()); // bytes
                 b.extend_from_slice(&1u64.to_le_bytes()); // stamp
-                b.extend_from_slice(&(-1.0f64).to_bits().to_le_bytes()); // value
+                b.extend_from_slice(&0f64.to_bits().to_le_bytes()); // value
+                b.extend_from_slice(&16u32.to_le_bytes()); // width
+                b.extend_from_slice(&16u32.to_le_bytes()); // height
+                b.push(1); // quality
+                b.extend_from_slice(&1000u16.to_le_bytes()); // scale_pm
+                b.extend_from_slice(&[0xAB; 64]); // payload
                 frame_of(&b)
             },
-            WireError::BadValue("entry value"),
+            WireError::UnknownType(0x43),
         ),
         (
             "resume with short token",
@@ -670,36 +572,6 @@ fn malformed_corpus_maps_to_expected_errors() {
             "resume reject with unknown reason",
             frame_of(&[0x12, 42]),
             WireError::BadValue("resume reject reason"),
-        ),
-        (
-            "shard frame with empty payload",
-            {
-                let entry = ShardEntry {
-                    game: GameId::ALL[0],
-                    grid_ix: 0,
-                    grid_iz: 0,
-                    pos_x: 0.0,
-                    pos_z: 0.0,
-                    leaf: 0,
-                    near_hash: 0,
-                    bytes: 64,
-                    stamp: 1,
-                    value: 0.0,
-                };
-                let full = WireMessage::ShardFrame {
-                    shard: 0,
-                    entry,
-                    width: 16,
-                    height: 16,
-                    quality: 1,
-                    scale_pm: 1000,
-                    payload: vec![0xCD],
-                };
-                // Strip the single payload byte off a valid frame.
-                let frame = full.encode_frame();
-                frame_of(&frame[HEADER_BYTES..frame.len() - 1])
-            },
-            WireError::BadValue("frame payload"),
         ),
     ];
 

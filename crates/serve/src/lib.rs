@@ -10,10 +10,10 @@
 //!
 //! * [`Room`] wraps a [`coterie_sim::SessionSim`] and routes its
 //!   prefetch misses through the fleet instead of a private server.
-//! * [`LocalStore`] is a sharded, globally-budgeted, cross-session
-//!   frame cache: shards are keyed by `(game, leaf region)` behind
+//! * [`LocalStore`] is a lock-striped, globally-budgeted, cross-session
+//!   frame cache: stripes are keyed by `(game, leaf region)` behind
 //!   `parking_lot` mutexes, one atomic clock totally orders accesses,
-//!   and eviction runs a single LRU across every shard. Lookups extend
+//!   and eviction runs a single LRU across every stripe. Lookups extend
 //!   the paper's three-criteria match with a *session-id-free* variant
 //!   ([`coterie_core::CacheVersion::FLEET`]): any room's frames can
 //!   serve any other room of the same game.
@@ -81,7 +81,6 @@ pub mod matchmaker;
 pub mod metrics;
 pub mod predict;
 pub mod room;
-pub mod shard;
 pub mod store;
 
 pub use churn::{generate_arrivals, Arrival, ChurnScenario};
@@ -91,5 +90,4 @@ pub use matchmaker::{MatchPlan, MatchmakingMetrics, PlacementPolicy, RoomPlan};
 pub use metrics::{percentile, FleetMetrics};
 pub use predict::{PosePredictor, PredictorKind};
 pub use room::{Room, RoomReport};
-pub use shard::{partition_key, HashRing, ShardFabric, ShardMetrics, ShardedStore, StoreBackend};
 pub use store::{Admission, FrameStore, LocalStore, StoreConfig, StoreStats};

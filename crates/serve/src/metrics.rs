@@ -9,7 +9,6 @@ use crate::farm::PrerenderFarm;
 use crate::matchmaker::MatchmakingMetrics;
 use crate::predict::PredictorKind;
 use crate::room::RoomReport;
-use crate::shard::ShardMetrics;
 use crate::store::StoreStats;
 use coterie_telemetry::TelemetrySummary;
 use std::fmt;
@@ -78,11 +77,6 @@ pub struct FleetMetrics {
     /// fleet ran without a telemetry sink — the default — keeping the
     /// untraced report byte-identical to pre-telemetry builds.
     pub telemetry: Option<TelemetrySummary>,
-    /// Sharded-backend counters (forwards, replica traffic, exchange
-    /// wire volume). `None` when the fleet ran the local backend — the
-    /// default — keeping `--store local` reports byte-identical to
-    /// pre-sharding builds.
-    pub sharding: Option<ShardMetrics>,
     /// Matchmaking counters (arrivals, admission-queue waits, overflow
     /// rooms). `None` when the fleet ran without churn — the default —
     /// keeping static-roster reports byte-identical to pre-matchmaker
@@ -170,7 +164,6 @@ impl FleetMetrics {
             spec_precision: store_stats.spec_precision(),
             spec_recall: store_stats.spec_recall(),
             telemetry: None,
-            sharding: None,
             matchmaking: None,
         }
     }
@@ -200,21 +193,6 @@ impl fmt::Display for FleetMetrics {
             "  devices    peak {:.2} degC  {} degraded rooms",
             self.peak_temperature_c, self.degraded_rooms
         )?;
-        // Only sharded-backend runs print sharding lines, keeping
-        // `--store local` reports byte-identical to pre-sharding
-        // builds.
-        if let Some(s) = &self.sharding {
-            writeln!(
-                f,
-                "  sharding   {} shards  {} forwards  {} replica hits  {} replica inserts",
-                s.shards, s.forwards, s.replica_hits, s.replica_inserts
-            )?;
-            writeln!(
-                f,
-                "  exchange   {} msgs  {} bytes  {} anti-entropy evictions",
-                s.wire_msgs, s.wire_bytes, s.anti_entropy_evictions
-            )?;
-        }
         // Only predictor-driven runs print speculation lines: the farm
         // tags even blind speculation, so gating on the counters would
         // break `--predictor none` byte identity with predictor-less

@@ -9,12 +9,9 @@
 //! concurrent sessions.
 //!
 //! Consumers (rooms, the pre-render farm, the socket serving plane)
-//! program against the [`FrameStore`] trait, so the backend is
-//! swappable at construction time:
-//!
-//! - [`LocalStore`] — one in-process store (this module).
-//! - [`crate::ShardedStore`] — a fleet-wide store partitioned across
-//!   worker processes by consistent hashing (see [`crate::shard`]).
+//! program against the [`FrameStore`] trait. [`LocalStore`] is its one
+//! backend; the benchmark's timed store wraps a [`LocalStore`] behind
+//! the same trait to time every call from outside.
 //!
 //! The local store stripes by `(game, leaf region)`: lookups only ever
 //! match within one leaf (criterion 2), so a stripe holds everything a
@@ -56,8 +53,7 @@ use coterie_core::{
 use coterie_world::GameId;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How the store treats a speculative insert that would overflow the
 /// byte budget.
@@ -101,7 +97,7 @@ impl Default for StoreConfig {
 /// Aggregate store counters (monotonic over the store's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Lookups that found a qualifying frame in an owned partition.
+    /// Lookups that found a qualifying frame.
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
@@ -125,27 +121,16 @@ pub struct StoreStats {
     pub spec_hits: u64,
     /// Speculative inserts refused by cost-aware admission.
     pub spec_rejected: u64,
-    /// Operations routed to a remote-owned partition (sharded backend;
-    /// always 0 for a [`LocalStore`]).
-    pub forwards: u64,
-    /// Lookups served out of a worker's local hot-replica cache instead
-    /// of the remote owner (sharded backend; always 0 locally).
-    pub replica_hits: u64,
-    /// Hot entries copied into a replica cache by the epoch exchange
-    /// (sharded backend; always 0 locally).
-    pub replica_inserts: u64,
 }
 
 impl StoreStats {
-    /// Hit ratio in `[0, 1]` (0 before any lookup). Replica hits are
-    /// genuine store hits — the frame was served without a render —
-    /// so they count toward the numerator and the traffic total.
+    /// Hit ratio in `[0, 1]` (0 before any lookup).
     ///
-    /// Computed in `f64` so zero-traffic partitions yield 0 (never
-    /// NaN) and astronomically large counters cannot overflow the
-    /// integer sum.
+    /// Computed in `f64` so zero-traffic stores yield 0 (never NaN)
+    /// and astronomically large counters cannot overflow the integer
+    /// sum.
     pub fn hit_ratio(&self) -> f64 {
-        let served = self.hits as f64 + self.replica_hits as f64;
+        let served = self.hits as f64;
         let total = served + self.misses as f64;
         if total == 0.0 {
             0.0
@@ -174,7 +159,7 @@ impl StoreStats {
     /// means the farm is pre-rendering the frames rooms actually
     /// stall on.
     ///
-    /// The candidate sum is computed in `f64`, so partitions with
+    /// The candidate sum is computed in `f64`, so stores with
     /// degenerate (near-`u64::MAX`) counters still yield a finite,
     /// bounded ratio instead of an overflow panic.
     pub fn spec_recall(&self) -> f64 {
@@ -186,13 +171,11 @@ impl StoreStats {
         }
     }
 
-    /// Element-wise sum, for fleets aggregating per-partition stores.
+    /// Element-wise sum, for fleets aggregating per-room stores.
     ///
     /// Uses saturating addition, which keeps the fold associative and
     /// commutative for *any* operand values (`min(Σ, u64::MAX)` is
-    /// independent of grouping) — sharded fleets merge stats from many
-    /// partitions in whatever order the exchange visits them, and the
-    /// result must not depend on that order.
+    /// independent of grouping).
     pub fn merged(self, other: StoreStats) -> StoreStats {
         StoreStats {
             hits: self.hits.saturating_add(other.hits),
@@ -205,9 +188,6 @@ impl StoreStats {
             spec_used: self.spec_used.saturating_add(other.spec_used),
             spec_hits: self.spec_hits.saturating_add(other.spec_hits),
             spec_rejected: self.spec_rejected.saturating_add(other.spec_rejected),
-            forwards: self.forwards.saturating_add(other.forwards),
-            replica_hits: self.replica_hits.saturating_add(other.replica_hits),
-            replica_inserts: self.replica_inserts.saturating_add(other.replica_inserts),
         }
     }
 }
@@ -215,11 +195,12 @@ impl StoreStats {
 /// The backend API every frame-store consumer programs against.
 ///
 /// `Room`, the pre-render farm and the socket serving plane take
-/// `&dyn FrameStore` / `Arc<dyn FrameStore>`, so the backend is chosen
-/// once at construction (`--store local|sharded`) and nothing else in
-/// the pipeline knows which one it got. All methods take `&self` —
-/// backends are internally synchronized — and `Send + Sync` is a
-/// supertrait so trait objects cross worker threads.
+/// `&dyn FrameStore` / `Arc<dyn FrameStore>`, so the store is chosen
+/// once at construction and nothing else in the pipeline knows which
+/// one it got: a [`LocalStore`], or the benchmark's timed store, which
+/// wraps one to time every call. All methods take `&self` — stores are
+/// internally synchronized — and `Send + Sync` is a supertrait so trait
+/// objects cross worker threads.
 pub trait FrameStore: Send + Sync {
     /// Looks up a frame for `query` among every frame any session of
     /// `game` has contributed, applying the paper's three criteria
@@ -375,28 +356,8 @@ impl Stripe {
     }
 }
 
-/// A recent insert, recorded for the sharded backend's epoch-batched
-/// hot-entry adverts.
-#[derive(Debug, Clone, Copy)]
-pub struct RecentInsert {
-    /// Game the frame belongs to.
-    pub game: GameId,
-    /// Frame identity (grid point, position, leaf, near-set hash).
-    pub meta: FrameMeta,
-    /// Payload size, bytes.
-    pub bytes: u64,
-    /// Global-clock stamp of the insert.
-    pub stamp: u64,
-    /// Admission value carried by the frame's tag.
-    pub value: f64,
-}
-
-/// Upper bound on buffered [`RecentInsert`]s between advert drains, so
-/// an owner that is never drained cannot grow without bound.
-const RECENT_CAP: usize = 1024;
-
 /// The in-process [`FrameStore`] backend: one store shared by every
-/// room of the fleet (or one partition of the sharded fabric).
+/// room of the fleet.
 ///
 /// Thread-safe (atomics + per-stripe mutexes). Determinism note: the
 /// store itself is deterministic for a fixed *sequence* of operations;
@@ -409,20 +370,10 @@ pub struct LocalStore {
     stripes: Vec<Mutex<Stripe>>,
     /// Global logical clock; every operation takes a ticket, so
     /// serialized operations stamp `last_access` in one total order
-    /// across stripes (concurrent ones may tie; see the module doc). Shared
-    /// (`Arc`) so the sharded fabric can stamp all its partitions from
-    /// one clock and keep cross-partition LRU coherent.
-    clock: Arc<AtomicU64>,
-    /// Live byte budget. Starts at `config.capacity_bytes`; the sharded
-    /// fabric's anti-entropy pass may rebalance it between partitions.
-    capacity: AtomicU64,
+    /// across stripes (concurrent ones may tie; see the module doc).
+    clock: AtomicU64,
     /// Global payload bytes across stripes.
     bytes: AtomicU64,
-    /// When set, inserts are also buffered as [`RecentInsert`]s for
-    /// the sharded backend's epoch adverts (off by default: the local
-    /// backend never pays for bookkeeping it does not use).
-    advertise: AtomicBool,
-    recent: Mutex<Vec<RecentInsert>>,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -442,18 +393,6 @@ impl LocalStore {
     ///
     /// Panics if `config.shards` is zero or the capacity is zero.
     pub fn new(config: StoreConfig) -> Self {
-        LocalStore::new_with_clock(config, Arc::new(AtomicU64::new(0)))
-    }
-
-    /// [`LocalStore::new`] with an externally shared global clock: the
-    /// sharded fabric hands every partition the same `Arc` so access
-    /// stamps are totally ordered *across* partitions and the
-    /// fleet-wide LRU stays coherent.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`LocalStore::new`].
-    pub fn new_with_clock(config: StoreConfig, clock: Arc<AtomicU64>) -> Self {
         assert!(config.shards > 0, "store needs at least one stripe");
         assert!(config.capacity_bytes > 0, "store capacity must be positive");
         LocalStore {
@@ -461,11 +400,8 @@ impl LocalStore {
             stripes: (0..config.shards)
                 .map(|_| Mutex::new(Stripe::default()))
                 .collect(),
-            clock,
-            capacity: AtomicU64::new(config.capacity_bytes),
+            clock: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            advertise: AtomicBool::new(false),
-            recent: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
@@ -479,8 +415,7 @@ impl LocalStore {
         }
     }
 
-    /// The construction-time configuration (the *live* budget may have
-    /// been rebalanced since; see [`LocalStore::capacity_bytes`]).
+    /// The construction-time configuration.
     pub fn config(&self) -> &StoreConfig {
         &self.config
     }
@@ -490,17 +425,9 @@ impl LocalStore {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// The live byte budget.
+    /// The global byte budget.
     pub fn capacity_bytes(&self) -> u64 {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    /// Rebalances the live byte budget (sharded anti-entropy). Shrinking
-    /// below current occupancy only takes effect at the caller's next
-    /// eviction sweep — the store never evicts inside this call.
-    pub fn set_capacity_bytes(&self, capacity_bytes: u64) {
-        self.capacity
-            .store(capacity_bytes.max(1), Ordering::Relaxed);
+        self.config.capacity_bytes
     }
 
     /// Number of cached frames across stripes.
@@ -535,21 +462,7 @@ impl LocalStore {
             spec_used: self.spec_used.load(Ordering::Relaxed),
             spec_hits: self.spec_hits.load(Ordering::Relaxed),
             spec_rejected: self.spec_rejected.load(Ordering::Relaxed),
-            forwards: 0,
-            replica_hits: 0,
-            replica_inserts: 0,
         }
-    }
-
-    /// Turns on [`RecentInsert`] buffering (sharded fabric only).
-    pub fn set_advertise(&self, on: bool) {
-        self.advertise.store(on, Ordering::Relaxed);
-    }
-
-    /// Drains the buffered recent inserts (newest last). Empty unless
-    /// advertising was enabled via [`LocalStore::set_advertise`].
-    pub fn drain_recent(&self) -> Vec<RecentInsert> {
-        std::mem::take(&mut *self.recent.lock())
     }
 
     /// FNV-1a over the stripe key, so `(game, leaf)` pairs spread
@@ -697,16 +610,14 @@ impl LocalStore {
     }
 
     /// The access stamp of this store's oldest entry (`None` when
-    /// empty). The sharded fabric compares stamps across partitions —
-    /// all drawn from one shared clock — to find the *globally* oldest
-    /// frame during anti-entropy eviction.
+    /// empty): the entry the next over-budget insert evicts.
     pub fn oldest_stamp(&self) -> Option<u64> {
         self.oldest().map(|(_, _, stamp)| stamp)
     }
 
     /// Evicts this store's single oldest entry, returning the bytes
-    /// freed (`None` when empty). Used by the sharded fabric's global
-    /// eviction sweep and by local budget enforcement.
+    /// freed (`None` when empty). Budget enforcement evicts through
+    /// this; it is public so a caller can drain the store in LRU order.
     pub fn evict_oldest(&self) -> Option<u64> {
         loop {
             let (si, key, _) = self.oldest()?;
@@ -763,18 +674,6 @@ impl LocalStore {
         }
         self.insertions.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(size_bytes, Ordering::Relaxed);
-        if self.advertise.load(Ordering::Relaxed) {
-            let mut recent = self.recent.lock();
-            if recent.len() < RECENT_CAP {
-                recent.push(RecentInsert {
-                    game,
-                    meta,
-                    bytes: size_bytes,
-                    stamp: ticket,
-                    value: tag.value,
-                });
-            }
-        }
         self.enforce_budget();
         true
     }
@@ -792,6 +691,11 @@ impl LocalStore {
 
 #[cfg(test)]
 impl LocalStore {
+    /// Sets the global clock, so the next operation's ticket is `stamp`.
+    fn set_clock(&self, stamp: u64) {
+        self.clock.store(stamp, Ordering::Relaxed);
+    }
+
     /// Leaf caches held, how many of them are empty, head-index keys,
     /// and the sum of the caches' own byte counts. Panics unless every
     /// cache has one head key: its true head stamp, or for a cache
@@ -1137,62 +1041,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_clock_orders_stamps_across_stores() {
-        // Two partitions on one clock: entries inserted later into the
-        // *other* partition must carry younger stamps, so the fabric's
-        // global eviction can compare them directly.
-        let clock = Arc::new(AtomicU64::new(0));
-        let a = LocalStore::new_with_clock(StoreConfig::default(), clock.clone());
-        let b = LocalStore::new_with_clock(StoreConfig::default(), clock);
-        a.insert(GameId::Fps, meta(1, 1, 1, 7), 100);
-        b.insert(GameId::Fps, meta(2, 2, 2, 7), 100);
-        a.insert(GameId::Fps, meta(3, 3, 3, 7), 100);
-        let oldest_a = a.oldest_stamp().unwrap();
-        let oldest_b = b.oldest_stamp().unwrap();
-        assert!(oldest_a < oldest_b, "a's first insert is globally oldest");
-        // Evicting the global minimum frees a's first frame.
-        assert_eq!(a.evict_oldest(), Some(100));
-        assert!(!a.lookup(GameId::Fps, &query(&meta(1, 1, 1, 7), 0.1)));
-        assert!(a.lookup(GameId::Fps, &query(&meta(3, 3, 3, 7), 0.1)));
-    }
-
-    #[test]
-    fn capacity_rebalance_takes_effect_on_next_insert() {
-        let store = LocalStore::new(StoreConfig {
-            capacity_bytes: 1000,
-            shards: 4,
-            ..StoreConfig::default()
-        });
-        store.insert(GameId::Fps, meta(1, 1, 1, 7), 400);
-        store.insert(GameId::Fps, meta(2, 2, 2, 7), 400);
-        assert_eq!(store.len(), 2);
-        // Shrink the live budget below occupancy: nothing evicts yet…
-        store.set_capacity_bytes(500);
-        assert_eq!(store.len(), 2);
-        // …but the next insert's budget sweep trims to the new cap.
-        store.insert(GameId::Fps, meta(3, 3, 3, 7), 400);
-        assert!(store.bytes() <= 500, "bytes {} over cap", store.bytes());
-    }
-
-    #[test]
-    fn recent_inserts_buffer_only_when_advertising() {
-        let store = LocalStore::new(StoreConfig::default());
-        store.insert(GameId::Fps, meta(1, 1, 1, 7), 100);
-        assert!(store.drain_recent().is_empty(), "off by default");
-        store.set_advertise(true);
-        store.insert(GameId::Fps, meta(2, 2, 2, 7), 150);
-        store.insert_speculative(GameId::Fps, meta(3, 3, 3, 7), 200, 1.0);
-        let recent = store.drain_recent();
-        assert_eq!(recent.len(), 2);
-        assert_eq!(recent[0].bytes, 150);
-        assert_eq!(recent[1].bytes, 200);
-        assert!(recent[0].stamp < recent[1].stamp);
-        assert!(store.drain_recent().is_empty(), "drain empties the buffer");
-    }
-
-    #[test]
     fn stats_ratios_are_finite_for_degenerate_counters() {
-        // Zero-traffic partition: all ratios are 0, not NaN.
+        // Zero-traffic store: all ratios are 0, not NaN.
         let zero = StoreStats::default();
         assert_eq!(zero.hit_ratio(), 0.0);
         assert_eq!(zero.spec_precision(), 0.0);
@@ -1204,7 +1054,6 @@ mod tests {
             spec_hits: u64::MAX,
             spec_rendered: u64::MAX,
             spec_used: u64::MAX,
-            replica_hits: u64::MAX,
             ..StoreStats::default()
         };
         for r in [max.hit_ratio(), max.spec_precision(), max.spec_recall()] {
@@ -1261,18 +1110,14 @@ mod tests {
     fn equal_stamps_in_one_stripe_evict_each_entry_once() {
         // With several workers a ticket is drawn before the stripe lock
         // is taken, so two caches can end up with the same head stamp.
-        // Forced here without threads by rewinding the shared clock
-        // between inserts into two leaves of one stripe; an index keyed
-        // by the stamp alone would file one cache over the other and
-        // never evict its frames.
-        let clock = Arc::new(AtomicU64::new(0));
-        let store = LocalStore::new_with_clock(
-            StoreConfig {
-                shards: 4,
-                ..StoreConfig::default()
-            },
-            clock.clone(),
-        );
+        // Forced here without threads by rewinding the clock between
+        // inserts into two leaves of one stripe; an index keyed by the
+        // stamp alone would file one cache over the other and never
+        // evict its frames.
+        let store = LocalStore::new(StoreConfig {
+            shards: 4,
+            ..StoreConfig::default()
+        });
         let game = GameId::Fps;
         let first = store.stripe_index(game, 0);
         let twin = (1..)
@@ -1281,7 +1126,7 @@ mod tests {
         let mut sizes = Vec::new();
         for round in 0..3u64 {
             for leaf in [0, twin] {
-                clock.store(10 + round, Ordering::Relaxed);
+                store.set_clock(10 + round);
                 let size = 100 + sizes.len() as u64;
                 assert!(store.insert(game, meta(round as i32 * 40, 0, leaf, 7), size));
                 sizes.push(size);

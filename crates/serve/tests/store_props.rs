@@ -10,7 +10,10 @@
 //! a cache, a list that misses a touch, or a budget that drifts shows up
 //! as a divergence, not as a slow leak. A second property reads the
 //! oldest entry only every few steps, so the caches that hits leave
-//! stale in the head index pile up between reads.
+//! stale in the head index pile up between reads. Two more properties
+//! cover the [`StoreStats`] algebra: NaN-safe bounded ratios, and
+//! order-independent merges (an isolated-store fleet folds one
+//! `StoreStats` per room).
 
 use coterie_core::{CacheQuery, FrameMeta};
 use coterie_serve::{render_cost_ms, Admission, LocalStore, StoreConfig, StoreStats};
@@ -24,8 +27,7 @@ struct Op {
     game: GameId,
     meta: FrameMeta,
     size: u64,
-    /// Match radius of a lookup, reuse score of a speculative insert,
-    /// and (scaled) the new budget of a capacity change.
+    /// Match radius of a lookup and reuse score of a speculative insert.
     knob: f64,
 }
 
@@ -208,7 +210,6 @@ enum Kind {
     Lookup,
     Insert,
     InsertSpeculative,
-    SetCapacity,
     EvictOldest,
 }
 
@@ -220,7 +221,6 @@ fn step(
     model: &mut Model,
     kind: Kind,
     op: &Op,
-    initial_capacity: u64,
     reach: f64,
 ) -> Result<(), TestCaseError> {
     let Op {
@@ -253,13 +253,6 @@ fn step(
                 model.insert(game, meta, size, Some(score)),
                 "insert_speculative"
             );
-        }
-        Kind::SetCapacity => {
-            // Often a shrink below occupancy; nothing is evicted until
-            // the next insert.
-            let budget = (initial_capacity as f64 * (0.3 + knob)) as u64;
-            store.set_capacity_bytes(budget);
-            model.capacity = budget;
         }
         Kind::EvictOldest => prop_assert_eq!(store.evict_oldest(), model.evict_oldest(), "evict"),
     }
@@ -319,10 +312,9 @@ proptest! {
                 0..=3 => Kind::Lookup,
                 4..=6 => Kind::Insert,
                 7..=9 => Kind::InsertSpeculative,
-                10 => Kind::SetCapacity,
                 _ => Kind::EvictOldest,
             };
-            step(&store, &mut model, kind, op, capacity, 1.0)
+            step(&store, &mut model, kind, op, 1.0)
                 .map_err(|e| TestCaseError::fail(format!("step {i} {op:?}: {e}")))?;
             prop_assert_eq!(store.oldest_stamp(), model.oldest_stamp(), "step {i} oldest after {op:?}");
         }
@@ -346,11 +338,10 @@ proptest! {
         for (i, op) in ops.iter().enumerate() {
             let kind = match op.kind {
                 0..=7 => Kind::Lookup,
-                8..=9 => Kind::Insert,
-                10 => Kind::InsertSpeculative,
-                _ => Kind::SetCapacity,
+                8 | 9 | 11 => Kind::Insert,
+                _ => Kind::InsertSpeculative,
             };
-            step(&store, &mut model, kind, op, capacity, 3.0)
+            step(&store, &mut model, kind, op, 3.0)
                 .map_err(|e| TestCaseError::fail(format!("step {i} {op:?}: {e}")))?;
             if i % every == every - 1 {
                 prop_assert_eq!(store.oldest_stamp(), model.oldest_stamp(), "step {i}");
@@ -358,5 +349,58 @@ proptest! {
             }
         }
         drain(&store, &mut model)?;
+    }
+}
+
+/// A counter value that is either small or close to `u64::MAX`, so
+/// merges exercise the saturating path.
+fn any_count() -> impl Strategy<Value = u64> {
+    (proptest::bool::ANY, 0u64..1000).prop_map(|(big, v)| if big { u64::MAX - v } else { v })
+}
+
+fn any_stats() -> impl Strategy<Value = StoreStats> {
+    proptest::collection::vec(any_count(), 10).prop_map(|c| StoreStats {
+        hits: c[0],
+        misses: c[1],
+        insertions: c[2],
+        duplicates: c[3],
+        replacements: c[4],
+        evictions: c[5],
+        spec_rendered: c[6],
+        spec_used: c[7],
+        spec_hits: c[8],
+        spec_rejected: c[9],
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `merged` is commutative and associative for arbitrary counter
+    /// values, including near-`u64::MAX` operands that saturate: a
+    /// fleet total cannot depend on the order its stores are folded.
+    #[test]
+    fn stats_merge_is_order_independent(
+        a in any_stats(),
+        b in any_stats(),
+        c in any_stats(),
+    ) {
+        prop_assert_eq!(a.merged(b), b.merged(a));
+        prop_assert_eq!(a.merged(b).merged(c), a.merged(b.merged(c)));
+        // Identity: the default (all-zero) stats are a neutral element.
+        prop_assert_eq!(a.merged(StoreStats::default()), a);
+    }
+
+    /// Every ratio helper stays finite and in `[0, 1]` for arbitrary
+    /// counters — zero traffic yields 0, never NaN, and huge counters
+    /// never overflow into infinity.
+    #[test]
+    fn ratio_helpers_are_nan_safe_and_bounded(a in any_stats(), b in any_stats()) {
+        for s in [a, b, a.merged(b), StoreStats::default()] {
+            for ratio in [s.hit_ratio(), s.spec_precision(), s.spec_recall()] {
+                prop_assert!(ratio.is_finite(), "{ratio} from {s:?}");
+                prop_assert!((0.0..=1.0).contains(&ratio), "{ratio} from {s:?}");
+            }
+        }
     }
 }

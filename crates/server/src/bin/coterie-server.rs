@@ -7,7 +7,6 @@
 //!                        [--frames N] [--rooms N] [--net SCENARIO] [--seed N]
 //!                        [--realtime] [--reconnect-at N]
 //! coterie-server smoke   [--clients N] [--frames N]
-//! coterie-server shard-smoke [--clients N] [--frames N]
 //! coterie-server reconnect-smoke [--clients N] [--frames N]
 //! ```
 //!
@@ -15,31 +14,26 @@
 //! running server and prints a summary line. `smoke` starts an
 //! in-process UDS server, runs a small load against it, stops the
 //! server, and prints a greppable `serve-smoke ok:` line — the CI
-//! health check. `shard-smoke` does the same with *two* servers wired
-//! into a shard fleet over UDS, proving frames rendered on one worker
-//! serve store hits on the other. `reconnect-smoke` starts a UDS
+//! health check. `reconnect-smoke` starts a UDS
 //! server and has every client drop its socket mid-session and resume
 //! by token, proving session continuity survives churn.
 
 use coterie_net::NetScenario;
 use coterie_serve::PlacementPolicy;
-use coterie_server::{
-    loadgen, Endpoint, Listener, LoadConfig, Server, ServerConfig, ShardCoordinator, ShardPlan,
-};
+use coterie_server::{loadgen, Endpoint, Listener, LoadConfig, Server, ServerConfig};
 use coterie_telemetry::TelemetrySink;
 use coterie_world::GameId;
 use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: coterie-server <serve|loadgen|smoke|shard-smoke|reconnect-smoke> [options]\n\
+        "usage: coterie-server <serve|loadgen|smoke|reconnect-smoke> [options]\n\
          serve   [--tcp HOST:PORT | --uds PATH] [--workers N] [--seed N]\n\
                  [--policy first-fit|affinity] [--resume-ttl-ms N]\n\
          loadgen [--tcp HOST:PORT | --uds PATH] [--clients N] [--frames N]\n\
                  [--rooms N] [--net SCENARIO] [--seed N] [--realtime]\n\
                  [--reconnect-at N]\n\
          smoke   [--clients N] [--frames N]\n\
-         shard-smoke [--clients N] [--frames N]\n\
          reconnect-smoke [--clients N] [--frames N]"
     );
     std::process::exit(2);
@@ -264,99 +258,6 @@ fn cmd_smoke(args: &Args) {
     }
 }
 
-/// Two UDS servers wired into a 2-shard fleet: load runs against shard
-/// 0, the coordinators replicate its rendered frames, and the same
-/// trajectories replayed against shard 1 must hit the store without
-/// rendering.
-fn cmd_shard_smoke(args: &Args) {
-    let tmp = std::env::temp_dir();
-    let pid = std::process::id();
-    let paths: Vec<PathBuf> = (0..2)
-        .map(|w| tmp.join(format!("coterie-shard-smoke-{pid}-{w}.sock")))
-        .collect();
-    let servers: Vec<Server> = paths
-        .iter()
-        .map(|path| {
-            let listener = Listener::bind_uds(path).unwrap_or_else(|e| {
-                eprintln!("bind {}: {e}", path.display());
-                std::process::exit(1);
-            });
-            Server::start(
-                listener,
-                ServerConfig {
-                    world_seed: args.seed,
-                    ..ServerConfig::default()
-                },
-                TelemetrySink::disabled(),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("start server: {e}");
-                std::process::exit(1);
-            })
-        })
-        .collect();
-    let coords: Vec<ShardCoordinator> = (0..2)
-        .map(|w| {
-            ShardCoordinator::start(
-                servers[w].service().clone(),
-                ShardPlan {
-                    shard: w as u16,
-                    shards: 2,
-                    peers: vec![Endpoint::Uds(paths[1 - w].clone())],
-                },
-            )
-        })
-        .collect();
-
-    let mut config = load_config(args);
-    config.endpoint = Endpoint::Uds(paths[0].clone());
-    let report_a = loadgen::run(&config);
-
-    // Wait for the exchange to land shard 0's renders on shard 1.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while servers[1].service().stats().shard_frames_applied == 0
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    let applied = servers[1].service().stats().shard_frames_applied;
-
-    let mut config_b = load_config(args);
-    config_b.endpoint = Endpoint::Uds(paths[1].clone());
-    let report_b = loadgen::run(&config_b);
-
-    let coord_stats: Vec<_> = coords.into_iter().map(ShardCoordinator::stop).collect();
-    let stats: Vec<_> = servers.into_iter().map(Server::stop).collect();
-    for path in &paths {
-        let _ = std::fs::remove_file(path);
-    }
-
-    let clean = |r: &loadgen::LoadReport| {
-        r.sessions_completed == r.sessions && r.protocol_errors == 0 && r.decode_failures == 0
-    };
-    let ok = clean(&report_a)
-        && clean(&report_b)
-        && applied > 0
-        && report_b.store_hits > report_a.store_hits
-        // Only the shard that rendered misses has shares to ship; a
-        // fully-absorbed peer legitimately sends nothing back.
-        && coord_stats[0].frames_out > 0
-        && stats.iter().all(|s| s.protocol_errors == 0);
-    if ok {
-        println!(
-            "shard-smoke ok: 2 shards, {} frames replicated, {} cross-shard hits \
-             (vs {} local), clean shutdown",
-            applied, report_b.store_hits, report_a.store_hits,
-        );
-    } else {
-        println!("shard-smoke FAILED");
-        println!("shard 0 load: {}", report_a.summary_line());
-        println!("shard 1 load: {}", report_b.summary_line());
-        println!("applied {applied}, coordinators {coord_stats:?}, servers {stats:?}");
-        std::process::exit(1);
-    }
-}
-
 /// One UDS server; every client drops its socket mid-session (no
 /// `Bye`) and resumes with the token from its `Welcome`. Passing means
 /// all sessions resumed, none were rejected, and quality state
@@ -416,7 +317,6 @@ fn main() {
         "serve" => cmd_serve(&args),
         "loadgen" => cmd_loadgen(&args),
         "smoke" => cmd_smoke(&args),
-        "shard-smoke" => cmd_shard_smoke(&args),
         "reconnect-smoke" => cmd_reconnect_smoke(&args),
         _ => usage(),
     }

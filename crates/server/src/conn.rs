@@ -43,7 +43,7 @@
 
 use crate::stream::Stream;
 use bytes::Bytes;
-use coterie_net::wire::{FrameAssembler, ShardEntry, WireMessage, FRAME_HEADER_BYTES, TOKEN_BYTES};
+use coterie_net::wire::{FrameAssembler, WireMessage, FRAME_HEADER_BYTES, TOKEN_BYTES};
 use coterie_world::GameId;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -66,12 +66,6 @@ pub enum ConnState {
         /// Player id within the room.
         player: u32,
     },
-    /// A peer worker's inter-shard exchange link (announced itself with
-    /// `ShardHello`): shard-family messages flow in, nothing flows out.
-    ShardPeer {
-        /// The peer's shard id.
-        shard: u16,
-    },
     /// Goodbye queued; close once the egress queue flushes.
     Draining,
     /// Finished — the event loop should deregister and drop it.
@@ -93,10 +87,7 @@ pub enum ReadOutcome {
 /// A pending message's size in memory, its cost against the inbox budget.
 fn pending_cost(msg: &WireMessage) -> usize {
     let heap = match msg {
-        WireMessage::Frame { payload, .. } | WireMessage::ShardFrame { payload, .. } => {
-            payload.len()
-        }
-        WireMessage::ShardAdvert { entries, .. } => entries.len() * size_of::<ShardEntry>(),
+        WireMessage::Frame { payload, .. } => payload.len(),
         _ => 0,
     };
     size_of::<WireMessage>() + heap

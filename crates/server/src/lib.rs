@@ -23,9 +23,6 @@
 //!   worlds, the [`coterie_serve`] shared frame store and prerender
 //!   farm, the real codec, and the drop-driven quality controller.
 //! - [`server`] — the event loop tying it all together.
-//! - [`shard`] — the inter-worker exchange plane: a coordinator thread
-//!   per worker process shipping freshly rendered frames to peers so a
-//!   multi-process fleet shares one logical store.
 //! - [`loadgen`] — a blocking-socket client fleet replaying
 //!   trajectory-driven sessions with FI-scenario pacing.
 //!
@@ -41,13 +38,11 @@ pub mod conn;
 pub mod loadgen;
 pub mod server;
 pub mod service;
-pub mod shard;
 pub mod stream;
 pub mod sys;
 
 pub use conn::{ConnState, Connection, ReadOutcome};
 pub use loadgen::{LoadConfig, LoadReport};
 pub use server::{Server, ServerConfig, ServerStats};
-pub use service::{FrameReply, ServiceCore, ServiceStats, ShardShare};
-pub use shard::{ShardCoordStats, ShardCoordinator, ShardPlan};
+pub use service::{FrameReply, ServiceCore, ServiceStats};
 pub use stream::{Endpoint, Listener, Stream};

@@ -25,19 +25,17 @@
 //! dead peer cannot wedge shutdown.
 
 use crate::conn::{ConnState, Connection, ReadOutcome};
-use crate::service::{quality_from_wire, quality_to_wire, FrameReply, ServiceCore};
+use crate::service::{quality_to_wire, FrameReply, ServiceCore};
 use crate::stream::Listener;
 use crate::sys::{Epoll, EpollEvent, EPOLLEXCLUSIVE, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use coterie_codec::EncodedFrame;
-use coterie_core::cache::FrameMeta;
 use coterie_net::wire::{
-    frame_header, ByeReason, ErrorCode, ResumeRejectReason, ShardEntry, WireMessage,
-    MIN_PROTO_VERSION, PROTO_VERSION, TOKEN_BYTES,
+    frame_header, ByeReason, ErrorCode, ResumeRejectReason, WireMessage, MIN_PROTO_VERSION,
+    PROTO_VERSION, TOKEN_BYTES,
 };
 use coterie_net::ResumeToken;
 use coterie_serve::PlacementPolicy;
 use coterie_telemetry::{TelemetrySink, TrackId, SERVE_PID};
-use coterie_world::{GameId, GridPoint, LeafId, Vec2};
+use coterie_world::{GameId, Vec2};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
@@ -119,7 +117,6 @@ struct Counters {
     degrades_sent: AtomicU64,
     peak_queue_bytes: AtomicU64,
     versions_rejected: AtomicU64,
-    shard_frames_in: AtomicU64,
     sessions_parked: AtomicU64,
     sessions_resumed: AtomicU64,
     resume_rejects: AtomicU64,
@@ -156,8 +153,6 @@ pub struct ServerStats {
     pub peak_queue_bytes: u64,
     /// Hellos turned away for an unsupported protocol version.
     pub versions_rejected: u64,
-    /// Peer-worker frames received on the inter-shard plane.
-    pub shard_frames_in: u64,
     /// Dropped sessions parked for resume (seat held).
     pub sessions_parked: u64,
     /// Parked sessions successfully re-attached by `Resume`.
@@ -218,9 +213,9 @@ impl Server {
         Server::start_with_service(listener, config, service)
     }
 
-    /// [`Server::start`] with an injected service core — the seam a
-    /// multi-worker deployment uses to hand every server its own
-    /// store backend and shard wiring before the event loop starts.
+    /// [`Server::start`] with an injected service core — the seam the
+    /// benchmark uses to serve from its timed store
+    /// ([`ServiceCore::with_store`]).
     pub fn start_with_service(
         listener: Listener,
         config: ServerConfig,
@@ -273,7 +268,6 @@ impl Server {
             degrades_sent: c.degrades_sent.load(Ordering::Relaxed),
             peak_queue_bytes: c.peak_queue_bytes.load(Ordering::Relaxed),
             versions_rejected: c.versions_rejected.load(Ordering::Relaxed),
-            shard_frames_in: c.shard_frames_in.load(Ordering::Relaxed),
             sessions_parked: c.sessions_parked.load(Ordering::Relaxed),
             sessions_resumed: c.sessions_resumed.load(Ordering::Relaxed),
             resume_rejects: c.resume_rejects.load(Ordering::Relaxed),
@@ -737,58 +731,6 @@ fn handle_message(
             note_delivery(shared, conn, game, room, waited || !delivered);
             return rendered;
         }
-        (ConnState::Handshake, WireMessage::ShardHello { proto, shard, .. }) => {
-            // A fellow worker's exchange link. Same version window as
-            // clients; a peer outside it gets the structured reject.
-            if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&proto) {
-                shared
-                    .counters
-                    .versions_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                conn.enqueue_control(&WireMessage::VersionReject {
-                    min: MIN_PROTO_VERSION,
-                    max: PROTO_VERSION,
-                });
-                begin_goodbye(shared, conn, ByeReason::Normal);
-                return false;
-            }
-            conn.set_state(ConnState::ShardPeer { shard });
-        }
-        (
-            ConnState::ShardPeer { .. },
-            WireMessage::ShardFrame {
-                entry,
-                quality,
-                scale_pm,
-                payload,
-                width,
-                height,
-                ..
-            },
-        ) => {
-            shared
-                .counters
-                .shard_frames_in
-                .fetch_add(1, Ordering::Relaxed);
-            apply_shard_frame(shared, entry, width, height, quality, scale_pm, payload);
-        }
-        (ConnState::ShardPeer { .. }, WireMessage::ShardAdvert { entries, .. }) => {
-            // Metadata-only adverts: admit the identities so nearby
-            // local poses at least skip the store miss bookkeeping.
-            for e in entries {
-                let _ = shared
-                    .service
-                    .store()
-                    .insert(e.game, shard_entry_meta(&e), e.bytes);
-            }
-        }
-        (ConnState::ShardPeer { .. }, WireMessage::ShardUsage { .. }) => {
-            // Socket-plane workers each own their budget; usage digests
-            // only matter to the in-process fabric.
-        }
-        (ConnState::ShardPeer { .. }, WireMessage::Bye) => {
-            begin_goodbye(shared, conn, ByeReason::Normal);
-        }
         (ConnState::Active { .. }, WireMessage::Bye) | (ConnState::Handshake, WireMessage::Bye) => {
             begin_goodbye(shared, conn, ByeReason::Normal);
         }
@@ -816,39 +758,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Rebuilds a peer entry's identity as a local store key.
-fn shard_entry_meta(e: &ShardEntry) -> FrameMeta {
-    FrameMeta {
-        grid: GridPoint::new(e.grid_ix, e.grid_iz),
-        pos: Vec2::new(e.pos_x, e.pos_z),
-        leaf: LeafId(e.leaf),
-        near_hash: e.near_hash,
-    }
-}
-
-/// Admits a peer worker's fully shipped frame (identity + payload) into
-/// the local service.
-fn apply_shard_frame(
-    shared: &Shared,
-    entry: ShardEntry,
-    width: u32,
-    height: u32,
-    quality: u8,
-    scale_pm: u16,
-    payload: Vec<u8>,
-) {
-    let encoded = Arc::new(EncodedFrame {
-        width,
-        height,
-        quality: quality_from_wire(quality),
-        payload: payload.into(),
-    });
-    let _ =
-        shared
-            .service
-            .apply_shard_frame(entry.game, shard_entry_meta(&entry), encoded, scale_pm);
 }
 
 /// Tells the client its room's scale if that is news to it.

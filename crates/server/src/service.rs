@@ -2,12 +2,13 @@
 //! encoded `Frame`, shared by all worker threads.
 //!
 //! [`ServiceCore`] hosts the `coterie-serve` fleet machinery behind the
-//! wire protocol: the cross-room frame store (any [`FrameStore`]
-//! backend — a private [`LocalStore`] by default, or one shard of a
-//! fleet-wide store wired up by a shard coordinator) answers the
-//! paper's three-criteria similarity lookup (session-id-free, so any
-//! room's frames serve any room of the same game), the
-//! [`PrerenderFarm`] turns misses into speculative neighbour renders,
+//! wire protocol: the cross-room frame store (a private [`LocalStore`]
+//! by default, or any [`FrameStore`] passed to
+//! [`ServiceCore::with_store`], such as the benchmark's timed store)
+//! answers the paper's three-criteria similarity lookup
+//! (session-id-free, so any room's frames serve any room of the same
+//! game), the [`PrerenderFarm`] turns misses into speculative neighbour
+//! renders,
 //! and a per-room quality controller converts egress-queue waits into
 //! degrade notices — the paper's "ship smaller frames until the link
 //! recovers" loop, driven by *measured* socket backpressure instead of
@@ -57,12 +58,6 @@ pub const BASE_WIDTH: u32 = 128;
 /// LRU; this FIFO cap only bounds the payload map when store churn
 /// outpaces it.
 const PAYLOAD_CACHE_ENTRIES: usize = 4096;
-
-/// Bound on the inter-shard share outbox. A worker with no coordinator
-/// attached never queues; with one attached, a stalled peer link sheds
-/// the oldest shares first (they are the most likely to have been
-/// rendered by the peer itself by now).
-const SHARD_OUTBOX_ENTRIES: usize = 1024;
 
 /// Per-game world state, built lazily on first join.
 struct World {
@@ -114,10 +109,6 @@ pub struct ServiceStats {
     pub store_misses: u64,
     /// Degrade / recover notices generated.
     pub scale_changes: u64,
-    /// Freshly rendered frames queued for inter-shard sharing.
-    pub shard_frames_shared: u64,
-    /// Peer-rendered frames applied into the local store.
-    pub shard_frames_applied: u64,
 }
 
 /// [`ServiceStats`] as the workers count it: statistics only, so relaxed.
@@ -127,27 +118,10 @@ struct ServiceCounters {
     store_hits: AtomicU64,
     store_misses: AtomicU64,
     scale_changes: AtomicU64,
-    shard_frames_shared: AtomicU64,
-    shard_frames_applied: AtomicU64,
 }
 
 fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
-}
-
-/// One freshly rendered frame queued for the shard coordinator to ship
-/// to peer workers: everything a peer needs to admit the frame into its
-/// own store and payload cache without re-rendering.
-#[derive(Clone)]
-pub struct ShardShare {
-    /// Game the frame belongs to.
-    pub game: GameId,
-    /// Frame identity (grid point, position, leaf, near set).
-    pub meta: FrameMeta,
-    /// The encoded payload, shared with the local payload cache.
-    pub encoded: Arc<EncodedFrame>,
-    /// Scale the frame was rendered at, per-mille.
-    pub scale_pm: u16,
 }
 
 /// Shared serving state; one per server, `Arc`-shared across workers.
@@ -159,17 +133,9 @@ pub struct ServiceCore {
     farm: Mutex<PrerenderFarm>,
     rooms: Mutex<HashMap<(GameId, u32), RoomState>>,
     stats: ServiceCounters,
-    shard_outbox: Mutex<ShardOutbox>,
     encoder: Encoder,
     telemetry: TelemetrySink,
     world_seed: u64,
-}
-
-/// Inter-shard share queue; disabled (and empty) until a coordinator
-/// calls [`ServiceCore::enable_shard_sharing`].
-struct ShardOutbox {
-    enabled: bool,
-    queue: VecDeque<ShardShare>,
 }
 
 struct PayloadCache {
@@ -193,9 +159,9 @@ impl ServiceCore {
         )
     }
 
-    /// A core serving from the given [`FrameStore`] backend — the
-    /// construction-time seam that makes backends swappable (a private
-    /// [`LocalStore`], one shard of a fleet store, a test double).
+    /// A core serving from the given [`FrameStore`] — the seam the
+    /// benchmark's timed store plugs into to time every store call from
+    /// outside (a test double fits the same way).
     pub fn with_store(
         store: Arc<dyn FrameStore>,
         world_seed: u64,
@@ -211,10 +177,6 @@ impl ServiceCore {
             farm: Mutex::new(PrerenderFarm::new()),
             rooms: Mutex::new(HashMap::new()),
             stats: ServiceCounters::default(),
-            shard_outbox: Mutex::new(ShardOutbox {
-                enabled: false,
-                queue: VecDeque::new(),
-            }),
             encoder: Encoder::new(Quality::CRF25),
             telemetry,
             world_seed,
@@ -226,45 +188,6 @@ impl ServiceCore {
         self.store.as_ref()
     }
 
-    /// Starts queueing freshly rendered frames for a shard coordinator
-    /// to ship to peer workers.
-    pub fn enable_shard_sharing(&self) {
-        self.shard_outbox.lock().enabled = true;
-    }
-
-    /// Drains the queued shard shares (coordinator-side; empty unless
-    /// [`ServiceCore::enable_shard_sharing`] was called).
-    pub fn drain_shard_shares(&self) -> Vec<ShardShare> {
-        self.shard_outbox.lock().queue.drain(..).collect()
-    }
-
-    /// Admits a peer worker's rendered frame: identity into the store,
-    /// payload into the cache, so the next local pose near it is a hit
-    /// without a render. Returns whether the store admitted it.
-    pub fn apply_shard_frame(
-        &self,
-        game: GameId,
-        meta: FrameMeta,
-        encoded: Arc<EncodedFrame>,
-        scale_pm: u16,
-    ) -> bool {
-        let admitted = self.store.insert(game, meta, encoded.size_bytes() as u64);
-        if admitted {
-            let key = (game, meta.grid.key(), scale_pm);
-            let mut p = self.payloads.lock();
-            if p.map.insert(key, encoded).is_none() {
-                p.order.push_back(key);
-                while p.order.len() > PAYLOAD_CACHE_ENTRIES {
-                    if let Some(old) = p.order.pop_front() {
-                        p.map.remove(&old);
-                    }
-                }
-            }
-            bump(&self.stats.shard_frames_applied);
-        }
-        admitted
-    }
-
     /// Aggregate counters so far.
     pub fn stats(&self) -> ServiceStats {
         let c = &self.stats;
@@ -273,8 +196,6 @@ impl ServiceCore {
             store_hits: c.store_hits.load(Ordering::Relaxed),
             store_misses: c.store_misses.load(Ordering::Relaxed),
             scale_changes: c.scale_changes.load(Ordering::Relaxed),
-            shard_frames_shared: c.shard_frames_shared.load(Ordering::Relaxed),
-            shard_frames_applied: c.shard_frames_applied.load(Ordering::Relaxed),
         }
     }
 
@@ -506,21 +427,6 @@ impl ServiceCore {
                 self.farm
                     .lock()
                     .enqueue_neighbors(0, game, meta, bytes, world.dist_thresh);
-                {
-                    let mut outbox = self.shard_outbox.lock();
-                    if outbox.enabled {
-                        if outbox.queue.len() >= SHARD_OUTBOX_ENTRIES {
-                            outbox.queue.pop_front();
-                        }
-                        outbox.queue.push_back(ShardShare {
-                            game,
-                            meta,
-                            encoded: encoded.clone(),
-                            scale_pm,
-                        });
-                        bump(&self.stats.shard_frames_shared);
-                    }
-                }
                 encoded
             }
         };
@@ -743,39 +649,6 @@ mod tests {
         let decoder = Encoder::new(reply.encoded.quality);
         let decoded = decoder.decode(&reply.encoded).expect("decode");
         assert_eq!(decoded.width(), reply.encoded.width);
-    }
-
-    #[test]
-    fn shard_shares_round_trip_between_cores() {
-        let a = core();
-        a.enable_shard_sharing();
-        a.join(GameId::Fps, 0);
-        let pos = Vec2::new(10.0, 12.0);
-        let first = a.frame_for(GameId::Fps, 0, pos, 0);
-        assert!(!first.store_hit);
-        let shares = a.drain_shard_shares();
-        assert_eq!(shares.len(), 1);
-        assert_eq!(a.stats().shard_frames_shared, 1);
-        assert!(a.drain_shard_shares().is_empty(), "drain empties the box");
-
-        let b = core();
-        for s in &shares {
-            assert!(b.apply_shard_frame(s.game, s.meta, s.encoded.clone(), s.scale_pm));
-        }
-        assert_eq!(b.stats().shard_frames_applied, 1);
-        b.join(GameId::Fps, 0);
-        let reply = b.frame_for(GameId::Fps, 0, pos, 0);
-        assert!(reply.store_hit, "peer frame must serve as a local hit");
-        assert_eq!(reply.encoded.payload, first.encoded.payload);
-    }
-
-    #[test]
-    fn sharing_is_off_by_default() {
-        let c = core();
-        c.join(GameId::Fps, 0);
-        c.frame_for(GameId::Fps, 0, Vec2::new(1.0, 1.0), 0);
-        assert!(c.drain_shard_shares().is_empty());
-        assert_eq!(c.stats().shard_frames_shared, 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! reader, and a graceful drain on shutdown.
 
 use coterie_net::wire::{
-    ByeReason, ResumeRejectReason, WireMessage, MIN_PROTO_VERSION, PROTO_VERSION,
+    ByeReason, ErrorCode, ResumeRejectReason, WireMessage, MIN_PROTO_VERSION, PROTO_VERSION,
 };
 use coterie_net::NetScenario;
 use coterie_server::{loadgen, Endpoint, Listener, LoadConfig, Server, ServerConfig};
@@ -674,4 +674,128 @@ fn v1_client_is_still_served() {
     let _ = std::fs::remove_file(&path);
     assert_eq!(stats.protocol_errors, 0);
     assert_eq!(stats.versions_rejected, 0);
+}
+
+/// Waits until the store's `(len, bytes)` hold still across two reads
+/// 100 ms apart — the pre-render farm drains a miss's speculative
+/// neighbours between poll iterations — and returns them.
+fn settled_store(server: &Server) -> (usize, u64) {
+    let store = server.service().store();
+    let mut last = (store.len(), store.bytes());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = (store.len(), store.bytes());
+        if now == last || Instant::now() > deadline {
+            return now;
+        }
+        last = now;
+    }
+}
+
+/// A socket peer that speaks the retired inter-shard bytes — a shard
+/// hello (tag 0x40), then a shard frame (0x43) carrying 64 junk bytes
+/// under the exact identity of a frame a player was served — is a
+/// malformed client like any other: it gets `Error(Malformed)` and a
+/// goodbye, and neither the store nor the player's frame at that point
+/// changes.
+#[test]
+fn shard_family_bytes_cannot_touch_a_served_frame() {
+    let (server, path) = start_uds("hostile", ServerConfig::default());
+    let (mut player, mut player_asm) = join(&path);
+    let (x, z) = (5.0, 5.0);
+    let pose_at = |seq: u64| {
+        WireMessage::Pose {
+            seq,
+            t_ms: seq as f64 * 16.7,
+            x,
+            z,
+            yaw: 0.0,
+        }
+        .encode_frame()
+    };
+    player.write_all(&pose_at(0)).expect("pose");
+    let original = match read_msg(&mut player, &mut player_asm, Duration::from_secs(5)) {
+        Some(WireMessage::Frame {
+            store_hit: false,
+            scale_pm: 1000,
+            payload,
+            ..
+        }) => payload,
+        other => panic!("expected a rendered full-scale frame, got {other:?}"),
+    };
+    let before = settled_store(&server);
+    let errors_before = server.stats().protocol_errors;
+
+    // The frame's store identity, as the server derives it from the pose.
+    let (_, scene) = server.service().world_handles(GameId::VikingVillage);
+    let grid = scene.grid().snap(coterie_world::Vec2::new(x, z));
+    let gpos = scene.grid().position(grid);
+    let near_hash = scene.near_set_hash(gpos, scene.grid().spacing() * 2.0);
+    let leaf = ((grid.ix >> 3) as u32 & 0xFFFF) << 16 | ((grid.iz >> 3) as u32 & 0xFFFF);
+
+    let mut hello = vec![0x40u8];
+    hello.extend_from_slice(&PROTO_VERSION.to_le_bytes());
+    hello.extend_from_slice(&0u16.to_le_bytes()); // shard
+    hello.extend_from_slice(&2u16.to_le_bytes()); // shards
+    hello.extend_from_slice(&0u64.to_le_bytes()); // epoch
+    let mut frame = vec![0x43u8];
+    frame.extend_from_slice(&0u16.to_le_bytes()); // shard
+    frame.push(coterie_net::wire::game_to_wire(GameId::VikingVillage));
+    frame.extend_from_slice(&grid.ix.to_le_bytes());
+    frame.extend_from_slice(&grid.iz.to_le_bytes());
+    frame.extend_from_slice(&gpos.x.to_bits().to_le_bytes());
+    frame.extend_from_slice(&gpos.z.to_bits().to_le_bytes());
+    frame.extend_from_slice(&leaf.to_le_bytes());
+    frame.extend_from_slice(&near_hash.to_le_bytes());
+    frame.extend_from_slice(&64u64.to_le_bytes()); // bytes
+    frame.extend_from_slice(&u64::MAX.to_le_bytes()); // stamp
+    frame.extend_from_slice(&0f64.to_bits().to_le_bytes()); // value
+    frame.extend_from_slice(&16u32.to_le_bytes()); // width
+    frame.extend_from_slice(&16u32.to_le_bytes()); // height
+    frame.push(1); // quality
+    frame.extend_from_slice(&1000u16.to_le_bytes()); // scale_pm
+    frame.extend_from_slice(&[0xAB; 64]); // payload
+    let mut bytes = Vec::new();
+    for body in [hello, frame] {
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&body);
+    }
+
+    let mut hostile = UnixStream::connect(&path).expect("connect");
+    hostile
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    hostile.write_all(&bytes).expect("shard bytes");
+    let mut asm = coterie_net::FrameAssembler::new();
+    assert_eq!(
+        read_msg(&mut hostile, &mut asm, Duration::from_secs(5)),
+        Some(WireMessage::Error {
+            code: ErrorCode::Malformed
+        })
+    );
+    assert_eq!(
+        read_msg(&mut hostile, &mut asm, Duration::from_secs(5)),
+        Some(WireMessage::Goodbye {
+            reason: ByeReason::Normal
+        })
+    );
+    assert!(server.stats().protocol_errors > errors_before);
+    assert_eq!(settled_store(&server), before, "the store moved");
+
+    player.write_all(&pose_at(1)).expect("pose");
+    match read_msg(&mut player, &mut player_asm, Duration::from_secs(5)) {
+        Some(WireMessage::Frame {
+            store_hit, payload, ..
+        }) => {
+            assert!(store_hit, "the point's frame is still stored");
+            assert_eq!(payload, original, "the served frame changed");
+        }
+        other => panic!("expected a frame, got {other:?}"),
+    }
+    let store = server.service().store();
+    assert_eq!((store.len(), store.bytes()), before);
+    drop((player, hostile));
+    server.stop();
+    let _ = std::fs::remove_file(&path);
 }

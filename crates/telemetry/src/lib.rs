@@ -84,6 +84,6 @@ pub use summary::{
 };
 pub use trace::{
     chrome_trace_json, chrome_trace_json_full, parse_json, player_lane_valid, player_tid,
-    room_lane_valid, room_pid, room_tid, room_tid_valid, shard_pid, validate_chrome_trace,
-    JsonValue, TraceCheck, FARM_TID, FLEET_PID, KERNEL_PID, SERVE_PID, SERVICE_TID, SHARD_PID_BASE,
+    room_lane_valid, room_pid, room_tid, room_tid_valid, validate_chrome_trace, JsonValue,
+    TraceCheck, FARM_TID, FLEET_PID, KERNEL_PID, SERVE_PID, SERVICE_TID,
 };

@@ -192,20 +192,12 @@ impl Recorder {
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySink {
     inner: Option<Arc<Recorder>>,
-    /// Per-handle clock skew added to every recorded timestamp
-    /// ([`TelemetrySink::with_record_offset`]). Models a worker process
-    /// whose local clock runs ahead of the fleet epoch; 0 (the default)
-    /// leaves every timestamp untouched, bit for bit.
-    offset_ms: f64,
 }
 
 impl TelemetrySink {
     /// The no-op sink. All record methods are a single branch.
     pub fn disabled() -> Self {
-        TelemetrySink {
-            inner: None,
-            offset_ms: 0.0,
-        }
+        TelemetrySink { inner: None }
     }
 
     /// A recording sink driven by an internal [`ManualClock`] (advance
@@ -218,7 +210,6 @@ impl TelemetrySink {
                 manual.clone(),
                 Some(manual),
             ))),
-            offset_ms: 0.0,
         }
     }
 
@@ -226,57 +217,6 @@ impl TelemetrySink {
     pub fn recording_with_clock(config: TelemetryConfig, clock: Arc<dyn TickClock>) -> Self {
         TelemetrySink {
             inner: Some(Arc::new(Recorder::new(config, clock, None))),
-            offset_ms: 0.0,
-        }
-    }
-
-    /// A handle whose *recorded* timestamps are shifted by `offset_ms`
-    /// (the clock skew of a simulated worker process). Only the record
-    /// methods ([`TelemetrySink::span`] / [`TelemetrySink::frame`] /
-    /// [`TelemetrySink::counter`]) apply the skew — `now_ms` and
-    /// `set_time_ms` stay in caller time, so instrumented code that
-    /// derives explicit timestamps from `now_ms` is skewed exactly
-    /// once. Clones keep the handle's offset; a zero offset leaves
-    /// every timestamp bit-identical to an unskewed sink.
-    pub fn with_record_offset(mut self, offset_ms: f64) -> Self {
-        self.offset_ms = offset_ms;
-        self
-    }
-
-    /// The handle's record-time clock skew, ms.
-    pub fn record_offset_ms(&self) -> f64 {
-        self.offset_ms
-    }
-
-    /// Replays every retained span, frame record and counter sample of
-    /// `other` into this sink with timestamps rebased by `-offset_ms`:
-    /// the merge half of cross-process trace assembly. Each worker
-    /// records on its own (skewed) clock; the coordinator absorbs every
-    /// worker with that worker's known skew, and the merged trace sits
-    /// on one shared epoch. Frame records re-aggregate, so the merged
-    /// summary spans the whole fleet. No-op when either sink is
-    /// disabled; absorbing a sink into itself is a caller error (the
-    /// replay would double its events).
-    pub fn absorb_rebased(&self, other: &TelemetrySink, offset_ms: f64) {
-        if self.inner.is_none() || other.inner.is_none() {
-            return;
-        }
-        for s in other.spans_snapshot() {
-            self.span(
-                s.track,
-                s.stage,
-                s.name,
-                s.start_ms - offset_ms,
-                s.dur_ms,
-                s.frame,
-            );
-        }
-        for mut f in other.frames_snapshot() {
-            f.start_ms -= offset_ms;
-            self.frame(f);
-        }
-        for c in other.counters_snapshot() {
-            self.counter(c.track, c.name, c.t_ms - offset_ms, c.value);
         }
     }
 
@@ -328,14 +268,6 @@ impl TelemetrySink {
         frame: u64,
     ) {
         if let Some(r) = &self.inner {
-            // Branch rather than always adding: `x + 0.0` flips a
-            // negative zero, and the zero-skew path must stay
-            // bit-identical to a skew-less sink.
-            let start_ms = if self.offset_ms != 0.0 {
-                start_ms + self.offset_ms
-            } else {
-                start_ms
-            };
             r.record_span(SpanEvent {
                 track,
                 stage,
@@ -349,11 +281,8 @@ impl TelemetrySink {
 
     /// Records one displayed frame's attribution.
     #[inline]
-    pub fn frame(&self, mut rec: FrameRecord) {
+    pub fn frame(&self, rec: FrameRecord) {
         if let Some(r) = &self.inner {
-            if self.offset_ms != 0.0 {
-                rec.start_ms += self.offset_ms;
-            }
             r.record_frame(rec);
         }
     }
@@ -362,11 +291,6 @@ impl TelemetrySink {
     #[inline]
     pub fn counter(&self, track: TrackId, name: &'static str, t_ms: f64, value: f64) {
         if let Some(r) = &self.inner {
-            let t_ms = if self.offset_ms != 0.0 {
-                t_ms + self.offset_ms
-            } else {
-                t_ms
-            };
             r.counters.lock().push(CounterEvent {
                 track,
                 name,
@@ -584,69 +508,6 @@ mod tests {
         assert_eq!(sink.now_ms(), 0.0);
         sink.set_time_ms(500.0);
         assert_eq!(sink.now_ms(), 500.0);
-    }
-
-    #[test]
-    fn record_offset_skews_only_recorded_timestamps() {
-        let skewed = TelemetrySink::recording(TelemetryConfig::default()).with_record_offset(2.5);
-        assert_eq!(skewed.record_offset_ms(), 2.5);
-        skewed.set_time_ms(100.0);
-        assert_eq!(skewed.now_ms(), 100.0, "clock stays in caller time");
-        skewed.span(
-            TrackId { pid: 0, tid: 0 },
-            Stage::Render,
-            "band",
-            10.0,
-            1.0,
-            0,
-        );
-        skewed.frame(rec(0, 1.0));
-        skewed.counter(TrackId { pid: 0, tid: 0 }, "depth", 10.0, 3.0);
-        assert_eq!(skewed.spans_snapshot()[0].start_ms, 12.5);
-        assert_eq!(skewed.frames_snapshot()[0].start_ms, 2.5);
-        assert_eq!(skewed.counters_snapshot()[0].t_ms, 12.5);
-        // Clones inherit the skew.
-        let clone = skewed.clone();
-        assert_eq!(clone.record_offset_ms(), 2.5);
-    }
-
-    #[test]
-    fn absorb_rebased_merges_workers_onto_one_epoch() {
-        // Worker records with +2.5 ms skew; the coordinator absorbs it
-        // with that known skew and the merged events sit at true time.
-        let primary = TelemetrySink::recording(TelemetryConfig::default());
-        let worker = TelemetrySink::recording(TelemetryConfig::default()).with_record_offset(2.5);
-        primary.span(
-            TrackId { pid: 1, tid: 0 },
-            Stage::Render,
-            "local",
-            5.0,
-            1.0,
-            0,
-        );
-        primary.frame(rec(0, 1.0));
-        worker.span(
-            TrackId { pid: 2, tid: 0 },
-            Stage::Render,
-            "remote",
-            5.0,
-            1.0,
-            0,
-        );
-        worker.frame(rec(1, 1.0));
-        worker.counter(TrackId { pid: 2, tid: 0 }, "depth", 7.0, 1.0);
-        primary.absorb_rebased(&worker, worker.record_offset_ms());
-        let spans = primary.spans_snapshot();
-        assert_eq!(spans.len(), 2);
-        // Both spans started at true t=5.0 despite the worker's skew.
-        assert!(spans.iter().all(|s| s.start_ms == 5.0));
-        let s = primary.summary().unwrap();
-        assert_eq!(s.frames, 2, "absorbed frames re-aggregate");
-        assert_eq!(primary.counters_snapshot()[0].t_ms, 7.0 + 2.5 - 2.5);
-        // Disabled sinks are no-ops in either position.
-        TelemetrySink::disabled().absorb_rebased(&primary, 0.0);
-        primary.absorb_rebased(&TelemetrySink::disabled(), 0.0);
-        assert_eq!(primary.summary().unwrap().frames, 2);
     }
 
     #[test]

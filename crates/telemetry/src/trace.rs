@@ -29,12 +29,6 @@ pub const KERNEL_PID: u32 = 10_000;
 /// accept/read/service/write spans and its gauges), wall-clock time.
 pub const SERVE_PID: u32 = 20_000;
 
-/// Base of the shard-worker process lanes: worker `w` of a sharded
-/// fleet puts its worker-scope spans (room ticks, exchange work, store
-/// gauges) on pid `SHARD_PID_BASE + w`. A merged multi-worker trace
-/// then shows one `shard-w` lane per process next to the room lanes.
-pub const SHARD_PID_BASE: u32 = 30_000;
-
 /// Thread lane reserved for room-level service spans (store lookups,
 /// prefetch admission) inside a room's process lane, above any player
 /// track. Player tids must stay below this — [`player_tid`] checks.
@@ -96,17 +90,11 @@ pub fn room_tid(room: u32) -> u32 {
     room
 }
 
-/// The trace lane of shard worker `w`'s worker-scope spans.
-pub fn shard_pid(worker: u32) -> u32 {
-    SHARD_PID_BASE + worker
-}
-
 fn pid_name(pid: u32) -> String {
     match pid {
         FLEET_PID => "fleet".to_string(),
         KERNEL_PID => "kernels".to_string(),
         SERVE_PID => "serve".to_string(),
-        p if p >= SHARD_PID_BASE => format!("shard-{}", p - SHARD_PID_BASE),
         p => format!("room-{}", p - 1),
     }
 }

@@ -17,7 +17,6 @@ report table4 table4
 report table5 table5
 report table6 table6
 report fleet fleet --rooms 4 --players 2
-report fleet-shards4 fleet --rooms 4 --players 2 --shards 4
 report fleet-churn-steady fleet --rooms 4 --players 2 --churn steady
 report fleet-predictor-vpm fleet --rooms 4 --players 2 --predictor vpm
 report fleet-burst-loss fleet --rooms 2 --players 2 --net burst-loss
