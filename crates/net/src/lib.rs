@@ -36,7 +36,7 @@ pub mod wire;
 
 pub use channel::{DatagramChannel, Delivery, PacketLost};
 pub use fault::{FiChannel, NetScenario};
-pub use token::ResumeToken;
+pub use token::{ResumeToken, TokenKey};
 pub use wire::{FrameAssembler, WireError, WireMessage};
 
 use serde::{Deserialize, Serialize};

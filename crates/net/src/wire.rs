@@ -16,8 +16,11 @@
 //!
 //! The session state machine is deliberately small:
 //!
-//! 1. client → [`WireMessage::Hello`] (protocol version, game, room);
-//! 2. server → [`WireMessage::Welcome`] (assigned player id, budget);
+//! 1. client → [`WireMessage::Hello`] (protocol version, game, room),
+//!    or [`WireMessage::Resume`] with the token of a dropped session;
+//! 2. server → [`WireMessage::Welcome`] (room, player id, budget and a
+//!    reconnect token), or a [`WireMessage::VersionReject`] /
+//!    [`WireMessage::ResumeReject`];
 //! 3. client → [`WireMessage::Pose`] per display interval, server →
 //!    [`WireMessage::Frame`] with the encoded far-BE payload, with
 //!    [`WireMessage::Degrade`] notices interleaved when the room's
@@ -32,23 +35,13 @@
 
 use coterie_world::GameId;
 
-/// Protocol revision carried in [`WireMessage::Hello`].
-///
-/// v1: the session family (tags `0x01`–`0x08`). v2 adds the
-/// structured [`WireMessage::VersionReject`] reply; every v1 message
-/// encodes byte-identically under v2, so v1 clients keep decoding
-/// session traffic cleanly. v3 adds session resumption:
-/// [`WireMessage::Welcome`] may carry an opaque signed reconnect
-/// token as a fixed-length tail (only ever sent to v3 clients, so
-/// v1/v2 Welcome bytes are unchanged), and the session-control range
-/// gains [`WireMessage::Resume`] / [`WireMessage::ResumeReject`].
-/// Tags `0x40`–`0x4f` are unassigned and decode as
+/// The one protocol revision, carried in [`WireMessage::Hello`] and
+/// [`WireMessage::Resume`]. A server answers any other value with
+/// [`WireMessage::VersionReject`] naming this revision as both ends of
+/// its window. Tags `0x01`–`0x08` are the session family, `0x10`–`0x12`
+/// the session-control messages; anything else decodes as
 /// [`WireError::UnknownType`].
 pub const PROTO_VERSION: u16 = 3;
-
-/// Oldest protocol revision the server still accepts in a
-/// [`WireMessage::Hello`].
-pub const MIN_PROTO_VERSION: u16 = 1;
 
 /// Hard cap on one frame's body, bytes. Far-BE payloads at our render
 /// resolutions are tens of KB; 4 MiB leaves room for any realistic
@@ -72,19 +65,16 @@ mod tag {
     pub const BYE: u8 = 0x06;
     pub const GOODBYE: u8 = 0x07;
     pub const ERROR: u8 = 0x08;
-    // v2 additions. 0x10–0x3f: session-control extensions.
+    // 0x10–0x3f: session control.
     pub const VERSION_REJECT: u8 = 0x10;
-    // v3 additions (session resumption).
     pub const RESUME: u8 = 0x11;
     pub const RESUME_REJECT: u8 = 0x12;
 }
 
 /// Exact size of a reconnect token on the wire, bytes: the session
 /// identity (`game:u8 room:u32 player:u32 issued_ms:u64`) plus a
-/// 64-bit MAC. Tokens are opaque to clients — they echo the bytes
-/// back verbatim in [`WireMessage::Resume`] — but the decoder still
-/// enforces the length so a truncated token is caught at the framing
-/// layer instead of the session layer.
+/// 64-bit MAC. Tokens are opaque to clients: they echo the bytes back
+/// verbatim in [`WireMessage::Resume`].
 pub const TOKEN_BYTES: usize = 25;
 
 /// Why a peer was told to go away ([`WireMessage::Goodbye`]).
@@ -94,8 +84,6 @@ pub enum ByeReason {
     Normal = 0,
     /// The server is shutting down and draining connections.
     Shutdown = 1,
-    /// The room rejected the join (admission control).
-    AdmissionRefused = 2,
 }
 
 impl ByeReason {
@@ -103,7 +91,6 @@ impl ByeReason {
         match b {
             0 => Ok(ByeReason::Normal),
             1 => Ok(ByeReason::Shutdown),
-            2 => Ok(ByeReason::AdmissionRefused),
             _ => Err(WireError::BadValue("bye reason")),
         }
     }
@@ -112,8 +99,6 @@ impl ByeReason {
 /// Protocol-level error codes ([`WireMessage::Error`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
-    /// The peer spoke a protocol revision we do not.
-    BadVersion = 0,
     /// A message arrived that the session state does not allow (e.g. a
     /// pose before the hello).
     BadState = 1,
@@ -124,7 +109,6 @@ pub enum ErrorCode {
 impl ErrorCode {
     fn from_wire(b: u8) -> Result<Self, WireError> {
         match b {
-            0 => Ok(ErrorCode::BadVersion),
             1 => Ok(ErrorCode::BadState),
             2 => Ok(ErrorCode::Malformed),
             _ => Err(WireError::BadValue("error code")),
@@ -178,11 +162,9 @@ pub enum WireMessage {
         player: u32,
         /// The vsync budget the room is serving against, ms.
         budget_ms: f64,
-        /// Opaque signed reconnect token (v3). Encoded as a
-        /// fixed-length tail only when present, so a `None` Welcome is
-        /// byte-identical to the v1/v2 encoding and pre-v3 clients
-        /// never see (or need to skip) the field.
-        token: Option<[u8; TOKEN_BYTES]>,
+        /// Opaque signed reconnect token, for a later
+        /// [`WireMessage::Resume`].
+        token: [u8; TOKEN_BYTES],
     },
     /// Client pose update; the server answers with a [`WireMessage::Frame`].
     Pose {
@@ -233,8 +215,8 @@ pub enum WireMessage {
         code: ErrorCode,
     },
     /// Structured version-negotiation failure: the server's reply to a
-    /// hello whose `proto` falls outside `[min, max]`, telling the
-    /// client exactly which revisions it *does* speak instead of a
+    /// `Hello` or `Resume` whose `proto` falls outside `[min, max]`,
+    /// telling the client which revisions it *does* speak instead of a
     /// bare [`WireMessage::Error`] drop.
     VersionReject {
         /// Oldest revision the server accepts.
@@ -242,19 +224,19 @@ pub enum WireMessage {
         /// Newest revision the server accepts.
         max: u16,
     },
-    /// Client asks to resume a dropped session (v3): instead of a
+    /// Client asks to resume a dropped session: instead of a
     /// fresh [`WireMessage::Hello`], it presents the token from its
     /// last Welcome. Within the TTL the server re-attaches the parked
     /// session (same room, player id, and quality level) and answers
     /// with a [`WireMessage::Welcome`]; otherwise it answers with a
     /// [`WireMessage::ResumeReject`].
     Resume {
-        /// Protocol revision ([`PROTO_VERSION`]; resumption needs ≥ 3).
+        /// Protocol revision ([`PROTO_VERSION`]).
         proto: u16,
         /// The token bytes from the original Welcome, verbatim.
         token: [u8; TOKEN_BYTES],
     },
-    /// Structured resume failure (v3): the token was expired, unknown,
+    /// Structured resume failure: the token was expired, unknown,
     /// or forged. The client should fall back to a fresh hello.
     ResumeReject {
         /// Why.
@@ -394,9 +376,7 @@ impl WireMessage {
                 put_u32(out, *room);
                 put_u32(out, *player);
                 put_f64(out, *budget_ms);
-                if let Some(token) = token {
-                    out.extend_from_slice(token);
-                }
+                out.extend_from_slice(token);
             }
             WireMessage::Pose {
                 seq,
@@ -512,27 +492,12 @@ impl WireMessage {
                     seed,
                 }
             }
-            tag::WELCOME => {
-                let room = r.u32()?;
-                let player = r.u32()?;
-                let budget_ms = r.finite_f64("budget_ms")?;
-                // v3 token tail: absent (v1/v2 Welcome) or exactly
-                // TOKEN_BYTES. Anything else is a framing error —
-                // short means a chopped token, long means junk.
-                let tail = r.rest();
-                let token = match tail.len() {
-                    0 => None,
-                    TOKEN_BYTES => Some(tail.try_into().unwrap()),
-                    n if n < TOKEN_BYTES => return Err(WireError::Truncated),
-                    _ => return Err(WireError::TrailingBytes),
-                };
-                return Ok(WireMessage::Welcome {
-                    room,
-                    player,
-                    budget_ms,
-                    token,
-                });
-            }
+            tag::WELCOME => WireMessage::Welcome {
+                room: r.u32()?,
+                player: r.u32()?,
+                budget_ms: r.finite_f64("budget_ms")?,
+                token: r.token()?,
+            },
             tag::POSE => WireMessage::Pose {
                 seq: r.u64()?,
                 t_ms: r.finite_f64("t_ms")?,
@@ -600,11 +565,10 @@ impl WireMessage {
                 }
                 WireMessage::VersionReject { min, max }
             }
-            tag::RESUME => {
-                let proto = r.u16()?;
-                let token = r.take(TOKEN_BYTES)?.try_into().unwrap();
-                WireMessage::Resume { proto, token }
-            }
+            tag::RESUME => WireMessage::Resume {
+                proto: r.u16()?,
+                token: r.token()?,
+            },
             tag::RESUME_REJECT => WireMessage::ResumeReject {
                 reason: ResumeRejectReason::from_wire(r.u8()?)?,
             },
@@ -648,6 +612,10 @@ impl<'a> Reader<'a> {
 
     fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    fn token(&mut self) -> Result<[u8; TOKEN_BYTES], WireError> {
+        Ok(self.take(TOKEN_BYTES)?.try_into().unwrap())
     }
 
     /// An f64 that must be finite on the wire (poses and budgets are
@@ -748,13 +716,7 @@ mod tests {
                 room: 3,
                 player: 1,
                 budget_ms: 16.7,
-                token: None,
-            },
-            WireMessage::Welcome {
-                room: 3,
-                player: 1,
-                budget_ms: 16.7,
-                token: Some(sample_token()),
+                token: sample_token(),
             },
             WireMessage::Resume {
                 proto: PROTO_VERSION,
@@ -788,7 +750,7 @@ mod tests {
                 code: ErrorCode::BadState,
             },
             WireMessage::VersionReject {
-                min: MIN_PROTO_VERSION,
+                min: PROTO_VERSION,
                 max: PROTO_VERSION,
             },
         ]
@@ -877,38 +839,21 @@ mod tests {
     }
 
     #[test]
-    fn tokenless_welcome_matches_v2_byte_layout() {
-        // A v3 server answering a v1/v2 client must put exactly the
-        // pre-v3 bytes on the wire: tag, room, player, budget — no tail.
-        let msg = WireMessage::Welcome {
-            room: 7,
-            player: 2,
-            budget_ms: 16.7,
-            token: None,
-        };
-        let mut body = Vec::new();
-        msg.encode_body(&mut body);
-        let mut expected = vec![tag::WELCOME];
-        expected.extend_from_slice(&7u32.to_le_bytes());
-        expected.extend_from_slice(&2u32.to_le_bytes());
-        expected.extend_from_slice(&16.7f64.to_bits().to_le_bytes());
-        assert_eq!(body, expected);
-        assert_eq!(WireMessage::decode_body(&body).unwrap(), msg);
-    }
-
-    #[test]
     fn welcome_with_bad_token_length_is_rejected() {
         let msg = WireMessage::Welcome {
             room: 1,
             player: 0,
             budget_ms: 16.7,
-            token: Some(sample_token()),
+            token: sample_token(),
         };
         let mut body = Vec::new();
         msg.encode_body(&mut body);
-        // Chopped token: shorter than TOKEN_BYTES but non-empty.
-        let short = &body[..body.len() - 1];
-        assert_eq!(WireMessage::decode_body(short), Err(WireError::Truncated));
+        // Chopped token, down to none at all (the retired tokenless
+        // layout): every short tail is truncated.
+        for cut in 1..=TOKEN_BYTES {
+            let short = &body[..body.len() - cut];
+            assert_eq!(WireMessage::decode_body(short), Err(WireError::Truncated));
+        }
         // Token with junk appended.
         let mut long = body.clone();
         long.push(0xFF);

@@ -19,7 +19,7 @@ use coterie_net::wire::{
     frame_header, game_from_wire, ByeReason, ErrorCode, ResumeRejectReason, HEADER_BYTES,
     MAX_BODY_BYTES, PROTO_VERSION, TOKEN_BYTES,
 };
-use coterie_net::{FrameAssembler, ResumeToken, WireError, WireMessage};
+use coterie_net::{FrameAssembler, ResumeToken, TokenKey, WireError, WireMessage};
 use coterie_world::GameId;
 use proptest::prelude::*;
 
@@ -31,7 +31,7 @@ fn finite_f64() -> impl Strategy<Value = f64> {
     (-1.0e6f64..1.0e6).prop_map(|v| v)
 }
 
-/// The v2 addition: the structured version reject.
+/// The structured version reject.
 fn any_version_reject() -> impl Strategy<Value = WireMessage> {
     (0u16..100, 0u16..100).prop_map(|(a, b)| WireMessage::VersionReject {
         min: a.min(b),
@@ -39,7 +39,7 @@ fn any_version_reject() -> impl Strategy<Value = WireMessage> {
     })
 }
 
-/// The v1 session family a game client speaks.
+/// The session family a game client speaks.
 fn any_session_message() -> impl Strategy<Value = WireMessage> {
     let hello =
         (any_game(), 0u32..64, 0u64..u64::MAX).prop_map(|(game, room, seed)| WireMessage::Hello {
@@ -48,14 +48,14 @@ fn any_session_message() -> impl Strategy<Value = WireMessage> {
             room,
             seed,
         });
-    let welcome = (0u32..64, 0u32..256, finite_f64()).prop_map(|(room, player, budget_ms)| {
-        WireMessage::Welcome {
+    let welcome = (0u32..64, 0u32..256, finite_f64(), any_token_bytes()).prop_map(
+        |(room, player, budget_ms, token)| WireMessage::Welcome {
             room,
             player,
             budget_ms,
-            token: None,
-        }
-    });
+            token,
+        },
+    );
     let pose = (
         0u64..u64::MAX,
         finite_f64(),
@@ -100,7 +100,7 @@ fn any_session_message() -> impl Strategy<Value = WireMessage> {
             reason: ByeReason::Shutdown,
         },
         3 => WireMessage::Error {
-            code: ErrorCode::BadVersion,
+            code: ErrorCode::Malformed,
         },
         _ => WireMessage::Error {
             code: ErrorCode::BadState,
@@ -123,16 +123,8 @@ fn any_token_bytes() -> impl Strategy<Value = [u8; TOKEN_BYTES]> {
         .prop_map(|v| <[u8; TOKEN_BYTES]>::try_from(v.as_slice()).unwrap())
 }
 
-/// The v3 resumption family: tokened Welcomes, Resume, ResumeReject.
+/// The resumption family: Resume and ResumeReject.
 fn any_resume_message() -> impl Strategy<Value = WireMessage> {
-    let welcome = (0u32..64, 0u32..256, finite_f64(), any_token_bytes()).prop_map(
-        |(room, player, budget_ms, token)| WireMessage::Welcome {
-            room,
-            player,
-            budget_ms,
-            token: Some(token),
-        },
-    );
     let resume = any_token_bytes().prop_map(|token| WireMessage::Resume {
         proto: PROTO_VERSION,
         token,
@@ -144,16 +136,12 @@ fn any_resume_message() -> impl Strategy<Value = WireMessage> {
             _ => ResumeRejectReason::Malformed,
         },
     });
-    (0u8..3, welcome, resume, reject).prop_map(|(pick, w, r, j)| match pick {
-        0 => w,
-        1 => r,
-        _ => j,
-    })
+    (proptest::bool::ANY, resume, reject).prop_map(|(pick, r, j)| if pick { r } else { j })
 }
 
-/// Any protocol message: one in four is a v2 version reject and one in
-/// four from the v3 resumption family, so every property also covers
-/// the 0x10–0x12 tag range.
+/// Any protocol message: one in four is a version reject and one in
+/// four from the resumption family, so every property also covers the
+/// 0x10–0x12 tag range.
 fn any_message() -> impl Strategy<Value = WireMessage> {
     (
         0u8..4,
@@ -255,54 +243,20 @@ proptest! {
             Err(_) => {} // clean protocol error: connection would drop
         }
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// The v2/v3 additions live strictly outside the v1 tag space:
-    /// every session message a v1 client can receive keeps its v1 type
-    /// byte, the v2 addition sits at `VERSION_REJECT` (0x10), and the
-    /// v3 resumption messages stay inside the reserved session-control
-    /// range (0x10–0x3f) — except the tokened Welcome, which reuses the v1
-    /// Welcome tag but is only ever sent to clients that negotiated
-    /// v3. This is the wire-level guarantee that old clients decode a
-    /// newer server's session traffic unchanged.
-    #[test]
-    fn new_tags_stay_out_of_the_v1_range(
-        session in any_session_message(),
-        reject in any_version_reject(),
-        resume in any_resume_message(),
-    ) {
-        let session_tag = session.encode_frame()[HEADER_BYTES];
-        prop_assert!(session_tag < 0x10, "session tag 0x{session_tag:02x}");
-        prop_assert_eq!(reject.encode_frame()[HEADER_BYTES], 0x10);
-        let resume_tag = resume.encode_frame()[HEADER_BYTES];
-        let tokened_welcome = matches!(resume, WireMessage::Welcome { .. });
-        prop_assert!(
-            if tokened_welcome {
-                resume_tag < 0x10
-            } else {
-                (0x11..0x40).contains(&resume_tag)
-            },
-            "v3 tag 0x{resume_tag:02x} outside the session-control range"
-        );
-    }
 
     /// Resume tokens round-trip through sign → wire → verify for any
-    /// identity and secret, and never verify under a different secret.
+    /// identity, and never verify under another key.
     #[test]
     fn resume_tokens_round_trip_and_authenticate(
         game in any_game(),
         room in 0u32..1 << 20,
         player in 0u32..1 << 16,
         issued_ms in 0u64..1 << 48,
-        secret in 0u64..u64::MAX,
-        other_secret in 0u64..u64::MAX,
     ) {
+        let key = TokenKey::random();
         let token = ResumeToken { game, room, player, issued_ms };
-        let bytes = token.sign(secret);
-        prop_assert_eq!(ResumeToken::verify(&bytes, secret), Some(token));
+        let bytes = token.sign(&key);
+        prop_assert_eq!(ResumeToken::verify(&bytes, &key), Some(token));
 
         // Ride the signed bytes through the wire layer verbatim.
         let msg = WireMessage::Resume { proto: PROTO_VERSION, token: bytes };
@@ -313,11 +267,8 @@ proptest! {
                 "resume decoded to another variant".to_string(),
             ));
         };
-        prop_assert_eq!(ResumeToken::verify(&echoed, secret), Some(token));
-
-        if other_secret != secret {
-            prop_assert_eq!(ResumeToken::verify(&bytes, other_secret), None);
-        }
+        prop_assert_eq!(ResumeToken::verify(&echoed, &key), Some(token));
+        prop_assert_eq!(ResumeToken::verify(&bytes, &TokenKey::random()), None);
     }
 }
 
@@ -567,6 +518,27 @@ fn malformed_corpus_maps_to_expected_errors() {
                 frame_of(&b)
             },
             WireError::Truncated,
+        ),
+        (
+            "welcome in the retired tokenless layout",
+            {
+                let mut b = vec![0x02u8];
+                b.extend_from_slice(&0u32.to_le_bytes()); // room
+                b.extend_from_slice(&0u32.to_le_bytes()); // player
+                b.extend_from_slice(&16.7f64.to_bits().to_le_bytes());
+                frame_of(&b)
+            },
+            WireError::Truncated,
+        ),
+        (
+            "goodbye with the retired admission-refused reason",
+            frame_of(&[0x07, 2]),
+            WireError::BadValue("bye reason"),
+        ),
+        (
+            "error with the retired bad-version code",
+            frame_of(&[0x08, 0]),
+            WireError::BadValue("error code"),
         ),
         (
             "resume reject with unknown reason",

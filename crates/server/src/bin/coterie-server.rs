@@ -2,24 +2,22 @@
 //!
 //! ```text
 //! coterie-server serve   [--tcp HOST:PORT | --uds PATH] [--workers N] [--seed N]
-//!                        [--policy first-fit|affinity] [--resume-ttl-ms N]
+//!                        [--resume-ttl-ms N]
 //! coterie-server loadgen [--tcp HOST:PORT | --uds PATH] [--clients N]
 //!                        [--frames N] [--rooms N] [--net SCENARIO] [--seed N]
 //!                        [--realtime] [--reconnect-at N]
-//! coterie-server smoke   [--clients N] [--frames N]
-//! coterie-server reconnect-smoke [--clients N] [--frames N]
+//! coterie-server smoke   [--clients N] [--frames N] [--reconnect-at N]
 //! ```
 //!
 //! `serve` runs until the process is killed. `loadgen` connects to a
 //! running server and prints a summary line. `smoke` starts an
 //! in-process UDS server, runs a small load against it, stops the
 //! server, and prints a greppable `serve-smoke ok:` line — the CI
-//! health check. `reconnect-smoke` starts a UDS
-//! server and has every client drop its socket mid-session and resume
-//! by token, proving session continuity survives churn.
+//! health check. With `--reconnect-at N` every client drops its socket
+//! at pose N and resumes by token, and the line is `reconnect-smoke
+//! ok:` once every session resumed with its quality state.
 
 use coterie_net::NetScenario;
-use coterie_serve::PlacementPolicy;
 use coterie_server::{loadgen, Endpoint, Listener, LoadConfig, Server, ServerConfig};
 use coterie_telemetry::TelemetrySink;
 use coterie_world::GameId;
@@ -27,14 +25,13 @@ use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: coterie-server <serve|loadgen|smoke|reconnect-smoke> [options]\n\
+        "usage: coterie-server <serve|loadgen|smoke> [options]\n\
          serve   [--tcp HOST:PORT | --uds PATH] [--workers N] [--seed N]\n\
-                 [--policy first-fit|affinity] [--resume-ttl-ms N]\n\
+                 [--resume-ttl-ms N]\n\
          loadgen [--tcp HOST:PORT | --uds PATH] [--clients N] [--frames N]\n\
                  [--rooms N] [--net SCENARIO] [--seed N] [--realtime]\n\
                  [--reconnect-at N]\n\
-         smoke   [--clients N] [--frames N]\n\
-         reconnect-smoke [--clients N] [--frames N]"
+         smoke   [--clients N] [--frames N] [--reconnect-at N]"
     );
     std::process::exit(2);
 }
@@ -49,7 +46,6 @@ struct Args {
     net: NetScenario,
     seed: u64,
     realtime: bool,
-    policy: PlacementPolicy,
     resume_ttl_ms: u64,
     reconnect_at: Option<u64>,
 }
@@ -66,7 +62,6 @@ impl Default for Args {
             net: NetScenario::None,
             seed: 42,
             realtime: false,
-            policy: PlacementPolicy::FirstFit,
             resume_ttl_ms: ServerConfig::default().resume_ttl_ms,
             reconnect_at: None,
         }
@@ -102,17 +97,6 @@ fn parse_args(raw: &[String]) -> Args {
                 });
             }
             "--realtime" => args.realtime = true,
-            "--policy" => {
-                let v = value("--policy", iter.next());
-                args.policy = PlacementPolicy::parse(&v).unwrap_or_else(|| {
-                    let names: Vec<&str> = PlacementPolicy::ALL
-                        .iter()
-                        .map(PlacementPolicy::name)
-                        .collect();
-                    eprintln!("invalid --policy value '{v}' (one of: {})", names.join(" "));
-                    std::process::exit(2);
-                });
-            }
             "--resume-ttl-ms" => {
                 args.resume_ttl_ms =
                     parse_num("--resume-ttl-ms", &value("--resume-ttl-ms", iter.next())) as u64;
@@ -165,7 +149,6 @@ fn cmd_serve(args: &Args) {
         ServerConfig {
             workers: args.workers,
             world_seed: args.seed,
-            policy: args.policy,
             resume_ttl_ms: args.resume_ttl_ms,
             ..ServerConfig::default()
         },
@@ -213,57 +196,13 @@ fn cmd_loadgen(args: &Args) {
     }
 }
 
-fn cmd_smoke(args: &Args) {
-    let path = std::env::temp_dir().join(format!("coterie-smoke-{}.sock", std::process::id()));
-    let listener = Listener::bind_uds(&path).unwrap_or_else(|e| {
-        eprintln!("bind {}: {e}", path.display());
-        std::process::exit(1);
-    });
-    let server = Server::start(
-        listener,
-        ServerConfig {
-            world_seed: args.seed,
-            ..ServerConfig::default()
-        },
-        TelemetrySink::disabled(),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("start server: {e}");
-        std::process::exit(1);
-    });
-    let mut config = load_config(args);
-    config.endpoint = Endpoint::Uds(path.clone());
-    let report = loadgen::run(&config);
-    let stats = server.stop();
-    let _ = std::fs::remove_file(&path);
-
-    let ok = report.sessions_completed == report.sessions
-        && report.protocol_errors == 0
-        && report.decode_failures == 0
-        && stats.protocol_errors == 0
-        && report.frames_received == report.poses_sent;
-    if ok {
-        println!(
-            "serve-smoke ok: {} sessions, {} frames over uds, {} store hits, \
-             p99 {:.2} ms, clean shutdown",
-            report.sessions,
-            report.frames_received,
-            report.store_hits,
-            report.latency.quantile(0.99),
-        );
-    } else {
-        println!("serve-smoke FAILED: {}", report.summary_line());
-        println!("server stats: {stats:?}");
-        std::process::exit(1);
-    }
-}
-
-/// One UDS server; every client drops its socket mid-session (no
-/// `Bye`) and resumes with the token from its `Welcome`. Passing means
+/// One in-process UDS server under a small load. With `--reconnect-at`
+/// every client also drops its socket mid-session (no `Bye`) and
+/// resumes with the token from its `Welcome`, and passing also means
 /// all sessions resumed, none were rejected, and quality state
 /// survived the drop.
-fn cmd_reconnect_smoke(args: &Args) {
-    let path = std::env::temp_dir().join(format!("coterie-reconnect-{}.sock", std::process::id()));
+fn cmd_smoke(args: &Args) {
+    let path = std::env::temp_dir().join(format!("coterie-smoke-{}.sock", std::process::id()));
     let listener = Listener::bind_uds(&path).unwrap_or_else(|e| {
         eprintln!("bind {}: {e}", path.display());
         std::process::exit(1);
@@ -283,27 +222,41 @@ fn cmd_reconnect_smoke(args: &Args) {
     });
     let mut config = load_config(args);
     config.endpoint = Endpoint::Uds(path.clone());
-    config.reconnect_at = Some(args.reconnect_at.unwrap_or(args.frames / 2).max(1));
     let report = loadgen::run(&config);
     let stats = server.stop();
     let _ = std::fs::remove_file(&path);
 
-    let ok = report.sessions_completed == report.sessions
-        && report.sessions_resumed == report.sessions as u64
+    let sessions = report.sessions as u64;
+    let served = report.sessions_completed == report.sessions
+        && report.protocol_errors == 0
+        && report.decode_failures == 0
+        && stats.protocol_errors == 0
+        && report.frames_received == report.poses_sent;
+    let resumed = report.sessions_resumed == sessions
         && report.resume_rejects == 0
         && report.resume_scale_mismatches == 0
-        && report.protocol_errors == 0
-        && stats.sessions_resumed == report.sessions as u64;
-    if ok {
+        && stats.sessions_resumed == sessions;
+    let resuming = args.reconnect_at.is_some();
+    if !served || (resuming && !resumed) {
+        println!("smoke FAILED: {}", report.summary_line());
+        println!("server stats: {stats:?}");
+        std::process::exit(1);
+    }
+    if resuming {
         println!(
             "reconnect-smoke ok: {} sessions dropped and resumed mid-run, \
              {} frames, 0 rejects, quality state preserved",
             report.sessions, report.frames_received,
         );
     } else {
-        println!("reconnect-smoke FAILED: {}", report.summary_line());
-        println!("server stats: {stats:?}");
-        std::process::exit(1);
+        println!(
+            "serve-smoke ok: {} sessions, {} frames over uds, {} store hits, \
+             p99 {:.2} ms, clean shutdown",
+            report.sessions,
+            report.frames_received,
+            report.store_hits,
+            report.latency.quantile(0.99),
+        );
     }
 }
 
@@ -317,7 +270,6 @@ fn main() {
         "serve" => cmd_serve(&args),
         "loadgen" => cmd_loadgen(&args),
         "smoke" => cmd_smoke(&args),
-        "reconnect-smoke" => cmd_reconnect_smoke(&args),
         _ => usage(),
     }
 }

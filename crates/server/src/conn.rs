@@ -55,7 +55,7 @@ const WRITEV_SEGMENTS: usize = 64;
 /// Where a connection is in the session protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnState {
-    /// Waiting for the client's `Hello`.
+    /// Waiting for the client's `Hello` or `Resume`.
     Handshake,
     /// Joined a room; poses flow in, frames flow out.
     Active {
@@ -65,6 +65,9 @@ pub enum ConnState {
         room: u32,
         /// Player id within the room.
         player: u32,
+        /// The reconnect token sent in the `Welcome`: the key the
+        /// session parks under if the socket dies.
+        token: [u8; TOKEN_BYTES],
     },
     /// Goodbye queued; close once the egress queue flushes.
     Draining,
@@ -137,15 +140,6 @@ pub struct Connection<S = Stream> {
     /// Scale the client was last told about (per-mille); a change
     /// queues a `Degrade` notice on the next interaction.
     pub last_notified_scale_pm: u16,
-    /// Protocol version the client announced in `Hello`/`Resume`
-    /// (0 until the handshake lands). Gates v3-only behaviour: only
-    /// proto >= 3 connections are issued reconnect tokens or parked on
-    /// disconnect.
-    pub proto: u16,
-    /// The reconnect token issued in this connection's `Welcome`
-    /// (v3 clients only); the key its session parks under if the
-    /// socket dies.
-    pub token: Option<[u8; TOKEN_BYTES]>,
     /// Poses discarded from a full inbox, frames refused by a full queue.
     pub frames_dropped: u64,
     /// Frames successfully queued.
@@ -174,8 +168,6 @@ impl<S: Read + Write> Connection<S> {
             waited: 0,
             epollout_armed: false,
             last_notified_scale_pm: 1000,
-            proto: 0,
-            token: None,
             frames_dropped: 0,
             frames_queued: 0,
             poses_received: 0,

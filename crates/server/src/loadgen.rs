@@ -308,40 +308,38 @@ fn run_client(config: &LoadConfig, client: usize, spec: &GameSpec, scene: &Scene
         // Churn: drop the socket mid-run (no `Bye`) and come back with
         // the token — the reconnect path a flaky home link exercises.
         if config.reconnect_at == Some(i) {
-            if let Some(token) = resume_token {
-                drop(stream);
-                // Give the server a poll tick to see the hangup and
-                // park the session before the Resume arrives.
-                std::thread::sleep(Duration::from_millis(60));
-                let Ok(s) = config.endpoint.connect() else {
-                    report.protocol_errors += 1;
-                    return report;
-                };
-                stream = s;
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                asm = FrameAssembler::new();
-                let resume = WireMessage::Resume {
-                    proto: PROTO_VERSION,
-                    token,
-                };
-                if stream.write_all(&resume.encode_frame()).is_err() {
-                    report.protocol_errors += 1;
+            drop(stream);
+            // Give the server a poll tick to see the hangup and
+            // park the session before the Resume arrives.
+            std::thread::sleep(Duration::from_millis(60));
+            let Ok(s) = config.endpoint.connect() else {
+                report.protocol_errors += 1;
+                return report;
+            };
+            stream = s;
+            let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+            asm = FrameAssembler::new();
+            let resume = WireMessage::Resume {
+                proto: PROTO_VERSION,
+                token: resume_token,
+            };
+            if stream.write_all(&resume.encode_frame()).is_err() {
+                report.protocol_errors += 1;
+                return report;
+            }
+            match read_message(&mut stream, &mut asm, &mut report) {
+                Some(WireMessage::Welcome { token, .. }) => {
+                    report.sessions_resumed += 1;
+                    resume_token = token;
+                    check_scale_after_resume = true;
+                }
+                Some(WireMessage::ResumeReject { .. }) => {
+                    report.resume_rejects += 1;
                     return report;
                 }
-                match read_message(&mut stream, &mut asm, &mut report) {
-                    Some(WireMessage::Welcome { token, .. }) => {
-                        report.sessions_resumed += 1;
-                        resume_token = token;
-                        check_scale_after_resume = true;
-                    }
-                    Some(WireMessage::ResumeReject { .. }) => {
-                        report.resume_rejects += 1;
-                        return report;
-                    }
-                    _ => {
-                        report.protocol_errors += 1;
-                        return report;
-                    }
+                _ => {
+                    report.protocol_errors += 1;
+                    return report;
                 }
             }
         }

@@ -29,11 +29,9 @@ use crate::service::{quality_to_wire, FrameReply, ServiceCore};
 use crate::stream::Listener;
 use crate::sys::{Epoll, EpollEvent, EPOLLEXCLUSIVE, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use coterie_net::wire::{
-    frame_header, ByeReason, ErrorCode, ResumeRejectReason, WireMessage, MIN_PROTO_VERSION,
-    PROTO_VERSION, TOKEN_BYTES,
+    frame_header, ByeReason, ErrorCode, ResumeRejectReason, WireMessage, PROTO_VERSION, TOKEN_BYTES,
 };
-use coterie_net::ResumeToken;
-use coterie_serve::PlacementPolicy;
+use coterie_net::{ResumeToken, TokenKey};
 use coterie_telemetry::{TelemetrySink, TrackId, SERVE_PID};
 use coterie_world::{GameId, Vec2};
 use parking_lot::Mutex;
@@ -56,9 +54,6 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 /// Interval between counter/gauge samples.
 const COUNTER_INTERVAL: Duration = Duration::from_millis(50);
 
-/// First protocol version that carries reconnect tokens / `Resume`.
-const RESUME_PROTO_MIN: u16 = 3;
-
 /// Grace the parked-session GC waits past the resume TTL before
 /// releasing a seat. A `Resume` landing inside the grace window earns
 /// the structured `Expired` reject; without it an expired token would
@@ -79,13 +74,7 @@ pub struct ServerConfig {
     /// Seed the per-game worlds are built from (must match the load
     /// generator's seed for trajectory-consistent traffic).
     pub world_seed: u64,
-    /// How a `Hello`'s requested room is honored.
-    /// [`PlacementPolicy::FirstFit`] (the default) joins the requested
-    /// room exactly — today's behaviour, byte for byte.
-    /// [`PlacementPolicy::Affinity`] packs the client into the fullest
-    /// same-game room under [`crate::service::AFFINITY_ROOM_CAP`].
-    pub policy: PlacementPolicy,
-    /// How long a dropped v3 connection's session stays parked (seat
+    /// How long a dropped connection's session stays parked (seat
     /// held, scale preserved) awaiting a `Resume`, ms.
     pub resume_ttl_ms: u64,
 }
@@ -97,7 +86,6 @@ impl Default for ServerConfig {
             egress_limit_bytes: 256 * 1024,
             store_bytes: 64 << 20,
             world_seed: 42,
-            policy: PlacementPolicy::FirstFit,
             resume_ttl_ms: 30_000,
         }
     }
@@ -151,7 +139,7 @@ pub struct ServerStats {
     pub degrades_sent: u64,
     /// Largest egress queue ever observed on one connection, bytes.
     pub peak_queue_bytes: u64,
-    /// Hellos turned away for an unsupported protocol version.
+    /// `Hello`s and `Resume`s turned away for another protocol version.
     pub versions_rejected: u64,
     /// Dropped sessions parked for resume (seat held).
     pub sessions_parked: u64,
@@ -182,9 +170,8 @@ struct Shared {
     config: ServerConfig,
     shutdown: AtomicBool,
     counters: Counters,
-    /// Token-signing secret, derived from the world seed so every
-    /// worker of a deployment mints mutually verifiable tokens.
-    secret: u64,
+    /// Token-signing key, drawn at start and shared by the workers.
+    token_key: TokenKey,
     /// Server-epoch anchor for token issue timestamps.
     epoch: Instant,
     /// Sessions awaiting `Resume`, keyed by their token bytes.
@@ -226,10 +213,7 @@ impl Server {
             listener,
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
-            // splitmix64 of the seed: workers sharing a seed mint
-            // mutually verifiable tokens without sharing the seed
-            // itself on the wire.
-            secret: splitmix64(config.world_seed ^ 0x00C0_7E5E_C2E7_u64),
+            token_key: TokenKey::random(),
             epoch: Instant::now(),
             parked: Mutex::new(HashMap::new()),
             config: config.clone(),
@@ -470,7 +454,7 @@ fn close_conn(shared: &Shared, epoll: &Epoll, conns: &mut HashMap<u64, Connectio
         if conn.state() != ConnState::Closed {
             // Force-close of a still-active connection (drain
             // deadline): a dying socket, so parking applies.
-            park_or_leave(shared, &mut conn);
+            park(shared, &conn);
             conn.set_state(ConnState::Closed);
         }
         shared.counters.note_peak(conn.peak_queue_bytes as u64);
@@ -479,40 +463,36 @@ fn close_conn(shared: &Shared, epoll: &Epoll, conns: &mut HashMap<u64, Connectio
     }
 }
 
-/// Detaches an `Active` connection from its room. A v3 client that was
-/// issued a token parks its session (seat held, scale preserved) for
-/// the resume window; anything older leaves outright. No-op for
-/// non-active states.
-fn park_or_leave(shared: &Shared, conn: &mut Connection) {
-    let ConnState::Active { game, room, player } = conn.state() else {
+/// Parks the session of an `Active` connection whose socket died (seat
+/// held, scale preserved) under its token for the resume window. No-op
+/// for non-active states.
+fn park(shared: &Shared, conn: &Connection) {
+    let ConnState::Active {
+        game,
+        room,
+        player,
+        token,
+    } = conn.state()
+    else {
         return;
     };
-    match conn.token.take() {
-        Some(token) if conn.proto >= RESUME_PROTO_MIN => {
-            shared.parked.lock().insert(
-                token,
-                ParkedSession {
-                    game,
-                    room,
-                    player,
-                    scale_pm: conn.last_notified_scale_pm,
-                    parked_at: Instant::now(),
-                },
-            );
-            shared
-                .counters
-                .sessions_parked
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        _ => shared.service.leave(game, room),
-    }
+    let session = ParkedSession {
+        game,
+        room,
+        player,
+        scale_pm: conn.last_notified_scale_pm,
+        parked_at: Instant::now(),
+    };
+    shared.parked.lock().insert(token, session);
+    let parked = &shared.counters.sessions_parked;
+    parked.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Releases seats whose resume window (TTL plus [`PARKED_GC_GRACE`])
 /// has fully lapsed. The grace keeps just-expired entries around so a
 /// late `Resume` is told `Expired`, not `Unknown`.
 fn gc_parked(shared: &Shared) {
-    let deadline = Duration::from_millis(shared.config.resume_ttl_ms) + PARKED_GC_GRACE;
+    let deadline = resume_ttl(shared) + PARKED_GC_GRACE;
     let mut parked = shared.parked.lock();
     if parked.is_empty() {
         return;
@@ -585,7 +565,7 @@ fn serve_pending(shared: &Shared, conn: &mut Connection, worker: u32, peer_gone:
         // Whatever is queued can never matter. A write error or an EOF
         // without a clean `Bye` is exactly the dropped-connection case
         // resume tokens exist for, so park rather than leave.
-        park_or_leave(shared, conn);
+        park(shared, conn);
         conn.set_state(ConnState::Closed);
     }
 }
@@ -601,129 +581,60 @@ fn handle_message(
     worker: u32,
 ) -> bool {
     match (conn.state(), msg) {
-        (
-            ConnState::Handshake,
-            WireMessage::Hello {
-                proto, game, room, ..
-            },
-        ) => {
-            // Version negotiation: any client inside the supported
-            // window joins (v1 clients never see a v2-only message in a
-            // plain session, so they decode every reply). Outside it,
-            // answer with the structured window instead of dropping —
-            // the client learns exactly what to downgrade to.
-            if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&proto) {
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .versions_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                conn.enqueue_control(&WireMessage::VersionReject {
-                    min: MIN_PROTO_VERSION,
-                    max: PROTO_VERSION,
-                });
-                begin_goodbye(shared, conn, ByeReason::Normal);
-                return false;
-            }
-            // Placement: first-fit honors the requested room exactly
-            // (the pre-matchmaker behaviour, byte for byte); affinity
-            // packs same-game rooms for cross-player frame reuse.
-            let room = match shared.config.policy {
-                PlacementPolicy::FirstFit => room,
-                PlacementPolicy::Affinity => shared.service.place_affinity(game, room),
-            };
-            let (player, scale_pm) = shared.service.join(game, room);
-            conn.last_notified_scale_pm = scale_pm;
-            conn.proto = proto;
-            conn.set_state(ConnState::Active { game, room, player });
-            // v3 clients get a signed reconnect token; older clients
-            // get the tokenless Welcome whose bytes they already know.
-            let token = (proto >= RESUME_PROTO_MIN).then(|| {
-                ResumeToken {
-                    game,
-                    room,
-                    player,
-                    issued_ms: shared.epoch.elapsed().as_millis() as u64,
-                }
-                .sign(shared.secret)
+        (ConnState::Handshake, WireMessage::Hello { proto, .. })
+        | (ConnState::Handshake, WireMessage::Resume { proto, .. })
+            if proto != PROTO_VERSION =>
+        {
+            let counters = &shared.counters;
+            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            counters.versions_rejected.fetch_add(1, Ordering::Relaxed);
+            conn.enqueue_control(&WireMessage::VersionReject {
+                min: PROTO_VERSION,
+                max: PROTO_VERSION,
             });
-            conn.token = token;
-            conn.enqueue_control(&WireMessage::Welcome {
+            begin_goodbye(shared, conn, ByeReason::Normal);
+        }
+        (ConnState::Handshake, WireMessage::Hello { game, room, .. }) => {
+            let (player, scale_pm) = shared.service.join(game, room);
+            let token = ResumeToken {
+                game,
                 room,
                 player,
-                budget_ms: shared.service.budget_ms(),
-                token,
-            });
+                issued_ms: shared.epoch.elapsed().as_millis() as u64,
+            }
+            .sign(&shared.token_key);
+            conn.last_notified_scale_pm = scale_pm;
+            welcome(shared, conn, game, room, player, token);
         }
-        (ConnState::Handshake, WireMessage::Resume { proto, token }) => {
-            if !(RESUME_PROTO_MIN..=PROTO_VERSION).contains(&proto) {
-                shared
-                    .counters
-                    .versions_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                conn.enqueue_control(&WireMessage::VersionReject {
-                    min: MIN_PROTO_VERSION,
-                    max: PROTO_VERSION,
-                });
-                begin_goodbye(shared, conn, ByeReason::Normal);
-                return false;
-            }
-            let reject = |reason| {
-                shared
-                    .counters
-                    .resume_rejects
-                    .fetch_add(1, Ordering::Relaxed);
-                WireMessage::ResumeReject { reason }
+        (ConnState::Handshake, WireMessage::Resume { token, .. }) => {
+            let parked = if ResumeToken::verify(&token, &shared.token_key).is_none() {
+                Err(ResumeRejectReason::Malformed)
+            } else {
+                let session = shared.parked.lock().remove(&token);
+                session.ok_or(ResumeRejectReason::Unknown)
             };
-            if ResumeToken::verify(&token, shared.secret).is_none() {
-                conn.enqueue_control(&reject(ResumeRejectReason::Malformed));
-                begin_goodbye(shared, conn, ByeReason::Normal);
-                return false;
-            }
-            let parked = shared.parked.lock().remove(&token);
-            match parked {
-                None => {
-                    conn.enqueue_control(&reject(ResumeRejectReason::Unknown));
-                    begin_goodbye(shared, conn, ByeReason::Normal);
-                }
-                Some(p)
-                    if p.parked_at.elapsed()
-                        > Duration::from_millis(shared.config.resume_ttl_ms) =>
-                {
+            let reason = match parked {
+                Err(reason) => reason,
+                Ok(p) if p.parked_at.elapsed() > resume_ttl(shared) => {
                     // TTL lapsed: release the held seat and say so.
                     shared.service.leave(p.game, p.room);
-                    conn.enqueue_control(&reject(ResumeRejectReason::Expired));
-                    begin_goodbye(shared, conn, ByeReason::Normal);
+                    ResumeRejectReason::Expired
                 }
-                Some(p) => {
+                Ok(p) => {
                     // Re-attach: same identity, same seat (never
                     // released), and the parked scale restored so the
-                    // next pose only notifies on a *real* change —
-                    // epoch ordering and quality level both survive
-                    // the socket's death.
-                    conn.proto = proto;
-                    conn.token = Some(token);
+                    // next pose only notifies on a *real* change.
                     conn.last_notified_scale_pm = p.scale_pm;
-                    conn.set_state(ConnState::Active {
-                        game: p.game,
-                        room: p.room,
-                        player: p.player,
-                    });
-                    shared
-                        .counters
-                        .sessions_resumed
-                        .fetch_add(1, Ordering::Relaxed);
-                    conn.enqueue_control(&WireMessage::Welcome {
-                        room: p.room,
-                        player: p.player,
-                        budget_ms: shared.service.budget_ms(),
-                        token: Some(token),
-                    });
+                    let resumed = &shared.counters.sessions_resumed;
+                    resumed.fetch_add(1, Ordering::Relaxed);
+                    welcome(shared, conn, p.game, p.room, p.player, token);
+                    return false;
                 }
-            }
+            };
+            let rejects = &shared.counters.resume_rejects;
+            rejects.fetch_add(1, Ordering::Relaxed);
+            conn.enqueue_control(&WireMessage::ResumeReject { reason });
+            begin_goodbye(shared, conn, ByeReason::Normal);
         }
         (ConnState::Active { game, room, .. }, WireMessage::Pose { seq, x, z, .. }) => {
             let (delivered, rendered) =
@@ -751,13 +662,32 @@ fn handle_message(
     false
 }
 
-/// splitmix64: derives the token-signing secret from the world seed
-/// without exposing the seed itself in token MACs.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+/// The resume TTL, which runs from the moment a session parked.
+fn resume_ttl(shared: &Shared) -> Duration {
+    Duration::from_millis(shared.config.resume_ttl_ms)
+}
+
+/// Makes the connection the session's and queues its `Welcome`.
+fn welcome(
+    shared: &Shared,
+    conn: &mut Connection,
+    game: GameId,
+    room: u32,
+    player: u32,
+    token: [u8; TOKEN_BYTES],
+) {
+    conn.set_state(ConnState::Active {
+        game,
+        room,
+        player,
+        token,
+    });
+    conn.enqueue_control(&WireMessage::Welcome {
+        room,
+        player,
+        budget_ms: shared.service.budget_ms(),
+        token,
+    });
 }
 
 /// Tells the client its room's scale if that is news to it.

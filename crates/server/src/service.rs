@@ -45,11 +45,6 @@ pub const RECOVER_STEP: f64 = 1.15;
 /// Floor the controller never degrades below, per-mille.
 pub const MIN_SCALE_PM: u16 = 250;
 
-/// Room size the affinity placement policy packs up to — the paper's
-/// four-player sessions. Rooms at or past this are not affinity
-/// targets (the requested room is honored instead).
-pub const AFFINITY_ROOM_CAP: u32 = 4;
-
 /// Base far-BE frame width at full scale, px. Height is half (the
 /// far-field band of an equirect panorama).
 pub const BASE_WIDTH: u32 = 128;
@@ -257,23 +252,6 @@ impl ServiceCore {
         state.next_player += 1;
         state.players += 1;
         (player, state.scale_pm)
-    }
-
-    /// Affinity placement: the fullest same-game room still under
-    /// [`AFFINITY_ROOM_CAP`] players, falling back to the requested
-    /// room when none qualifies. Packing players of the same game into
-    /// shared rooms is the serving-plane analogue of the fleet
-    /// matchmaker's overlap scoring — more co-located players means
-    /// more three-criteria store hits. Ties break toward the lowest
-    /// room id, so placement is deterministic despite map iteration.
-    pub fn place_affinity(&self, game: GameId, requested: u32) -> u32 {
-        let rooms = self.rooms.lock();
-        rooms
-            .iter()
-            .filter(|((g, _), state)| *g == game && state.players < AFFINITY_ROOM_CAP)
-            .max_by_key(|((_, room), state)| (state.players, std::cmp::Reverse(*room)))
-            .map(|((_, room), _)| *room)
-            .unwrap_or(requested)
     }
 
     /// Removes a player from its room; empty rooms reset their
@@ -542,23 +520,6 @@ mod tests {
         // Room reset: a new join starts at player 0 again.
         let (p, _) = c.join(GameId::VikingVillage, 0);
         assert_eq!(p, 0);
-    }
-
-    #[test]
-    fn affinity_packs_the_fullest_room_under_the_cap() {
-        let c = core();
-        // Room 7 has two players, room 2 has one; a newcomer asking for
-        // room 99 should pack into room 7 (fullest under the cap).
-        c.join(GameId::Fps, 7);
-        c.join(GameId::Fps, 7);
-        c.join(GameId::Fps, 2);
-        assert_eq!(c.place_affinity(GameId::Fps, 99), 7);
-        // Fill room 7 to the cap; the next placement spills to room 2.
-        c.join(GameId::Fps, 7);
-        c.join(GameId::Fps, 7);
-        assert_eq!(c.place_affinity(GameId::Fps, 99), 2);
-        // Other games' rooms are invisible to placement.
-        assert_eq!(c.place_affinity(GameId::VikingVillage, 5), 5);
     }
 
     #[test]

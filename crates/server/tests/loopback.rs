@@ -5,7 +5,7 @@
 //! reader, and a graceful drain on shutdown.
 
 use coterie_net::wire::{
-    ByeReason, ErrorCode, ResumeRejectReason, WireMessage, MIN_PROTO_VERSION, PROTO_VERSION,
+    ByeReason, ErrorCode, ResumeRejectReason, WireMessage, PROTO_VERSION, TOKEN_BYTES,
 };
 use coterie_net::NetScenario;
 use coterie_server::{loadgen, Endpoint, Listener, LoadConfig, Server, ServerConfig};
@@ -404,40 +404,48 @@ fn shutdown_drains_with_goodbye() {
     assert_eq!(stats.live, 0);
 }
 
-/// An out-of-window protocol version is answered with the structured
-/// supported range, then the connection is torn down without
-/// disturbing the server.
+/// Any revision but [`PROTO_VERSION`], in a `Hello` or a `Resume`, is
+/// answered with the structured one-revision window, counted once as a
+/// version reject and once as a protocol error, and the connection is
+/// torn down without disturbing the server.
 #[test]
 fn bad_version_is_rejected_with_supported_window() {
     let (server, path) = start_uds("badver", ServerConfig::default());
-    let mut stream = UnixStream::connect(&path).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .unwrap();
-    stream
-        .write_all(
-            &WireMessage::Hello {
-                proto: PROTO_VERSION + 1,
-                game: GameId::VikingVillage,
-                room: 0,
-                seed: 42,
-            }
-            .encode_frame(),
-        )
-        .expect("hello");
-    let mut asm = coterie_net::FrameAssembler::new();
-    let reply = read_msg(&mut stream, &mut asm, Duration::from_secs(5));
-    match reply {
-        Some(WireMessage::VersionReject { min, max }) => {
-            assert_eq!(min, MIN_PROTO_VERSION);
-            assert_eq!(max, PROTO_VERSION);
+    let mut attempts = 0;
+    for proto in [1, 2, PROTO_VERSION + 1] {
+        let hello = WireMessage::Hello {
+            proto,
+            game: GameId::VikingVillage,
+            room: 0,
+            seed: 42,
+        };
+        let resume = WireMessage::Resume {
+            proto,
+            token: [0xAB; TOKEN_BYTES],
+        };
+        for msg in [hello, resume] {
+            let mut stream = UnixStream::connect(&path).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_millis(100)))
+                .unwrap();
+            stream.write_all(&msg.encode_frame()).expect("handshake");
+            let mut asm = coterie_net::FrameAssembler::new();
+            assert_eq!(
+                read_msg(&mut stream, &mut asm, Duration::from_secs(5)),
+                Some(WireMessage::VersionReject {
+                    min: PROTO_VERSION,
+                    max: PROTO_VERSION
+                }),
+                "{msg:?}"
+            );
+            attempts += 1;
         }
-        other => panic!("expected VersionReject, got {other:?}"),
     }
     let stats = server.stop();
     let _ = std::fs::remove_file(&path);
-    assert_eq!(stats.protocol_errors, 1);
-    assert_eq!(stats.versions_rejected, 1);
+    assert_eq!(stats.protocol_errors, attempts);
+    assert_eq!(stats.versions_rejected, attempts);
+    assert_eq!(attempts, 6);
 }
 
 /// A dropped socket (no `Bye`) parks the session; a fresh connection
@@ -460,7 +468,7 @@ fn dropped_session_resumes_by_token_within_ttl() {
             player,
             token,
             ..
-        }) => (room, player, token.expect("v3 welcome carries a token")),
+        }) => (room, player, token),
         other => panic!("expected Welcome, got {other:?}"),
     };
     stream.write_all(&pose(0)).expect("pose");
@@ -500,7 +508,7 @@ fn dropped_session_resumes_by_token_within_ttl() {
             ..
         }) => {
             assert_eq!((r, p), (room, player), "resume changed the identity");
-            assert!(t.is_some(), "resumed welcome carries a fresh token");
+            assert_eq!(t, token, "the session keeps its token");
         }
         other => panic!("expected resumed Welcome, got {other:?}"),
     }
@@ -544,7 +552,7 @@ fn expired_resume_token_gets_structured_reject() {
     stream.write_all(&hello()).expect("hello");
     let mut asm = coterie_net::FrameAssembler::new();
     let token = match read_msg(&mut stream, &mut asm, Duration::from_secs(5)) {
-        Some(WireMessage::Welcome { token, .. }) => token.expect("token"),
+        Some(WireMessage::Welcome { token, .. }) => token,
         other => panic!("expected Welcome, got {other:?}"),
     };
     drop(stream);
@@ -591,7 +599,7 @@ fn forged_resume_token_is_rejected_as_malformed() {
         .write_all(
             &WireMessage::Resume {
                 proto: PROTO_VERSION,
-                token: [0xAB; coterie_net::wire::TOKEN_BYTES],
+                token: [0xAB; TOKEN_BYTES],
             }
             .encode_frame(),
         )
@@ -637,43 +645,48 @@ fn loadgen_reconnect_mode_resumes_every_session() {
     assert!(report.summary_line().contains("resumed"));
 }
 
-/// Version negotiation keeps old clients working: a v1 `Hello` joins
-/// and completes a pose → frame exchange exactly like a current one.
+/// Tokens are signed with a key each server draws when it starts, not
+/// one derived from its configuration: a token one server issued does
+/// not verify at another started with the same [`ServerConfig`] (world
+/// seed included), so knowing a deployment's settings mints nothing.
 #[test]
-fn v1_client_is_still_served() {
-    let (server, path) = start_uds("v1", ServerConfig::default());
-    let mut stream = UnixStream::connect(&path).expect("connect");
+fn a_token_from_another_server_is_malformed() {
+    let (issuer, issuer_path) = start_uds("issuer", ServerConfig::default());
+    let (other, other_path) = start_uds("other", ServerConfig::default());
+    let mut stream = UnixStream::connect(&issuer_path).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .unwrap();
-    stream
-        .write_all(
-            &WireMessage::Hello {
-                proto: MIN_PROTO_VERSION,
-                game: GameId::VikingVillage,
-                room: 0,
-                seed: 42,
-            }
-            .encode_frame(),
-        )
-        .expect("hello");
+    stream.write_all(&hello()).expect("hello");
     let mut asm = coterie_net::FrameAssembler::new();
-    match read_msg(&mut stream, &mut asm, Duration::from_secs(5)) {
-        Some(WireMessage::Welcome { token, .. }) => {
-            assert!(token.is_none(), "v1 welcome must not grow a token tail");
-        }
+    let token = match read_msg(&mut stream, &mut asm, Duration::from_secs(5)) {
+        Some(WireMessage::Welcome { token, .. }) => token,
         other => panic!("expected Welcome, got {other:?}"),
-    }
-    stream.write_all(&pose(0)).expect("pose");
-    assert!(matches!(
-        read_msg(&mut stream, &mut asm, Duration::from_secs(5)),
-        Some(WireMessage::Frame { .. })
-    ));
-    drop(stream);
-    let stats = server.stop();
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(stats.protocol_errors, 0);
-    assert_eq!(stats.versions_rejected, 0);
+    };
+
+    let mut elsewhere = UnixStream::connect(&other_path).expect("connect");
+    elsewhere
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let resume = WireMessage::Resume {
+        proto: PROTO_VERSION,
+        token,
+    };
+    elsewhere.write_all(&resume.encode_frame()).expect("resume");
+    let mut asm = coterie_net::FrameAssembler::new();
+    assert_eq!(
+        read_msg(&mut elsewhere, &mut asm, Duration::from_secs(5)),
+        Some(WireMessage::ResumeReject {
+            reason: ResumeRejectReason::Malformed
+        })
+    );
+    drop((stream, elsewhere));
+    let stats = other.stop();
+    issuer.stop();
+    let _ = std::fs::remove_file(&issuer_path);
+    let _ = std::fs::remove_file(&other_path);
+    assert_eq!(stats.resume_rejects, 1);
+    assert_eq!(stats.sessions_resumed, 0);
 }
 
 /// Waits until the store's `(len, bytes)` hold still across two reads
