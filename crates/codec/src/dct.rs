@@ -4,8 +4,8 @@
 //! which precomputes the cosine basis (and its transpose, the layout
 //! the SIMD row pass needs) once per instance — the encoder constructs
 //! one per codec instead of consulting a `OnceLock` per block — and
-//! dispatches between scalar, SSE2 and AVX2 matmuls that are
-//! bit-identical to each other.
+//! dispatches between scalar and AVX2 matmuls that are bit-identical
+//! to each other.
 
 pub(crate) use coterie_parallel::simd::Dct8x8;
 

@@ -340,6 +340,12 @@ impl Encoder {
         let h = encoded.height as usize;
         let bw = w.div_ceil(8);
         let bh = h.div_ceil(8);
+        // The encoder writes at least a DC byte and an EOB byte per
+        // block, so a payload shorter than that cannot fill the header's
+        // dimensions; reject it before sizing the plane from them.
+        if encoded.payload.len() < bw.saturating_mul(bh).saturating_mul(2) {
+            return Err(CodecError::Truncated);
+        }
         // The payload's quality wins over the decoder's own (it may
         // have been encoded elsewhere at a different operating point).
         let qtable = if encoded.quality == self.quality {
@@ -357,7 +363,9 @@ impl Encoder {
             for bx in 0..bw {
                 quantized.fill(0);
                 let dc_delta = reader.read_signed()?;
-                prev_dc += dc_delta;
+                prev_dc = prev_dc
+                    .checked_add(dc_delta)
+                    .ok_or(CodecError::Malformed("DC overflow"))?;
                 quantized[0] = prev_dc;
                 let mut pos = 1usize;
                 loop {
@@ -536,6 +544,33 @@ mod tests {
         let mut e = enc.encode(&textured_frame());
         e.payload = e.payload.slice(0..e.payload.len() / 2);
         assert!(enc.decode(&e).is_err());
+    }
+
+    #[test]
+    fn hostile_frames_are_errors_not_panics() {
+        let enc = Encoder::default();
+        // Two blocks whose DC deltas are both i32::MAX: the running DC
+        // overflows on the second.
+        let dc_max = [0xFE, 0xFF, 0xFF, 0xFF, 0x0F, 0x7F];
+        let overflow = EncodedFrame {
+            width: 16,
+            height: 8,
+            quality: Quality::CRF25,
+            payload: Bytes::from([dc_max, dc_max].concat()),
+        };
+        assert_eq!(
+            enc.decode(&overflow).err(),
+            Some(CodecError::Malformed("DC overflow"))
+        );
+        // A header far larger than its payload could fill: the decoder
+        // must not size a plane from it.
+        let huge = EncodedFrame {
+            width: u32::MAX,
+            height: u32::MAX,
+            quality: Quality::CRF25,
+            payload: Bytes::from(vec![0x00, 0x7F]),
+        };
+        assert_eq!(enc.decode(&huge).err(), Some(CodecError::Truncated));
     }
 
     #[test]

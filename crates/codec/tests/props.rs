@@ -151,8 +151,8 @@ proptest! {
         simd::add_planes_f32(&mut want_add, &b, SimdLevel::Scalar);
         let mut want_subs = vec![0.0f32; a.len()];
         simd::sub_scalar_f32(&a, s, &mut want_subs, SimdLevel::Scalar);
-        let mut want_adds = a.clone();
-        simd::add_scalar_f32(&mut want_adds, s, SimdLevel::Scalar);
+        let mut want_add_clamp = a.clone();
+        simd::add_clamp_unit_f32(&mut want_add_clamp, s, SimdLevel::Scalar);
         let mut want_clamp = a.clone();
         simd::clamp_unit_f32(&mut want_clamp, SimdLevel::Scalar);
         let want_above = simd::any_abs_above(&a, 0.5, SimdLevel::Scalar);
@@ -167,8 +167,11 @@ proptest! {
             simd::sub_scalar_f32(&a, s, &mut got, level);
             prop_assert_eq!(bits(&got), bits(&want_subs), "sub_scalar diverged at {:?}", level);
             let mut got = a.clone();
-            simd::add_scalar_f32(&mut got, s, level);
-            prop_assert_eq!(bits(&got), bits(&want_adds), "add_scalar diverged at {:?}", level);
+            simd::add_clamp_unit_f32(&mut got, s, level);
+            prop_assert_eq!(
+                bits(&got), bits(&want_add_clamp),
+                "add_clamp_unit diverged at {:?}", level
+            );
             let mut got = a.clone();
             simd::clamp_unit_f32(&mut got, level);
             prop_assert_eq!(bits(&got), bits(&want_clamp), "clamp_unit diverged at {:?}", level);
