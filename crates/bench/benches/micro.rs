@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the performance-critical substrates:
 //! SSIM, the codec, the panoramic renderer, terrain slope shading and FoV
 //! crop, frame-cache and fleet-store operations (including eviction
-//! against store size), the cutoff solver and a server connection
-//! working off a backlog.
+//! against store size), the cutoff solver, the serving core's miss path
+//! and a server connection working off a backlog.
 
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -16,7 +16,7 @@ use coterie_net::wire::{frame_header, WireMessage, FRAME_HEADER_BYTES};
 use coterie_parallel::simd;
 use coterie_render::{FovOptions, RenderFilter, RenderOptions, Renderer};
 use coterie_serve::{LocalStore, StoreConfig};
-use coterie_server::{Connection, ReadOutcome, Stream};
+use coterie_server::{Connection, ReadOutcome, ServiceCore, Stream};
 use coterie_telemetry::{Stage, TelemetryConfig, TelemetrySink, TrackId};
 use coterie_world::{GameId, GameSpec, GridPoint, LeafId, Terrain, Vec2, Vec3};
 
@@ -406,6 +406,33 @@ fn bench_telemetry(c: &mut Criterion) {
     });
 }
 
+fn bench_service_miss(c: &mut Criterion) {
+    // A store miss on the socket plane: the far frame rendered at full
+    // scale, encoded and inserted. Each iteration serves a grid point
+    // half a metre from any served before (the similarity threshold is
+    // under 3 cm), and the farm is never drained, so nothing it
+    // speculates turns a later point into a hit.
+    let core = ServiceCore::new(1 << 30, 7, TelemetrySink::disabled());
+    core.join(GameId::VikingVillage, 0);
+    let bounds = GameSpec::for_game(GameId::VikingVillage)
+        .build_scene(7)
+        .bounds();
+    let columns = ((bounds.max.x - bounds.min.x) * 2.0) as u64 - 1;
+    let mut served = 0u64;
+    c.bench_function("service_miss_full_scale", |bench| {
+        bench.iter(|| {
+            let pos = Vec2::new(
+                bounds.min.x + 0.5 * (1 + served % columns) as f64,
+                bounds.min.z + 0.5 * (1 + served / columns) as f64,
+            );
+            served += 1;
+            let reply = core.frame_for(GameId::VikingVillage, 0, black_box(pos), 0);
+            assert!(reply.rendered && !reply.store_hit, "every pose must miss");
+            reply
+        })
+    });
+}
+
 fn bench_conn(c: &mut Criterion) {
     use std::io::{ErrorKind, Read, Write};
     use std::os::unix::net::UnixStream;
@@ -500,6 +527,7 @@ criterion_group!(
     bench_cutoff,
     bench_fleet_store,
     bench_telemetry,
+    bench_service_miss,
     bench_conn,
     bench_wire
 );

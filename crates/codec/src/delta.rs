@@ -149,26 +149,27 @@ impl DeltaEncoder {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError`] on truncated or malformed payloads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reference` does not match the encoded dimensions.
+    /// Returns [`CodecError`] on truncated or malformed payloads, and
+    /// [`CodecError::Malformed`] if `reference` does not match the
+    /// encoded dimensions.
     pub fn decode(
         &self,
         encoded: &EncodedDelta,
         reference: &LumaFrame,
     ) -> Result<LumaFrame, CodecError> {
-        assert_eq!(reference.width(), encoded.width, "reference width differs");
-        assert_eq!(
-            reference.height(),
-            encoded.height,
-            "reference height differs"
-        );
+        if (reference.width(), reference.height()) != (encoded.width, encoded.height) {
+            return Err(CodecError::Malformed("reference size differs"));
+        }
         let w = encoded.width as usize;
         let h = encoded.height as usize;
         let bw = w.div_ceil(8);
         let bh = h.div_ceil(8);
+        // Every block costs at least a DC byte and an EOB byte (a
+        // skipped block is exactly those two), the same floor
+        // `Encoder::decode` checks before it sizes a plane.
+        if encoded.payload.len() < bw.saturating_mul(bh).saturating_mul(2) {
+            return Err(CodecError::Truncated);
+        }
         let qtable = if encoded.quality == self.quality {
             self.qtable
         } else {
@@ -315,7 +316,38 @@ mod tests {
         let enc = DeltaEncoder::new(Quality::CRF25);
         let mut d = enc.encode(&textured(6), &reference);
         d.payload = d.payload.slice(0..d.payload.len() / 3);
-        assert!(enc.decode(&d, &reference).is_err());
+        assert_eq!(
+            enc.decode(&d, &reference).err(),
+            Some(CodecError::Truncated)
+        );
+        // 48 blocks need at least 96 bytes; 95 bytes of skip flags stop
+        // one byte short and are refused before the residual plane is
+        // allocated.
+        let mut still = enc.encode(&reference, &reference);
+        assert_eq!(still.payload.len(), 96, "a still frame is all skip flags");
+        still.payload = still.payload.slice(..95);
+        assert_eq!(
+            enc.decode(&still, &reference).err(),
+            Some(CodecError::Truncated)
+        );
+    }
+
+    #[test]
+    fn mismatched_reference_is_an_error() {
+        let enc = DeltaEncoder::new(Quality::CRF25);
+        let reference = textured(5);
+        let mut d = enc.encode(&textured(6), &reference);
+        d.width = u32::MAX;
+        assert_eq!(
+            enc.decode(&d, &reference).err(),
+            Some(CodecError::Malformed("reference size differs"))
+        );
+        let small = LumaFrame::new(16, 16);
+        d.width = reference.width();
+        assert_eq!(
+            enc.decode(&d, &small).err(),
+            Some(CodecError::Malformed("reference size differs"))
+        );
     }
 
     #[test]

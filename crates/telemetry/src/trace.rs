@@ -325,9 +325,16 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Each level is a
+/// recursive call, so a hostile file of nested brackets would otherwise
+/// overflow the stack instead of returning an error.
+const MAX_JSON_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -361,8 +368,19 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
             Some(b't') => self.parse_lit("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_lit("false", JsonValue::Bool(false)),
@@ -507,10 +525,16 @@ impl<'a> Parser<'a> {
 }
 
 /// Parses a JSON document.
+///
+/// # Errors
+///
+/// Returns a message naming the byte offset on malformed input, and on
+/// arrays and objects nested more than 256 deep.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -773,6 +797,19 @@ mod tests {
         assert_eq!(arr[0].as_str(), Some("µs → ms \"q\" é"));
         assert_eq!(arr[1].as_str(), Some("aéb"));
         assert!(parse_json("\"µs").is_err());
+    }
+
+    #[test]
+    fn parser_bounds_nesting_instead_of_overflowing_the_stack() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+        let too_deep = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(too_deep.contains("nesting too deep"), "{too_deep}");
+        // One stack frame per open bracket: this many would overflow
+        // the stack if the depth were unbounded.
+        let hostile = parse_json(&"[".repeat(100_000)).unwrap_err();
+        assert!(hostile.contains("nesting too deep"), "{hostile}");
+        assert!(parse_json(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]
