@@ -47,6 +47,19 @@ fn bench_codec(c: &mut Criterion) {
     c.bench_function("codec_decode_192x96", |bench| {
         bench.iter(|| enc.decode(black_box(&encoded)).expect("decodes"))
     });
+    // The socket plane's far frame at full scale: a smooth rank-2 field
+    // of the serving core's shape, whose blocks carry a handful of
+    // nonzero coefficients each.
+    let (p1, p2) = (0.31f32, 0.77f32);
+    let served = LumaFrame::from_fn(128, 64, |x, y| {
+        let (fx, fy) = (x as f32 / 128.0, y as f32 / 64.0);
+        let a = (fx * 7.0 + p1 * 6.0).sin() * (fy * 5.0 - p2 * 4.0).cos();
+        let c = (fx * 23.0 - p2 * 11.0).cos() * (fy * 17.0 + p1 * 9.0).sin();
+        (0.5 + 0.28 * a + 0.12 * c).clamp(0.0, 1.0)
+    });
+    c.bench_function("codec_encode_128x64_served", |bench| {
+        bench.iter(|| enc.encode(black_box(&served)))
+    });
 }
 
 fn bench_render(c: &mut Criterion) {
@@ -174,8 +187,8 @@ fn bench_simd_levels(c: &mut Criterion) {
         c.bench_function(&format!("quantize_8x8/{name}"), |bench| {
             bench.iter(|| {
                 let mut q = [0i32; 64];
-                simd::quantize_8x8(black_box(&coeffs), &qtable, &mut q, level);
-                q
+                let mask = simd::quantize_8x8(black_box(&coeffs), &qtable, &mut q, level);
+                (mask, q)
             })
         });
     }

@@ -16,8 +16,8 @@
 //! than for whole-BE layers.
 
 use crate::{
-    dct, entropy, gather_block, quant_table, scatter_block, zigzag_order, CodecError, Quality,
-    ZIGZAG,
+    dct, entropy, gather_block, quant_table, scatter_block, CodecError, Quality,
+    PAYLOAD_BYTES_PER_BLOCK, ZIGZAG,
 };
 use bytes::Bytes;
 use coterie_frame::LumaFrame;
@@ -52,7 +52,6 @@ pub struct DeltaEncoder {
     quality: Quality,
     qtable: [f32; 64],
     dct: dct::Dct8x8,
-    zz: [i32; 64],
     level: SimdLevel,
 }
 
@@ -76,7 +75,6 @@ impl DeltaEncoder {
             quality,
             qtable: quant_table(quality),
             dct: dct::Dct8x8::new(),
-            zz: zigzag_order(),
             level,
         }
     }
@@ -93,19 +91,18 @@ impl DeltaEncoder {
         let h = frame.height() as usize;
         let bw = w.div_ceil(8);
         let bh = h.div_ceil(8);
-        let mut writer = entropy::Writer::new();
+        let mut writer = entropy::Writer::with_capacity(bw * bh * PAYLOAD_BYTES_PER_BLOCK);
         let mut skipped = 0u32;
         let mut block = [0.0f32; 64];
         let mut coeffs = [0.0f32; 64];
         let mut quantized = [0i32; 64];
-        let mut scan = [0i32; 64];
         // One plane-wide subtraction replaces the per-pixel residual
-        // gather; blocks then memcpy out of the residual plane.
+        // gather; blocks then copy out of the residual plane.
         let mut residual = vec![0.0f32; w * h];
         simd::sub_planes_f32(frame.data(), reference.data(), &mut residual, self.level);
         for by in 0..bh {
             for bx in 0..bw {
-                gather_block(&residual, w, h, bx, by, &mut block);
+                gather_block(&residual, w, h, bx, by, 0.0, &mut block);
                 if !simd::any_abs_above(&block, 1e-6, self.level) {
                     // Skip flag: zero DC delta + EOB.
                     writer.write_signed(0);
@@ -114,26 +111,13 @@ impl DeltaEncoder {
                     continue;
                 }
                 self.dct.forward(&block, &mut coeffs, self.level);
-                let all_zero =
-                    simd::quantize_8x8(&coeffs, &self.qtable, &mut quantized, self.level);
-                if all_zero {
+                let mask = simd::quantize_8x8(&coeffs, &self.qtable, &mut quantized, self.level);
+                if mask == 0 {
                     skipped += 1;
                 }
-                simd::zigzag_gather(&quantized, &self.zz, &mut scan, self.level);
                 // Residual DC is coded directly (no prediction chain:
                 // residual DCs are already near zero).
-                writer.write_signed(scan[0]);
-                let mut run = 0u32;
-                for &v in scan.iter().skip(1) {
-                    if v == 0 {
-                        run += 1;
-                    } else {
-                        writer.write_unsigned(run);
-                        writer.write_signed(v);
-                        run = 0;
-                    }
-                }
-                writer.write_eob();
+                writer.write_block(quantized[0], &quantized, mask);
             }
         }
         EncodedDelta {

@@ -5,7 +5,8 @@
 //! terminating end-of-block marker. The EOB marker is an unsigned run of
 //! `RUN_EOB`, a value no legal run can take (runs are < 64).
 
-use bytes::{Bytes, BytesMut};
+use crate::{ZIGZAG, ZIGZAG_POS};
+use bytes::Bytes;
 use std::error::Error;
 use std::fmt;
 
@@ -46,43 +47,75 @@ fn zigzag_decode(v: u32) -> i32 {
 /// Bit-packing writer (LEB128 varints into a byte buffer).
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
+    /// Creates an empty writer with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Self {
         Writer {
-            buf: BytesMut::with_capacity(1024),
+            buf: Vec::with_capacity(capacity),
         }
     }
 
     /// Writes an unsigned varint.
+    #[inline]
     pub fn write_unsigned(&mut self, mut v: u32) {
-        loop {
-            let byte = (v & 0x7F) as u8;
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
             v >>= 7;
-            if v == 0 {
-                self.buf.extend_from_slice(&[byte]);
-                return;
-            }
-            self.buf.extend_from_slice(&[byte | 0x80]);
         }
+        self.buf.push(v as u8);
     }
 
     /// Writes a signed varint (zig-zag mapped).
+    #[inline]
     pub fn write_signed(&mut self, v: i32) {
         self.write_unsigned(zigzag_encode(v));
     }
 
     /// Writes the end-of-block marker.
+    #[inline]
     pub fn write_eob(&mut self) {
         self.write_unsigned(RUN_EOB);
     }
 
-    /// Finalizes into an immutable byte buffer.
+    /// Writes one quantized block: `dc` as a signed varint, a
+    /// `(zero_run, value)` pair for each nonzero AC coefficient in
+    /// zig-zag order, then EOB.
+    ///
+    /// `mask` is the raster nonzero mask `quantize_8x8` returned with
+    /// `quantized`. Only its set bits are visited: they are moved to
+    /// their zig-zag positions, and the runs fall out of the gaps
+    /// between consecutive positions, so a block costs its nonzero
+    /// count rather than 63 scan steps.
+    #[inline]
+    pub fn write_block(&mut self, dc: i32, quantized: &[i32; 64], mask: u64) {
+        self.write_signed(dc);
+        let mut raster = mask & !1;
+        let mut scan = 0u64;
+        while raster != 0 {
+            scan |= 1 << ZIGZAG_POS[raster.trailing_zeros() as usize];
+            raster &= raster - 1;
+        }
+        let mut next = 1;
+        while scan != 0 {
+            let pos = scan.trailing_zeros();
+            self.write_unsigned(pos - next);
+            self.write_signed(quantized[ZIGZAG[pos as usize]]);
+            next = pos + 1;
+            scan &= scan - 1;
+        }
+        self.write_eob();
+    }
+
+    /// Finalizes into an immutable byte buffer holding exactly the
+    /// written bytes. The bytes are copied into a fresh allocation of
+    /// their own length rather than trimmed in place: a trimmed buffer
+    /// leaves a hole no later working buffer fits, and a server holding
+    /// thousands of payloads grew its heap by most of their size.
     pub fn into_bytes(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::copy_from_slice(&self.buf)
     }
 }
 
@@ -132,14 +165,15 @@ impl<'a> Reader<'a> {
     }
 
     /// Continuation bytes of a multi-byte varint (first byte's payload
-    /// already in `result`).
+    /// already in `result`). The fifth byte may carry only the top four
+    /// bits of a `u32` and must end the varint.
     #[cold]
     fn read_unsigned_slow(&mut self, mut result: u32) -> Result<u32, CodecError> {
         let mut shift = 7u32;
         loop {
             let byte = *self.data.get(self.pos).ok_or(CodecError::Truncated)?;
             self.pos += 1;
-            if shift >= 32 {
+            if shift == 28 && byte > 0x0F {
                 return Err(CodecError::Malformed("varint overflow"));
             }
             result |= ((byte & 0x7F) as u32) << shift;
@@ -202,7 +236,7 @@ mod tests {
 
     #[test]
     fn varint_roundtrip() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         let values = [0u32, 1, 127, 128, 300, 65_535, 1 << 20, u32::MAX / 2];
         for &v in &values {
             w.write_unsigned(v);
@@ -217,7 +251,7 @@ mod tests {
 
     #[test]
     fn signed_roundtrip() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         let values = [-100_000, -1, 0, 1, 7, 100_000];
         for &v in &values {
             w.write_signed(v);
@@ -231,7 +265,7 @@ mod tests {
 
     #[test]
     fn run_roundtrip_with_eob() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.write_unsigned(3);
         w.write_signed(-7);
         w.write_unsigned(0);
@@ -258,7 +292,7 @@ mod tests {
 
     #[test]
     fn truncated_payload_errors() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.write_unsigned(5);
         w.write_signed(9);
         let bytes = w.into_bytes();
@@ -269,7 +303,7 @@ mod tests {
 
     #[test]
     fn illegal_run_is_malformed() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.write_unsigned(80); // not EOB (127), not a legal run (<64)
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
@@ -285,6 +319,29 @@ mod tests {
             r.read_unsigned(),
             Err(CodecError::Malformed("varint overflow"))
         ));
+    }
+
+    #[test]
+    fn five_byte_varints_past_u32_are_malformed() {
+        // 2^32 and 2^35 - 1: the fifth byte carries bits a u32 cannot
+        // hold, so neither may wrap to a value.
+        for data in [
+            [0x80u8, 0x80, 0x80, 0x80, 0x10],
+            [0xFF, 0xFF, 0xFF, 0xFF, 0x7F],
+        ] {
+            let mut r = Reader::new(&data);
+            assert_eq!(
+                r.read_unsigned(),
+                Err(CodecError::Malformed("varint overflow")),
+                "{data:02x?}"
+            );
+        }
+        // u32::MAX itself is the largest legal five-byte varint.
+        let mut w = Writer::default();
+        w.write_unsigned(u32::MAX);
+        let bytes = w.into_bytes();
+        assert_eq!(&bytes[..], &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+        assert_eq!(Reader::new(&bytes).read_unsigned(), Ok(u32::MAX));
     }
 
     #[test]

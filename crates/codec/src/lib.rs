@@ -108,6 +108,11 @@ pub(crate) const BASE_QUANT: [f32; 64] = [
     72.0, 92.0, 95.0, 98.0, 112.0, 100.0, 103.0, 99.0,
 ];
 
+/// Initial working-buffer capacity per block. A served far-field block
+/// codes to about 12 bytes, so most frames never regrow the buffer; the
+/// finished payload is copied out at its exact length.
+pub(crate) const PAYLOAD_BYTES_PER_BLOCK: usize = 16;
+
 /// Zig-zag scan order for an 8×8 block.
 pub(crate) const ZIGZAG: [usize; 64] = [
     0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5, 12, 19, 26, 33, 40, 48, 41, 34, 27, 20,
@@ -126,39 +131,46 @@ pub(crate) fn quant_table(quality: Quality) -> [f32; 64] {
     q
 }
 
-/// The zig-zag order as the i32 table [`simd::zigzag_gather`] consumes.
-pub(crate) fn zigzag_order() -> [i32; 64] {
-    let mut zz = [0i32; 64];
-    for (i, v) in zz.iter_mut().enumerate() {
-        *v = ZIGZAG[i] as i32;
+/// Zig-zag scan position of each raster index (the inverse of
+/// [`ZIGZAG`]).
+pub(crate) const ZIGZAG_POS: [u8; 64] = {
+    let mut pos = [0u8; 64];
+    let mut i = 0;
+    while i < 64 {
+        pos[ZIGZAG[i]] = i as u8;
+        i += 1;
     }
-    zz
-}
+    pos
+};
 
-/// Copies the 8×8 block at `(bx, by)` out of a row-major plane with
-/// edge clamping (the same `min(w-1)/min(h-1)` replication the per-pixel
-/// gather used). Interior blocks take the eight-row memcpy fast path.
+/// Copies the 8×8 block at `(bx, by)` out of a row-major plane, minus
+/// `bias` (`plane[i] - bias`, one f32 subtraction per pixel), with edge
+/// clamping (the same `min(w-1)/min(h-1)` replication the per-pixel
+/// gather used). Interior blocks read eight contiguous row slices.
 pub(crate) fn gather_block(
     plane: &[f32],
     w: usize,
     h: usize,
     bx: usize,
     by: usize,
+    bias: f32,
     block: &mut [f32; 64],
 ) {
     let x0 = bx * 8;
     let y0 = by * 8;
     if x0 + 8 <= w && y0 + 8 <= h {
-        for y in 0..8 {
+        for (y, out) in block.chunks_exact_mut(8).enumerate() {
             let row = (y0 + y) * w + x0;
-            block[y * 8..y * 8 + 8].copy_from_slice(&plane[row..row + 8]);
+            for (o, &v) in out.iter_mut().zip(&plane[row..row + 8]) {
+                *o = v - bias;
+            }
         }
     } else {
         for y in 0..8 {
             let sy = (y0 + y).min(h - 1);
             for x in 0..8 {
                 let sx = (x0 + x).min(w - 1);
-                block[y * 8 + x] = plane[sy * w + sx];
+                block[y * 8 + x] = plane[sy * w + sx] - bias;
             }
         }
     }
@@ -193,7 +205,6 @@ pub struct Encoder {
     quality: Quality,
     qtable: [f32; 64],
     dct: dct::Dct8x8,
-    zz: [i32; 64],
     level: SimdLevel,
 }
 
@@ -219,7 +230,6 @@ impl Encoder {
             quality,
             qtable: quant_table(quality),
             dct: dct::Dct8x8::new(),
-            zz: zigzag_order(),
             level,
         }
     }
@@ -283,43 +293,29 @@ impl Encoder {
     }
 
     /// Encodes a luma frame.
+    ///
+    /// Each block is centred as it is read (pixel - 0.5), transformed
+    /// and quantized; the quantizer's nonzero mask then drives the
+    /// run-length pass, so a block pays for the coefficients it has.
     pub fn encode(&self, frame: &LumaFrame) -> EncodedFrame {
         let w = frame.width() as usize;
         let h = frame.height() as usize;
         let bw = w.div_ceil(8);
         let bh = h.div_ceil(8);
-        let mut writer = entropy::Writer::new();
+        let mut writer = entropy::Writer::with_capacity(bw * bh * PAYLOAD_BYTES_PER_BLOCK);
         let mut prev_dc: i32 = 0;
         let mut block = [0.0f32; 64];
         let mut coeffs = [0.0f32; 64];
         let mut quantized = [0i32; 64];
-        let mut scan = [0i32; 64];
-        // Center the whole plane once (pixel - 0.5, exactly the old
-        // per-pixel gather), then blocks are plain memcpys.
-        let mut centered = vec![0.0f32; w * h];
-        simd::sub_scalar_f32(frame.data(), 0.5, &mut centered, self.level);
         for by in 0..bh {
             for bx in 0..bw {
-                gather_block(&centered, w, h, bx, by, &mut block);
+                gather_block(frame.data(), w, h, bx, by, 0.5, &mut block);
                 self.dct.forward(&block, &mut coeffs, self.level);
-                simd::quantize_8x8(&coeffs, &self.qtable, &mut quantized, self.level);
-                simd::zigzag_gather(&quantized, &self.zz, &mut scan, self.level);
-                // DC delta + zig-zag RLE for AC (scan[0] is the DC:
-                // ZIGZAG[0] == 0).
-                let dc = scan[0];
-                writer.write_signed(dc - prev_dc);
+                let mask = simd::quantize_8x8(&coeffs, &self.qtable, &mut quantized, self.level);
+                // DC is coded as a delta against the previous block's.
+                let dc = quantized[0];
+                writer.write_block(dc - prev_dc, &quantized, mask);
                 prev_dc = dc;
-                let mut run = 0u32;
-                for &v in scan.iter().skip(1) {
-                    if v == 0 {
-                        run += 1;
-                    } else {
-                        writer.write_unsigned(run);
-                        writer.write_signed(v);
-                        run = 0;
-                    }
-                }
-                writer.write_eob();
             }
         }
         EncodedFrame {

@@ -212,12 +212,14 @@ impl Dct8x8 {
 }
 
 // ---------------------------------------------------------------------
-// Quantization, zig-zag
+// Quantization
 // ---------------------------------------------------------------------
 
 /// Quantizes an 8×8 coefficient block: `out[i] = (coeffs[i] /
 /// qtable[i]).round() as i32` (round half away from zero, exactly as
-/// `f32::round`). Returns `true` when every output is zero.
+/// `f32::round`). Returns the block's nonzero mask in raster order: bit
+/// `i` is set exactly when `out[i] != 0`, so an all-zero block returns
+/// `0`.
 ///
 /// The SIMD paths assume `|coeffs[i] / qtable[i]| < 2^23` and no NaNs —
 /// trivially true for DCT output of frames in `[-0.5, 0.5]` divided by
@@ -228,7 +230,7 @@ pub fn quantize_8x8(
     qtable: &[f32; 64],
     out: &mut [i32; 64],
     level: SimdLevel,
-) -> bool {
+) -> u64 {
     match clamp_level(level) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level clamped to CPU capability; fixed-size arrays.
@@ -237,13 +239,13 @@ pub fn quantize_8x8(
     }
 }
 
-fn quantize_scalar(coeffs: &[f32; 64], qtable: &[f32; 64], out: &mut [i32; 64]) -> bool {
-    let mut all_zero = true;
+fn quantize_scalar(coeffs: &[f32; 64], qtable: &[f32; 64], out: &mut [i32; 64]) -> u64 {
+    let mut mask = 0u64;
     for i in 0..64 {
         out[i] = (coeffs[i] / qtable[i]).round() as i32;
-        all_zero &= out[i] == 0;
+        mask |= u64::from(out[i] != 0) << i;
     }
-    all_zero
+    mask
 }
 
 /// Dequantizes an 8×8 block: `out[i] = q[i] as f32 * qtable[i]`.
@@ -262,29 +264,8 @@ fn dequantize_scalar(q: &[i32; 64], qtable: &[f32; 64], out: &mut [f32; 64]) {
     }
 }
 
-/// Gathers an 8×8 block into scan order: `out[i] = src[order[i] & 63]`
-/// (the mask keeps the gather in bounds for any index table; the
-/// codec's zig-zag entries are already in `0..64`, so it is a no-op
-/// there).
-pub fn zigzag_gather(src: &[i32; 64], order: &[i32; 64], out: &mut [i32; 64], level: SimdLevel) {
-    match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level clamped to CPU capability; gather indices are
-        // masked to 0..64 inside the kernel, so every lane stays inside
-        // the fixed-size `src` array.
-        SimdLevel::Avx2 => unsafe { x86::zigzag_avx2(src, order, out) },
-        _ => zigzag_scalar(src, order, out),
-    }
-}
-
-fn zigzag_scalar(src: &[i32; 64], order: &[i32; 64], out: &mut [i32; 64]) {
-    for i in 0..64 {
-        out[i] = src[(order[i] & 63) as usize];
-    }
-}
-
 // ---------------------------------------------------------------------
-// f32 plane ops (codec residual/centering planes)
+// f32 plane ops (codec residual and decode planes)
 // ---------------------------------------------------------------------
 
 /// Element-wise `out[i] = a[i] - b[i]`.
@@ -328,27 +309,6 @@ pub fn add_planes_f32(dst: &mut [f32], src: &[f32], level: SimdLevel) {
 fn add_planes_scalar(dst: &mut [f32], src: &[f32]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d += s;
-    }
-}
-
-/// Element-wise `out[i] = src[i] - s`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn sub_scalar_f32(src: &[f32], s: f32, out: &mut [f32], level: SimdLevel) {
-    assert_eq!(src.len(), out.len(), "plane lengths differ");
-    match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level clamped to CPU capability; equal lengths asserted.
-        SimdLevel::Avx2 => unsafe { x86::sub_scalar_avx2(src, s, out) },
-        _ => sub_scalar_scalar(src, s, out),
-    }
-}
-
-fn sub_scalar_scalar(src: &[f32], s: f32, out: &mut [f32]) {
-    for (o, &v) in out.iter_mut().zip(src) {
-        *o = v - s;
     }
 }
 
@@ -717,7 +677,7 @@ mod x86 {
         }
     }
 
-    // ---- quantize / dequantize / zig-zag ----------------------------
+    // ---- quantize / dequantize --------------------------------------
     //
     // Rounding bit-identity: `f32::round` is round-half-away-from-zero.
     // `v + 0.5` then truncate is NOT equivalent (it fails at e.g.
@@ -732,13 +692,14 @@ mod x86 {
         coeffs: &[f32; 64],
         qtable: &[f32; 64],
         out: &mut [i32; 64],
-    ) -> bool {
+    ) -> u64 {
         let half = _mm256_set1_ps(0.5);
         let absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
         let one = _mm256_set1_epi32(1);
         let zero_f = _mm256_setzero_ps();
-        let mut nonzero = _mm256_setzero_si256();
-        for i in (0..64).step_by(8) {
+        let zero_i = _mm256_setzero_si256();
+        let mut quantized = [zero_i; 8];
+        for (g, i) in (0..64).step_by(8).enumerate() {
             let c = _mm256_loadu_ps(coeffs.as_ptr().add(i));
             let q = _mm256_loadu_ps(qtable.as_ptr().add(i));
             let v = _mm256_div_ps(c, q);
@@ -754,10 +715,23 @@ mod x86 {
             let signed = _mm256_sub_epi32(_mm256_xor_si256(adj, neg), neg);
             let r = _mm256_add_epi32(t, signed);
             _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), r);
-            nonzero = _mm256_or_si256(nonzero, r);
+            quantized[g] = r;
         }
-        let z = _mm256_cmpeq_epi32(nonzero, _mm256_setzero_si256());
-        _mm256_movemask_epi8(z) == -1
+        // Narrow the results to one byte per coefficient, 32 at a time.
+        // Saturating packs keep zero and nonzero apart; they interleave
+        // the 128-bit lanes, which the dword permute puts back in raster
+        // order. A byte compare with zero and one movemask then give 32
+        // bits of the zero mask, and the nonzero mask is its complement.
+        let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        let mut mask = 0u64;
+        for (h, r) in quantized.chunks_exact(4).enumerate() {
+            let lo = _mm256_packs_epi32(r[0], r[1]);
+            let hi = _mm256_packs_epi32(r[2], r[3]);
+            let bytes = _mm256_permutevar8x32_epi32(_mm256_packs_epi16(lo, hi), order);
+            let zero = _mm256_movemask_epi8(_mm256_cmpeq_epi8(bytes, zero_i)) as u32;
+            mask |= u64::from(!zero) << (32 * h);
+        }
+        mask
     }
 
     #[target_feature(enable = "avx2")]
@@ -771,18 +745,6 @@ mod x86 {
                 out.as_mut_ptr().add(i),
                 _mm256_mul_ps(_mm256_cvtepi32_ps(qi), qt),
             );
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn zigzag_avx2(src: &[i32; 64], order: &[i32; 64], out: &mut [i32; 64]) {
-        // Indices are masked to 0..64 (matching the scalar `& 63`), so
-        // every gathered lane reads inside `src`.
-        let m = _mm256_set1_epi32(63);
-        for i in (0..64).step_by(8) {
-            let idx = _mm256_and_si256(_mm256_loadu_si256(order.as_ptr().add(i).cast()), m);
-            let g = _mm256_i32gather_epi32::<4>(src.as_ptr(), idx);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), g);
         }
     }
 
@@ -808,17 +770,6 @@ mod x86 {
             _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(d, s));
         }
         super::add_planes_scalar(&mut dst[n..], &src[n..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sub_scalar_avx2(src: &[f32], s: f32, out: &mut [f32]) {
-        let sv = _mm256_set1_ps(s);
-        let n = out.len() & !7;
-        for i in (0..n).step_by(8) {
-            let v = _mm256_loadu_ps(src.as_ptr().add(i));
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_sub_ps(v, sv));
-        }
-        super::sub_scalar_scalar(&src[n..], s, &mut out[n..]);
     }
 
     #[target_feature(enable = "avx2")]
@@ -1100,15 +1051,16 @@ mod tests {
         }
         let qtable = [1.0f32; 64];
         let mut want = [0i32; 64];
-        let want_zero = quantize_8x8(&coeffs, &qtable, &mut want, SimdLevel::Scalar);
+        let want_mask = quantize_8x8(&coeffs, &qtable, &mut want, SimdLevel::Scalar);
         for (i, &c) in coeffs.iter().enumerate() {
             assert_eq!(want[i], c.round() as i32, "scalar ref idx {i}");
+            assert_eq!(want_mask >> i & 1 == 1, want[i] != 0, "scalar mask bit {i}");
         }
         for level in simd_levels() {
             let mut got = [0i32; 64];
-            let got_zero = quantize_8x8(&coeffs, &qtable, &mut got, level);
+            let got_mask = quantize_8x8(&coeffs, &qtable, &mut got, level);
             assert_eq!(want, got, "{level:?}");
-            assert_eq!(want_zero, got_zero, "{level:?} all_zero");
+            assert_eq!(want_mask, got_mask, "{level:?} nonzero mask");
         }
         // And the all-zero path: tiny coefficients over a real qtable.
         let small: Vec<f32> = noise(3, 64).iter().map(|v| v * 1e-4).collect();
@@ -1116,20 +1068,36 @@ mod tests {
         let qt: Vec<f32> = (0..64).map(|i| 0.05 + i as f32 * 0.01).collect();
         let mut qtable2 = [0.0f32; 64];
         qtable2.copy_from_slice(&qt);
-        let wz = quantize_8x8(&coeffs, &qtable2, &mut want, SimdLevel::Scalar);
-        assert!(wz);
+        assert_eq!(
+            quantize_8x8(&coeffs, &qtable2, &mut want, SimdLevel::Scalar),
+            0
+        );
         for level in simd_levels() {
             let mut got = [0i32; 64];
-            assert!(
+            assert_eq!(
                 quantize_8x8(&coeffs, &qtable2, &mut got, level),
+                0,
                 "{level:?}"
             );
             assert_eq!(want, got, "{level:?}");
         }
+        // A lone nonzero in each lane group lands on its own raster bit.
+        for i in [0, 7, 8, 31, 32, 63] {
+            let mut one = [0.0f32; 64];
+            one[i] = -3.0;
+            for level in available_levels() {
+                let mut got = [0i32; 64];
+                assert_eq!(
+                    quantize_8x8(&one, &qtable, &mut got, level),
+                    1 << i,
+                    "{level:?}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn dequantize_and_zigzag_levels_match() {
+    fn dequantize_levels_are_bit_identical() {
         let mut q = [0i32; 64];
         for (i, v) in q.iter_mut().enumerate() {
             *v = (i as i32 - 31) * 7;
@@ -1140,21 +1108,12 @@ mod tests {
         }
         let mut want = [0.0f32; 64];
         dequantize_8x8(&q, &qtable, &mut want, SimdLevel::Scalar);
-        let mut order = [0i32; 64];
-        for (i, v) in order.iter_mut().enumerate() {
-            *v = ((i * 29) % 64) as i32;
-        }
-        let mut want_z = [0i32; 64];
-        zigzag_gather(&q, &order, &mut want_z, SimdLevel::Scalar);
         for level in simd_levels() {
             let mut got = [0.0f32; 64];
             dequantize_8x8(&q, &qtable, &mut got, level);
             for i in 0..64 {
                 assert_eq!(want[i].to_bits(), got[i].to_bits(), "{level:?} idx {i}");
             }
-            let mut got_z = [0i32; 64];
-            zigzag_gather(&q, &order, &mut got_z, level);
-            assert_eq!(want_z, got_z, "{level:?}");
         }
     }
 
@@ -1168,8 +1127,6 @@ mod tests {
         sub_planes_scalar(&a, &b, &mut want_sub);
         let mut want_add = a.clone();
         add_planes_scalar(&mut want_add, &b);
-        let mut want_subs = vec![0.0f32; n];
-        sub_scalar_scalar(&a, 0.5, &mut want_subs);
         for level in simd_levels() {
             let mut got = vec![0.0f32; n];
             sub_planes_f32(&a, &b, &mut got, level);
@@ -1186,14 +1143,6 @@ mod tests {
                     .zip(&want_add)
                     .all(|(x, y)| x.to_bits() == y.to_bits()),
                 "add {level:?}"
-            );
-            let mut got3 = vec![0.0f32; n];
-            sub_scalar_f32(&a, 0.5, &mut got3, level);
-            assert!(
-                got3.iter()
-                    .zip(&want_subs)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "subs {level:?}"
             );
         }
     }

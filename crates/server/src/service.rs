@@ -25,8 +25,13 @@
 //! taken once per frame and two per-row factors: 384 `sin`/`cos` calls
 //! at full scale where a per-pixel field takes 32 768. On `roam_cold`
 //! (traced, 2-vCPU Xeon VM, one pinned CPU) that took
-//! `server.service.render_us` from ~127 µs to ~9 µs per frame, and the
-//! encode (~31 µs) is now the largest cost of a miss.
+//! `server.service.render_us` from ~127 µs to ~9 µs per frame. The
+//! encoder then pays only for the coefficients a block has (the
+//! quantizer's nonzero mask drives its run-length pass), which took
+//! `server.service.encode_us` from ~31 µs to ~20 µs per frame, about
+//! half of it the 8×8 DCT and quantizer. Encode is still the largest
+//! part of a ~40 µs miss, ahead of the render and of the store lookups
+//! and insert.
 
 use coterie_codec::{EncodedFrame, Encoder, Quality};
 use coterie_core::cache::{CacheQuery, FrameMeta};
