@@ -15,7 +15,7 @@ use coterie_frame::{ssim, ssim_with_simd, LumaFrame, SsimOptions};
 use coterie_net::wire::{frame_header, WireMessage, FRAME_HEADER_BYTES};
 use coterie_parallel::simd;
 use coterie_render::{FovOptions, RenderFilter, RenderOptions, Renderer};
-use coterie_serve::{LocalStore, StoreConfig};
+use coterie_serve::{FrameStore, LocalStore, StoreConfig};
 use coterie_server::{Connection, ReadOutcome, ServiceCore, Stream};
 use coterie_telemetry::{Stage, TelemetryConfig, TelemetrySink, TrackId};
 use coterie_world::{GameId, GameSpec, GridPoint, LeafId, Terrain, Vec2, Vec3};
@@ -236,7 +236,7 @@ fn bench_cutoff(c: &mut Criterion) {
 
 fn bench_fleet_store(c: &mut Criterion) {
     // The fleet's shared store on the hot path: a similar-match lookup
-    // against a populated stripe, and the insert + global-budget path.
+    // against a populated leaf cache, and the insert + global-budget path.
     let store = LocalStore::new(StoreConfig::default());
     for i in 0..2000i32 {
         let pos = Vec2::new((i % 100) as f64, (i / 100) as f64);
@@ -323,7 +323,7 @@ fn bench_store_scaling(c: &mut Criterion) {
     // at 10^4, 10^5 and 10^6 resident frames. Grid points fill a square
     // and fall into 8x8 leaves as the serving plane tiles them, so the
     // store holds n/64 small leaf caches. Victim selection reads list
-    // heads and a per-stripe index, never the entries: the curve is flat.
+    // heads and one head index, never the entries: the curve is flat.
     const FRAME_BYTES: u64 = 1500;
     let frame_at = |i: usize, side: usize| {
         let (ix, iz) = ((i % side) as i32, (i / side) as i32);

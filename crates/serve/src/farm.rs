@@ -134,11 +134,6 @@ impl PrerenderFarm {
         self.gpu_ms
     }
 
-    /// Total simulated render time spent so far, GPU-hours.
-    pub fn gpu_hours(&self) -> f64 {
-        self.gpu_ms / 3_600_000.0
-    }
-
     /// Frames actually rendered (deduplicated jobs only).
     pub fn rendered(&self) -> u64 {
         self.rendered
@@ -209,7 +204,7 @@ mod tests {
         farm.drain_into(&[&store]);
         assert_eq!(farm.pending(), 0);
         assert_eq!(farm.rendered(), 2);
-        assert!(farm.gpu_hours() > 0.0);
+        assert!(farm.gpu_ms() > 0.0);
         // A query 0.2 m to the side of the miss now hits.
         let q = CacheQuery {
             grid: GridPoint::new(102, 50),

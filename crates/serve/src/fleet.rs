@@ -47,8 +47,6 @@ pub struct FleetConfig {
     pub shared_store: bool,
     /// Total frame-store byte budget (split evenly in isolated mode).
     pub store_bytes: u64,
-    /// Store stripe count (intra-process lock sharding).
-    pub store_shards: usize,
     /// Provisioned fleet downlink egress, Mbps.
     pub egress_mbps: f64,
     /// Epoch length, simulated ms.
@@ -93,7 +91,6 @@ impl Default for FleetConfig {
             seed: 7,
             shared_store: true,
             store_bytes: 256 * 1024 * 1024,
-            store_shards: 16,
             egress_mbps: 2000.0,
             epoch_ms: 100.0,
             queue_depth: 32,
@@ -263,7 +260,6 @@ impl Fleet {
         }
         let store_config = |capacity_bytes: u64| StoreConfig {
             capacity_bytes,
-            shards: config.store_shards,
             admission: config.predictor.admission(),
         };
         let stores: Vec<Arc<dyn FrameStore>> = if config.shared_store {

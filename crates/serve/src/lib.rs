@@ -10,10 +10,10 @@
 //!
 //! * [`Room`] wraps a [`coterie_sim::SessionSim`] and routes its
 //!   prefetch misses through the fleet instead of a private server.
-//! * [`LocalStore`] is a lock-striped, globally-budgeted, cross-session
-//!   frame cache: stripes are keyed by `(game, leaf region)` behind
-//!   `parking_lot` mutexes, one atomic clock totally orders accesses,
-//!   and eviction runs a single LRU across every stripe. Lookups extend
+//! * [`LocalStore`] is a globally-budgeted, cross-session frame cache:
+//!   one leaf cache per `(game, leaf region)`, all behind one
+//!   `parking_lot` mutex, one clock totally orders accesses, and
+//!   eviction runs a single LRU across every leaf cache. Lookups extend
 //!   the paper's three-criteria match with a *session-id-free* variant
 //!   ([`coterie_core::CacheVersion::FLEET`]): any room's frames can
 //!   serve any other room of the same game.

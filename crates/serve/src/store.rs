@@ -13,38 +13,30 @@
 //! backend; the benchmark's timed store wraps a [`LocalStore`] behind
 //! the same trait to time every call from outside.
 //!
-//! The local store stripes by `(game, leaf region)`: lookups only ever
-//! match within one leaf (criterion 2), so a stripe holds everything a
-//! lookup can see and stripes never need to cooperate on reads. Each
-//! stripe keeps one [`FrameCache`] per `(game, leaf)` in the session-free
-//! [`CacheVersion::FLEET`] configuration behind a `parking_lot` mutex;
-//! a cache that an eviction or a replacement empties is dropped, so the
-//! store holds no more caches than it holds leaves with frames.
+//! The local store keeps one [`FrameCache`] per `(game, leaf region)`
+//! in the session-free [`CacheVersion::FLEET`] configuration: lookups
+//! only ever match within one leaf (criterion 2), so a lookup reads one
+//! small cache, and a cache that an eviction or a replacement empties
+//! is dropped. Everything the store holds — the caches, their head
+//! index, the clock, the byte count and the counters — sits behind one
+//! `parking_lot` mutex, and each operation draws its clock ticket under
+//! it, so every call lands whole: an insert with the evictions it
+//! triggers, a cost-aware admission check with the insert it guards.
 //!
-//! A single global byte budget spans all stripes, and eviction runs one
-//! *global* LRU: every cache is stamped from one atomic clock and the
-//! victim is always the entry with the smallest stamp anywhere. Finding
-//! it costs no scan. Each cache threads its entries onto a recency list,
-//! so its least recently used entry is the list head; each stripe keeps
-//! a `BTreeSet` head index of `(head stamp, game, leaf)`, one key per
-//! cache; and the global victim is the smallest of the stripes' first
-//! keys. One victim costs O(stripes · log leaves), whatever the number
-//! of frames. The index is keyed by the whole triple because stamps are
-//! unique only while operations are serialized: a worker takes its
-//! ticket before it takes the stripe lock, so with several workers two
-//! caches can carry the same head stamp, and a stamp-keyed index would
-//! drop one of them from eviction for good. Equal stamps go to the
-//! lowest stripe, then the lowest `(game, leaf)`.
+//! One byte budget spans every cache, and eviction runs one *global*
+//! LRU: the victim is the entry with the smallest stamp anywhere. Each
+//! cache threads its entries onto a recency list whose head is its
+//! least recently used entry, and a B-tree head index maps each
+//! cache's head stamp to the cache, so the victim is the index's first
+//! key: O(log leaves), whatever the number of frames. One ticket stamps
+//! at most one entry, so stamps are unique and key the index alone.
 //!
 //! The index is exact except for caches a hit has moved. A hit touches
 //! its frame, which in a leaf cache of a handful of frames is nearly
 //! always the head; but a hit only *raises* a head stamp, so instead of
-//! a B-tree remove and insert it flags the cache stale and lists it once
-//! under its filed stamp. A stripe re-files its listed caches before any
-//! other operation on a cache and before its oldest entry is read. Checking
-//! each stripe's first key against its cache on every read instead would
-//! cost every eviction a hash probe per stripe, and a full store evicts on
-//! every insert.
+//! a B-tree remove and insert it flags the cache stale and lists its
+//! filed stamp once. The store re-files its listed caches before any
+//! other operation on a cache and before its oldest entry is read.
 
 use crate::farm::render_cost_ms;
 use coterie_core::{
@@ -52,8 +44,7 @@ use coterie_core::{
 };
 use coterie_world::GameId;
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashMap};
 
 /// How the store treats a speculative insert that would overflow the
 /// byte budget.
@@ -74,21 +65,18 @@ pub enum Admission {
 /// Store configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {
-    /// Global payload budget across all stripes, bytes.
+    /// Payload budget across every leaf cache, bytes.
     pub capacity_bytes: u64,
-    /// Number of mutex-guarded stripes (lock striping width).
-    pub shards: usize,
     /// Over-budget admission policy for speculative inserts.
     pub admission: Admission,
 }
 
 impl Default for StoreConfig {
-    /// 256 MB over 16 stripes — enough for a small fleet without
-    /// swamping a test machine.
+    /// 256 MB — enough for a small fleet without swamping a test
+    /// machine.
     fn default() -> Self {
         StoreConfig {
             capacity_bytes: 256 * 1024 * 1024,
-            shards: 16,
             admission: Admission::Lru,
         }
     }
@@ -214,8 +202,9 @@ pub trait FrameStore: Send + Sync {
     fn insert(&self, game: GameId, meta: FrameMeta, size_bytes: u64) -> bool;
 
     /// Inserts a frame rendered speculatively by the pre-render farm;
-    /// `reuse_score` is the predictor's reuse estimate, scored against
-    /// the eviction victim under cost-aware admission.
+    /// `reuse_score` is the predictor's reuse estimate, weighted by the
+    /// payload's simulated render cost and, under cost-aware admission,
+    /// scored against the eviction victim.
     fn insert_speculative(
         &self,
         game: GameId,
@@ -261,56 +250,47 @@ struct FrameTag {
 type LeafKey = (GameId, u32);
 
 /// A leaf cache and whether a hit has moved its head since it was filed
-/// in the head index (the stripe's `stale` list then names it).
+/// in the head index (the `stale` list then names its filed stamp).
 #[derive(Debug)]
 struct Leaf {
     cache: FrameCache<FrameTag>,
     stale: bool,
 }
 
-/// One lock-striped stripe: the leaf caches of every `(game, leaf)`
-/// pair that hashes to it, none of them empty.
+/// Everything a [`LocalStore`] holds, behind its one lock.
 #[derive(Debug, Default)]
-struct Stripe {
+struct State {
+    /// The leaf caches with frames, none of them empty.
     caches: HashMap<LeafKey, Leaf>,
-    /// The head index: `(stamp, game, leaf)` of every cache's least
-    /// recently used entry, so the stripe's oldest entry is the first
-    /// key once `stale` is re-filed. The cache key is part of the index
-    /// key because two caches can carry the same stamp (see the module
-    /// doc).
-    heads: BTreeSet<(u64, LeafKey)>,
-    /// `(filed stamp, key)` of every cache flagged stale, once each.
-    stale: Vec<(u64, LeafKey)>,
+    /// The head index: the stamp of every cache's least recently used
+    /// entry, so the oldest entry is the first key once `stale` is
+    /// re-filed.
+    heads: BTreeMap<u64, LeafKey>,
+    /// The filed stamp of every cache flagged stale, once each.
+    stale: Vec<u64>,
+    /// Logical clock: every lookup and insert takes a ticket, so
+    /// `last_access` stamps totally order accesses across caches.
+    clock: u64,
+    /// Payload bytes across every cache.
+    bytes: u64,
+    stats: StoreStats,
 }
 
-impl Stripe {
+impl State {
+    fn ticket(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock - 1
+    }
+
     /// Re-files every cache a hit has moved at its true head stamp.
     fn refile(&mut self) {
-        for (filed, key) in self.stale.drain(..) {
+        for filed in self.stale.drain(..) {
+            let key = self.heads.remove(&filed).expect("a stale cache is filed");
             let leaf = self.caches.get_mut(&key).expect("a stale cache is kept");
             leaf.stale = false;
             let head = leaf.cache.oldest_access().expect("a hit empties no cache");
-            self.heads.remove(&(filed, key));
-            self.heads.insert((head, key));
+            self.heads.insert(head, key);
         }
-    }
-
-    /// Runs the lookup `op` on the cache of `key` (`None` if there is
-    /// none). A hit only ever raises the head stamp, so a cache whose
-    /// head moved is flagged and listed stale instead of re-filed.
-    fn lookup<R>(
-        &mut self,
-        key: LeafKey,
-        op: impl FnOnce(&mut FrameCache<FrameTag>) -> R,
-    ) -> Option<R> {
-        let leaf = self.caches.get_mut(&key)?;
-        let filed = leaf.cache.oldest_access();
-        let result = op(&mut leaf.cache);
-        if !leaf.stale && leaf.cache.oldest_access() != filed {
-            leaf.stale = true;
-            self.stale.extend(filed.map(|stamp| (stamp, key)));
-        }
-        Some(result)
     }
 
     /// Re-files the stale caches, runs `op` on the cache of `key`
@@ -337,16 +317,16 @@ impl Stripe {
         } else {
             self.caches.get_mut(&key)?
         };
-        let cache = &mut leaf.cache;
-        let before = cache.oldest_access();
-        let result = op(cache);
-        let after = cache.oldest_access();
+        let before = leaf.cache.oldest_access();
+        let result = op(&mut leaf.cache);
+        let after = leaf.cache.oldest_access();
         if before != after {
             if let Some(stamp) = before {
-                self.heads.remove(&(stamp, key));
+                self.heads.remove(&stamp);
             }
             if let Some(stamp) = after {
-                self.heads.insert((stamp, key));
+                let filed = self.heads.insert(stamp, key);
+                debug_assert!(filed.is_none(), "stamp {stamp} heads two caches");
             }
         }
         if after.is_none() {
@@ -354,289 +334,60 @@ impl Stripe {
         }
         Some(result)
     }
-}
 
-/// The in-process [`FrameStore`] backend: one store shared by every
-/// room of the fleet.
-///
-/// Thread-safe (atomics + per-stripe mutexes). Determinism note: the
-/// store itself is deterministic for a fixed *sequence* of operations;
-/// fleet runs that need byte-identical reports must serialize their
-/// store mutations (the [`crate::Fleet`] epoch loop visits rooms in id
-/// order for exactly this reason).
-#[derive(Debug)]
-pub struct LocalStore {
-    config: StoreConfig,
-    stripes: Vec<Mutex<Stripe>>,
-    /// Global logical clock; every operation takes a ticket, so
-    /// serialized operations stamp `last_access` in one total order
-    /// across stripes (concurrent ones may tie; see the module doc).
-    clock: AtomicU64,
-    /// Global payload bytes across stripes.
-    bytes: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    duplicates: AtomicU64,
-    replacements: AtomicU64,
-    evictions: AtomicU64,
-    spec_rendered: AtomicU64,
-    spec_used: AtomicU64,
-    spec_hits: AtomicU64,
-    spec_rejected: AtomicU64,
-}
-
-impl LocalStore {
-    /// Creates an empty store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.shards` is zero or the capacity is zero.
-    pub fn new(config: StoreConfig) -> Self {
-        assert!(config.shards > 0, "store needs at least one stripe");
-        assert!(config.capacity_bytes > 0, "store capacity must be positive");
-        LocalStore {
-            config,
-            stripes: (0..config.shards)
-                .map(|_| Mutex::new(Stripe::default()))
-                .collect(),
-            clock: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            duplicates: AtomicU64::new(0),
-            replacements: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            spec_rendered: AtomicU64::new(0),
-            spec_used: AtomicU64::new(0),
-            spec_hits: AtomicU64::new(0),
-            spec_rejected: AtomicU64::new(0),
-        }
+    /// The stamp and cache of the oldest entry, `None` when empty: the
+    /// one victim search every LRU decision shares.
+    fn oldest(&mut self) -> Option<(u64, LeafKey)> {
+        self.refile();
+        self.heads
+            .first_key_value()
+            .map(|(&stamp, &key)| (stamp, key))
     }
 
-    /// The construction-time configuration.
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
+    fn evict_oldest(&mut self) -> Option<u64> {
+        let (_, key) = self.oldest()?;
+        let freed = self
+            .on_cache(key, false, FrameCache::evict_lru)
+            .flatten()
+            .expect("an indexed cache holds a frame");
+        self.bytes -= freed;
+        self.stats.evictions += 1;
+        Some(freed)
     }
 
-    /// Total cached payload bytes across stripes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// The global byte budget.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.config.capacity_bytes
-    }
-
-    /// Number of cached frames across stripes.
-    pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .caches
-                    .values()
-                    .map(|l| l.cache.len())
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
-    /// Whether no stripe holds any frame.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Aggregate counters.
-    pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            duplicates: self.duplicates.load(Ordering::Relaxed),
-            replacements: self.replacements.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            spec_rendered: self.spec_rendered.load(Ordering::Relaxed),
-            spec_used: self.spec_used.load(Ordering::Relaxed),
-            spec_hits: self.spec_hits.load(Ordering::Relaxed),
-            spec_rejected: self.spec_rejected.load(Ordering::Relaxed),
-        }
-    }
-
-    /// FNV-1a over the stripe key, so `(game, leaf)` pairs spread
-    /// evenly across stripes.
-    fn stripe_index(&self, game: GameId, leaf: u32) -> usize {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for byte in (game as u32)
-            .to_le_bytes()
-            .into_iter()
-            .chain(leaf.to_le_bytes())
-        {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        (h % self.stripes.len() as u64) as usize
-    }
-
-    fn fresh_ticket(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Looks up a frame for `query` among every frame any session of
-    /// `game` has contributed. Applies the paper's three criteria with
-    /// the closest qualifying frame winning; a hit refreshes the
-    /// frame's global recency.
-    pub fn lookup(&self, game: GameId, query: &CacheQuery) -> bool {
-        let ticket = self.fresh_ticket();
-        let mut stripe = self.stripes[self.stripe_index(game, query.leaf.0)].lock();
-        let mut spec_hit = false;
-        let mut first_use = false;
-        let hit = stripe
-            .lookup((game, query.leaf.0), |cache| {
-                cache.advance_clock(ticket);
-                match cache.lookup_mut(query) {
-                    Some(tag) => {
-                        if tag.speculative {
-                            spec_hit = true;
-                            first_use = !tag.used;
-                        }
-                        tag.used = true;
-                        true
-                    }
-                    None => false,
-                }
-            })
-            .unwrap_or(false);
-        drop(stripe);
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if spec_hit {
-                self.spec_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            if first_use {
-                self.spec_used.fetch_add(1, Ordering::Relaxed);
-            }
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// Inserts a demand-rendered frame contributed by any session of
-    /// `game`. Duplicates (a frame already covering the exact position,
-    /// leaf and near set at the same size) are skipped so backfill
-    /// cannot bloat the store. Returns whether the frame was admitted.
-    pub fn insert(&self, game: GameId, meta: FrameMeta, size_bytes: u64) -> bool {
-        self.insert_tagged(
-            game,
-            meta,
-            size_bytes,
-            FrameTag {
-                speculative: false,
-                used: false,
-                value: 0.0,
-            },
-        )
-    }
-
-    /// Inserts a frame rendered speculatively by the pre-render farm.
-    /// `reuse_score` is the predictor's estimate of how soon/often the
-    /// frame will be requested; the admission value is that score
-    /// weighted by the simulated render cost of the payload, so
-    /// cost-aware admission keeps expensive frames it expects to reuse
-    /// and refuses cheap long-shots over a full budget.
-    pub fn insert_speculative(
-        &self,
+    /// Inserts one frame, `speculative` carrying a speculative frame's
+    /// admission value: refuses speculation that cost-aware admission
+    /// finds worth less than the eviction victim, skips a duplicate,
+    /// replaces a frame of the same key and another size, then evicts
+    /// the globally oldest frames until the budget holds again.
+    fn insert(
+        &mut self,
         game: GameId,
         meta: FrameMeta,
         size_bytes: u64,
-        reuse_score: f64,
+        speculative: Option<f64>,
+        config: &StoreConfig,
     ) -> bool {
-        let value = reuse_score * render_cost_ms(size_bytes);
-        if self.config.admission == Admission::CostAware
-            && self.bytes.load(Ordering::Relaxed) + size_bytes > self.capacity_bytes()
-        {
-            // Admitting would evict the globally-oldest frame; only do
-            // it if this candidate is worth more than that victim.
-            let victim_value = self.oldest_value();
-            if victim_value.map(|v| v >= value).unwrap_or(false) {
-                self.spec_rejected.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-        }
-        let admitted = self.insert_tagged(
-            game,
-            meta,
-            size_bytes,
-            FrameTag {
-                speculative: true,
-                used: false,
-                value,
-            },
-        );
-        if admitted {
-            self.spec_rendered.fetch_add(1, Ordering::Relaxed);
-        }
-        admitted
-    }
-
-    /// Where this store's oldest entry lives — stripe, cache and stamp —
-    /// or `None` when the store is empty: the smallest first key of the
-    /// stripes' head indexes, each made exact first. The one victim
-    /// search every LRU decision shares.
-    fn oldest(&self) -> Option<(usize, LeafKey, u64)> {
-        let mut oldest: Option<(usize, LeafKey, u64)> = None;
-        for (si, stripe) in self.stripes.iter().enumerate() {
-            let mut stripe = stripe.lock();
-            stripe.refile();
-            if let Some(&(stamp, key)) = stripe.heads.first() {
-                if oldest.map(|(_, _, v)| stamp < v).unwrap_or(true) {
-                    oldest = Some((si, key, stamp));
+        if let Some(value) = speculative {
+            if config.admission == Admission::CostAware
+                && self.bytes + size_bytes > config.capacity_bytes
+            {
+                let victim = self.oldest().and_then(|(_, key)| {
+                    let (_, tag) = self.caches[&key].cache.oldest_entry()?;
+                    Some(tag.value)
+                });
+                if victim.is_some_and(|v| v >= value) {
+                    self.stats.spec_rejected += 1;
+                    return false;
                 }
             }
         }
-        oldest
-    }
-
-    /// The admission value of the globally-oldest frame (the one an
-    /// over-budget insert would evict), if any.
-    fn oldest_value(&self) -> Option<f64> {
-        let (si, key, _) = self.oldest()?;
-        let stripe = self.stripes[si].lock();
-        let (_, tag) = stripe.caches.get(&key)?.cache.oldest_entry()?;
-        Some(tag.value)
-    }
-
-    /// The access stamp of this store's oldest entry (`None` when
-    /// empty): the entry the next over-budget insert evicts.
-    pub fn oldest_stamp(&self) -> Option<u64> {
-        self.oldest().map(|(_, _, stamp)| stamp)
-    }
-
-    /// Evicts this store's single oldest entry, returning the bytes
-    /// freed (`None` when empty). Budget enforcement evicts through
-    /// this; it is public so a caller can drain the store in LRU order.
-    pub fn evict_oldest(&self) -> Option<u64> {
-        loop {
-            let (si, key, _) = self.oldest()?;
-            // The stripe lock was released in between: under concurrent
-            // use another thread may have evicted that cache's last
-            // entry first, and the search simply runs again.
-            let evicted = self.stripes[si]
-                .lock()
-                .on_cache(key, false, FrameCache::evict_lru);
-            if let Some(freed) = evicted.flatten() {
-                self.bytes.fetch_sub(freed, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                return Some(freed);
-            }
-        }
-    }
-
-    fn insert_tagged(&self, game: GameId, meta: FrameMeta, size_bytes: u64, tag: FrameTag) -> bool {
-        let ticket = self.fresh_ticket();
+        let tag = FrameTag {
+            speculative: speculative.is_some(),
+            used: false,
+            value: speculative.unwrap_or(0.0),
+        };
+        let ticket = self.ticket();
         let dup_probe = CacheQuery {
             grid: meta.grid,
             pos: meta.pos,
@@ -644,9 +395,8 @@ impl LocalStore {
             near_hash: meta.near_hash,
             dist_thresh: 0.0,
         };
-        let mut stripe = self.stripes[self.stripe_index(game, meta.leaf.0)].lock();
         let mut replaced = None;
-        let admitted = stripe
+        let admitted = self
             .on_cache((game, meta.leaf.0), true, |cache| {
                 match cache.peek_size(&dup_probe) {
                     // Same key, same payload size: genuine duplicate.
@@ -661,95 +411,107 @@ impl LocalStore {
                 true
             })
             .unwrap_or(false);
-        drop(stripe);
         if !admitted {
-            self.duplicates.fetch_add(1, Ordering::Relaxed);
+            self.stats.duplicates += 1;
             return false;
         }
         if let Some(old_size) = replaced {
-            // Debit the old bytes *before* crediting the new so the
-            // global budget tracks the true sum of entry sizes.
-            self.bytes.fetch_sub(old_size, Ordering::Relaxed);
-            self.replacements.fetch_add(1, Ordering::Relaxed);
+            self.bytes -= old_size;
+            self.stats.replacements += 1;
         }
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(size_bytes, Ordering::Relaxed);
-        self.enforce_budget();
+        self.stats.insertions += 1;
+        self.stats.spec_rendered += tag.speculative as u64;
+        self.bytes += size_bytes;
+        while self.bytes > config.capacity_bytes && self.evict_oldest().is_some() {}
         true
-    }
-
-    /// Evicts globally-oldest frames until the byte budget holds (or
-    /// nothing is left to evict).
-    fn enforce_budget(&self) {
-        while self.bytes.load(Ordering::Relaxed) > self.capacity_bytes() {
-            if self.evict_oldest().is_none() {
-                break;
-            }
-        }
     }
 }
 
-#[cfg(test)]
+/// The in-process [`FrameStore`] backend: one store shared by every
+/// room of the fleet.
+///
+/// Thread-safe behind one mutex. Determinism note: the store is
+/// deterministic for a fixed *sequence* of operations; fleet runs that
+/// need byte-identical reports must serialize their store calls (the
+/// [`crate::Fleet`] epoch loop visits rooms in id order for exactly
+/// this reason).
+#[derive(Debug)]
+pub struct LocalStore {
+    config: StoreConfig,
+    state: Mutex<State>,
+}
+
 impl LocalStore {
-    /// Sets the global clock, so the next operation's ticket is `stamp`.
-    fn set_clock(&self, stamp: u64) {
-        self.clock.store(stamp, Ordering::Relaxed);
+    /// Creates an empty store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacity is zero.
+    pub fn new(config: StoreConfig) -> Self {
+        assert!(config.capacity_bytes > 0, "store capacity must be positive");
+        LocalStore {
+            config,
+            state: Mutex::new(State::default()),
+        }
     }
 
-    /// Leaf caches held, how many of them are empty, head-index keys,
-    /// and the sum of the caches' own byte counts. Panics unless every
-    /// cache has one head key: its true head stamp, or for a cache
-    /// flagged stale the stamp it is listed under.
-    fn census(&self) -> (usize, usize, usize, u64) {
-        let (mut caches, mut empty, mut heads, mut bytes) = (0, 0, 0, 0);
-        for stripe in &self.stripes {
-            let stripe = stripe.lock();
-            let listed: HashMap<LeafKey, u64> = stripe
-                .stale
-                .iter()
-                .map(|&(stamp, key)| (key, stamp))
-                .collect();
-            assert_eq!(
-                listed.len(),
-                stripe.stale.len(),
-                "a cache listed stale twice"
-            );
-            for (&key, leaf) in &stripe.caches {
-                let filed = if leaf.stale {
-                    listed.get(&key).copied()
-                } else {
-                    leaf.cache.oldest_access()
-                };
-                let found = filed.is_some_and(|stamp| stripe.heads.contains(&(stamp, key)));
-                assert!(found, "{key:?} is not filed at {filed:?}");
-            }
-            assert_eq!(
-                stripe.heads.len(),
-                stripe.caches.len(),
-                "one head key per cache"
-            );
-            let flagged = stripe.caches.values().filter(|l| l.stale).count();
-            assert_eq!(flagged, listed.len(), "every listed cache is flagged");
-            caches += stripe.caches.len();
-            empty += stripe
-                .caches
-                .values()
-                .filter(|l| l.cache.is_empty())
-                .count();
-            heads += stripe.heads.len();
-            bytes += stripe.caches.values().map(|l| l.cache.bytes()).sum::<u64>();
-        }
-        (caches, empty, heads, bytes)
+    /// The construction-time configuration.
+    pub fn config(&self) -> &StoreConfig {
+        &self.config
+    }
+
+    /// The access stamp of this store's oldest entry (`None` when
+    /// empty): the entry the next over-budget insert evicts.
+    pub fn oldest_stamp(&self) -> Option<u64> {
+        self.state.lock().oldest().map(|(stamp, _)| stamp)
+    }
+
+    /// Evicts this store's single oldest entry, returning the bytes
+    /// freed (`None` when empty). Budget enforcement evicts through
+    /// this; it is public so a caller can drain the store in LRU order.
+    pub fn evict_oldest(&self) -> Option<u64> {
+        self.state.lock().evict_oldest()
     }
 }
 
 impl FrameStore for LocalStore {
     fn lookup(&self, game: GameId, query: &CacheQuery) -> bool {
-        LocalStore::lookup(self, game, query)
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        let ticket = state.ticket();
+        let found = state
+            .caches
+            .get_mut(&(game, query.leaf.0))
+            .and_then(|leaf| {
+                let filed = leaf.cache.oldest_access();
+                leaf.cache.advance_clock(ticket);
+                let found = leaf.cache.lookup_mut(query).map(|tag| {
+                    let first_use = tag.speculative && !tag.used;
+                    tag.used = true;
+                    (tag.speculative, first_use)
+                });
+                // A hit only ever raises the head stamp, so a cache whose
+                // head moved is flagged and listed stale, not re-filed.
+                if !leaf.stale && leaf.cache.oldest_access() != filed {
+                    leaf.stale = true;
+                    state.stale.extend(filed);
+                }
+                found
+            });
+        let stats = &mut state.stats;
+        let Some((speculative, first_use)) = found else {
+            stats.misses += 1;
+            return false;
+        };
+        stats.hits += 1;
+        stats.spec_hits += speculative as u64;
+        stats.spec_used += first_use as u64;
+        true
     }
 
     fn insert(&self, game: GameId, meta: FrameMeta, size_bytes: u64) -> bool {
-        LocalStore::insert(self, game, meta, size_bytes)
+        let mut state = self.state.lock();
+        state.insert(game, meta, size_bytes, None, &self.config)
     }
 
     fn insert_speculative(
@@ -759,11 +521,13 @@ impl FrameStore for LocalStore {
         size_bytes: u64,
         reuse_score: f64,
     ) -> bool {
-        LocalStore::insert_speculative(self, game, meta, size_bytes, reuse_score)
+        let value = reuse_score * render_cost_ms(size_bytes);
+        let mut state = self.state.lock();
+        state.insert(game, meta, size_bytes, Some(value), &self.config)
     }
 
     fn stats(&self) -> StoreStats {
-        LocalStore::stats(self)
+        self.state.lock().stats
     }
 
     fn admission(&self) -> Admission {
@@ -771,15 +535,16 @@ impl FrameStore for LocalStore {
     }
 
     fn capacity_bytes(&self) -> u64 {
-        LocalStore::capacity_bytes(self)
+        self.config.capacity_bytes
     }
 
     fn bytes(&self) -> u64 {
-        LocalStore::bytes(self)
+        self.state.lock().bytes
     }
 
     fn len(&self) -> usize {
-        LocalStore::len(self)
+        let state = self.state.lock();
+        state.caches.values().map(|l| l.cache.len()).sum()
     }
 }
 
@@ -787,6 +552,7 @@ impl FrameStore for LocalStore {
 mod tests {
     use super::*;
     use coterie_world::{GridPoint, LeafId, Vec2};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn meta(ix: i32, iz: i32, leaf: u32, hash: u64) -> FrameMeta {
         FrameMeta {
@@ -805,6 +571,43 @@ mod tests {
             near_hash: m.near_hash,
             dist_thresh,
         }
+    }
+
+    /// Leaf caches held, how many of them are empty, head-index keys,
+    /// and the sum of the caches' own byte counts. Panics unless every
+    /// cache has one head key: its true head stamp, or for a cache
+    /// flagged stale the stamp it is listed under.
+    fn census(store: &LocalStore) -> (usize, usize, usize, u64) {
+        let state = store.state.lock();
+        let listed: HashMap<LeafKey, u64> = state
+            .stale
+            .iter()
+            .map(|&stamp| (state.heads[&stamp], stamp))
+            .collect();
+        assert_eq!(
+            listed.len(),
+            state.stale.len(),
+            "a cache listed stale twice"
+        );
+        for (&key, leaf) in &state.caches {
+            let filed = if leaf.stale {
+                listed.get(&key).copied()
+            } else {
+                leaf.cache.oldest_access()
+            };
+            let found = filed.is_some_and(|stamp| state.heads.get(&stamp) == Some(&key));
+            assert!(found, "{key:?} is not filed at {filed:?}");
+        }
+        assert_eq!(
+            state.heads.len(),
+            state.caches.len(),
+            "one head key per cache"
+        );
+        let flagged = state.caches.values().filter(|l| l.stale).count();
+        assert_eq!(flagged, listed.len(), "every listed cache is flagged");
+        let empty = state.caches.values().filter(|l| l.cache.is_empty()).count();
+        let bytes = state.caches.values().map(|l| l.cache.bytes()).sum();
+        (state.caches.len(), empty, state.heads.len(), bytes)
     }
 
     #[test]
@@ -951,7 +754,6 @@ mod tests {
     fn cost_aware_admission_refuses_low_value_speculation() {
         let store = LocalStore::new(StoreConfig {
             capacity_bytes: 250,
-            shards: 4,
             admission: Admission::CostAware,
         });
         let a = meta(10, 10, 1, 7);
@@ -975,7 +777,6 @@ mod tests {
     fn lru_admission_always_admits_speculation() {
         let store = LocalStore::new(StoreConfig {
             capacity_bytes: 250,
-            shards: 4,
             ..StoreConfig::default()
         });
         let a = meta(10, 10, 1, 7);
@@ -989,13 +790,12 @@ mod tests {
     }
 
     #[test]
-    fn budget_evicts_globally_oldest_across_stripes() {
+    fn budget_evicts_globally_oldest_across_leaves() {
         // Three frames of 100 B in *different leaves* (hence different
-        // stripes) under a 250 B budget: the first-inserted frame is
-        // the globally oldest and must be the one evicted.
+        // leaf caches) under a 250 B budget: the first-inserted frame
+        // is the globally oldest and must be the one evicted.
         let store = LocalStore::new(StoreConfig {
             capacity_bytes: 250,
-            shards: 4,
             ..StoreConfig::default()
         });
         let a = meta(10, 10, 1, 7);
@@ -1019,7 +819,6 @@ mod tests {
     fn hits_refresh_global_recency() {
         let store = LocalStore::new(StoreConfig {
             capacity_bytes: 250,
-            shards: 4,
             ..StoreConfig::default()
         });
         let a = meta(10, 10, 1, 7);
@@ -1071,7 +870,6 @@ mod tests {
         // that) — only that counters and budget stay coherent.
         let store = std::sync::Arc::new(LocalStore::new(StoreConfig {
             capacity_bytes: 10_000,
-            shards: 4,
             ..StoreConfig::default()
         }));
         std::thread::scope(|scope| {
@@ -1093,7 +891,7 @@ mod tests {
         // Whatever the interleaving was, the books balance: the budget
         // counter equals what the caches hold, every cache is filed in
         // the head index, and evicting the oldest empties the store.
-        let (caches, empty, heads, cache_bytes) = store.census();
+        let (caches, empty, heads, cache_bytes) = census(&store);
         assert_eq!(store.bytes(), cache_bytes);
         assert_eq!(store.bytes(), store.len() as u64 * 100);
         assert_eq!((empty, heads), (0, caches));
@@ -1103,48 +901,63 @@ mod tests {
         }
         assert_eq!(store.evict_oldest(), None);
         assert_eq!(store.bytes(), 0);
-        assert_eq!(store.census(), (0, 0, 0, 0));
+        assert_eq!(census(&store), (0, 0, 0, 0));
     }
 
     #[test]
-    fn equal_stamps_in_one_stripe_evict_each_entry_once() {
-        // With several workers a ticket is drawn before the stripe lock
-        // is taken, so two caches can end up with the same head stamp.
-        // Forced here without threads by rewinding the clock between
-        // inserts into two leaves of one stripe; an index keyed by the
-        // stamp alone would file one cache over the other and never
-        // evict its frames.
+    fn budget_holds_under_concurrent_writers_and_drains_in_stamp_order() {
+        // Each call lands whole under the store's one lock: a reader
+        // never sees an insert's bytes before the evictions they force,
+        // and no two entries share a stamp. Every frame has its own
+        // size, so a frame evicted twice shows up as a repeated size.
         let store = LocalStore::new(StoreConfig {
-            shards: 4,
+            capacity_bytes: 20_000,
             ..StoreConfig::default()
         });
-        let game = GameId::Fps;
-        let first = store.stripe_index(game, 0);
-        let twin = (1..)
-            .find(|&leaf| store.stripe_index(game, leaf) == first)
-            .expect("some leaf shares a stripe with leaf 0");
-        let mut sizes = Vec::new();
-        for round in 0..3u64 {
-            for leaf in [0, twin] {
-                store.set_clock(10 + round);
-                let size = 100 + sizes.len() as u64;
-                assert!(store.insert(game, meta(round as i32 * 40, 0, leaf, 7), size));
-                sizes.push(size);
-            }
-        }
-        assert_eq!(store.census().2, 2, "one head-index key per cache");
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    let bytes = store.bytes();
+                    assert!(bytes <= store.capacity_bytes(), "{bytes} B over budget");
+                }
+            });
+            let writers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let store = &store;
+                    scope.spawn(move || {
+                        for i in 0..500u64 {
+                            let m = meta(i as i32, t as i32, (i % 7) as u32, 7);
+                            assert!(store.insert(GameId::Fps, m, 1000 + t * 500 + i));
+                            store.lookup(GameId::Fps, &query(&m, 0.5));
+                        }
+                    })
+                })
+                .collect();
+            let writers: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+            done.store(true, Ordering::Release);
+            reader.join().expect("the budget held");
+            assert!(writers.into_iter().all(|w| w.is_ok()), "a writer panicked");
+        });
+        assert_eq!(store.stats().insertions, 2_000);
+        let (len, bytes) = (store.len(), store.bytes());
+        assert_eq!(census(&store).3, bytes);
         let mut stamps = Vec::new();
         let mut freed: Vec<u64> = std::iter::from_fn(|| {
             stamps.extend(store.oldest_stamp());
             store.evict_oldest()
         })
         .collect();
-        assert_eq!(stamps, [11, 11, 12, 12, 13, 13], "the two caches tie");
+        assert!(
+            stamps.windows(2).all(|w| w[0] < w[1]),
+            "drain stamps {stamps:?}"
+        );
+        assert_eq!((stamps.len(), freed.len()), (len, len));
+        assert_eq!(freed.iter().sum::<u64>(), bytes);
         freed.sort_unstable();
-        assert_eq!(freed, sizes, "every entry evicted exactly once");
-        assert_eq!((store.bytes(), store.len()), (0, 0));
-        assert_eq!(store.oldest_stamp(), None);
-        assert_eq!(store.stats().evictions, 6);
+        freed.dedup();
+        assert_eq!(freed.len(), len, "a frame evicted twice");
+        assert_eq!(census(&store), (0, 0, 0, 0));
     }
 
     #[test]
@@ -1155,14 +968,13 @@ mod tests {
         // every leaf it has ever visited.
         let store = LocalStore::new(StoreConfig {
             capacity_bytes: 8 * 1500,
-            shards: 4,
             ..StoreConfig::default()
         });
         for leaf in 0..2_500u32 {
             for i in 0..3 {
                 assert!(store.insert(GameId::Fps, meta(i * 10, 0, leaf, 7), 1500));
             }
-            let (caches, empty, heads, _) = store.census();
+            let (caches, empty, heads, _) = census(&store);
             assert_eq!(empty, 0, "an emptied cache outlived its last frame");
             assert_eq!(heads, caches);
             assert!(
@@ -1177,8 +989,8 @@ mod tests {
         let lone = LocalStore::new(StoreConfig::default());
         assert!(lone.insert(GameId::Fps, meta(1, 1, 9, 7), 100));
         assert!(lone.insert(GameId::Fps, meta(1, 1, 9, 7), 200));
-        assert_eq!(lone.census(), (1, 0, 1, 200));
+        assert_eq!(census(&lone), (1, 0, 1, 200));
         assert_eq!(lone.evict_oldest(), Some(200));
-        assert_eq!(lone.census(), (0, 0, 0, 0));
+        assert_eq!(census(&lone), (0, 0, 0, 0));
     }
 }

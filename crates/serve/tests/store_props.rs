@@ -2,7 +2,7 @@
 //! every frame in one `Vec` and answers each question by scanning it.
 //!
 //! The store finds its eviction victim through per-cache recency lists
-//! and per-stripe head indexes; the model finds it with `min_by_key`
+//! and a head index over the caches; the model finds it with `min_by_key`
 //! over everything. Both are driven by the same seeded sequence of
 //! operations and must agree after every step on the hit/miss answer,
 //! `bytes()`, `len()`, `stats()` and `oldest_stamp()`, and at the end on
@@ -16,7 +16,7 @@
 //! `StoreStats` per room).
 
 use coterie_core::{CacheQuery, FrameMeta};
-use coterie_serve::{render_cost_ms, Admission, LocalStore, StoreConfig, StoreStats};
+use coterie_serve::{render_cost_ms, Admission, FrameStore, LocalStore, StoreConfig, StoreStats};
 use coterie_world::{GameId, GridPoint, LeafId, Vec2};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -262,7 +262,7 @@ fn step(
     Ok(())
 }
 
-fn new_pair(capacity: u64, shards: usize, cost_aware: bool) -> (LocalStore, Model) {
+fn new_pair(capacity: u64, cost_aware: bool) -> (LocalStore, Model) {
     let admission = if cost_aware {
         Admission::CostAware
     } else {
@@ -270,7 +270,6 @@ fn new_pair(capacity: u64, shards: usize, cost_aware: bool) -> (LocalStore, Mode
     };
     let store = LocalStore::new(StoreConfig {
         capacity_bytes: capacity,
-        shards,
         admission,
     });
     let model = Model {
@@ -303,10 +302,9 @@ proptest! {
     fn local_store_matches_the_scan_model(
         ops in proptest::collection::vec(op_strategy(), 1..200),
         capacity in 500u64..5_000,
-        shards in 1usize..6,
         cost_aware in proptest::bool::ANY,
     ) {
-        let (store, mut model) = new_pair(capacity, shards, cost_aware);
+        let (store, mut model) = new_pair(capacity, cost_aware);
         for (i, op) in ops.iter().enumerate() {
             let kind = match op.kind {
                 0..=3 => Kind::Lookup,
@@ -331,10 +329,9 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..300),
         every in 5usize..50,
         capacity in 500u64..5_000,
-        shards in 1usize..6,
         cost_aware in proptest::bool::ANY,
     ) {
-        let (store, mut model) = new_pair(capacity, shards, cost_aware);
+        let (store, mut model) = new_pair(capacity, cost_aware);
         for (i, op) in ops.iter().enumerate() {
             let kind = match op.kind {
                 0..=7 => Kind::Lookup,

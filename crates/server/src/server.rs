@@ -10,8 +10,8 @@
 //! and without an accept lock. The accepting worker owns the connection
 //! for its whole life: no cross-worker handoff, no shared connection
 //! table, no locks on the read/write path. All cross-connection state
-//! (the frame store, rooms, the farm) lives in [`ServiceCore`] behind
-//! its own fine-grained locks.
+//! lives in [`ServiceCore`], one mutex each for the frame store, the
+//! rooms, the payload cache and the farm.
 //!
 //! Readiness is level-triggered. `EPOLLOUT` is armed only while a
 //! connection's egress queue is non-empty, so an idle socket costs no

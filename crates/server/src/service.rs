@@ -68,7 +68,6 @@ const PAYLOAD_CACHE_ENTRIES: usize = 4096;
 /// Per-game world state, built lazily on first join.
 struct World {
     scene: Scene,
-    spec: GameSpec,
     /// Similarity threshold for store lookups, meters.
     dist_thresh: f64,
     /// Near-set radius fed to criterion 3's hash, meters.
@@ -218,29 +217,15 @@ impl ServiceCore {
         worlds
             .entry(game)
             .or_insert_with(|| {
-                let spec = GameSpec::for_game(game);
-                let scene = spec.build_scene(self.world_seed);
+                let scene = GameSpec::for_game(game).build_scene(self.world_seed);
                 let spacing = scene.grid().spacing();
                 Arc::new(World {
                     scene,
-                    spec,
                     dist_thresh: spacing * 0.75,
                     near_radius: spacing * 2.0,
                 })
             })
             .clone()
-    }
-
-    /// The game's spec and scene, for trajectory-driven tooling that
-    /// wants to share the server's lazily-built world.
-    pub fn world_handles(&self, game: GameId) -> (GameSpec, Arc<Scene>) {
-        // The load generator builds its own scene from the same seed;
-        // this accessor exists for in-process harnesses.
-        let w = self.world(game);
-        (
-            w.spec.clone(),
-            Arc::new(w.spec.build_scene(self.world_seed)),
-        )
     }
 
     /// Admits a player into `(game, room)` and returns its player id

@@ -10,7 +10,7 @@ use coterie_net::wire::{
 use coterie_net::NetScenario;
 use coterie_server::{loadgen, Endpoint, Listener, LoadConfig, Server, ServerConfig};
 use coterie_telemetry::TelemetrySink;
-use coterie_world::GameId;
+use coterie_world::{GameId, GameSpec};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -78,6 +78,34 @@ fn n_clients_m_frames_over_uds_zero_errors() {
     assert_eq!(stats.live, 0);
     // Co-located players in a room share poses → the store serves hits.
     assert!(stats.store_hit_ratio > 0.0, "stats {stats:?}");
+}
+
+/// Two workers share the listener, the store, the rooms and the farm:
+/// every session still completes with every pose answered once.
+#[test]
+fn two_workers_serve_every_session_over_uds() {
+    let config = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let (server, path) = start_uds("workers", config);
+    let clients = 8;
+    let report = loadgen::run(&base_load(&path, clients, 80));
+    let stored = server.service().store().len();
+    let stats = server.stop();
+    let _ = std::fs::remove_file(&path);
+
+    assert_eq!(
+        report.sessions_completed,
+        clients,
+        "{}",
+        report.summary_line()
+    );
+    assert_eq!(report.protocol_errors, 0);
+    assert_eq!(stats.protocol_errors, 0);
+    assert_eq!(report.frames_received, report.poses_sent);
+    assert_eq!(stats.poses, report.poses_sent);
+    assert!(stored > 0, "the workers stored no frame");
 }
 
 /// Same protocol over real TCP loopback.
@@ -741,7 +769,8 @@ fn shard_family_bytes_cannot_touch_a_served_frame() {
     let errors_before = server.stats().protocol_errors;
 
     // The frame's store identity, as the server derives it from the pose.
-    let (_, scene) = server.service().world_handles(GameId::VikingVillage);
+    let scene =
+        GameSpec::for_game(GameId::VikingVillage).build_scene(ServerConfig::default().world_seed);
     let grid = scene.grid().snap(coterie_world::Vec2::new(x, z));
     let gpos = scene.grid().position(grid);
     let near_hash = scene.near_set_hash(gpos, scene.grid().spacing() * 2.0);

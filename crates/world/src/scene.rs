@@ -9,7 +9,7 @@
 //! * *near-set queries* — the identity of objects within the cutoff radius
 //!   (criterion 3 of the cache lookup algorithm, §5.3).
 
-use crate::grid::{GridPoint, GridSpec};
+use crate::grid::GridSpec;
 use crate::noise::hash64;
 use crate::object::{ObjectId, SceneObject};
 use crate::quadtree::Rect;
@@ -248,12 +248,6 @@ impl Scene {
         Vec3::new(foot.x, foot.y + self.eye_height, foot.z)
     }
 
-    /// Eye position at a grid point.
-    #[inline]
-    pub fn eye_at(&self, gp: GridPoint) -> Vec3 {
-        self.eye(self.grid.position(gp))
-    }
-
     /// Iterates over objects whose *center* lies within `radius` (ground
     /// distance) of `p`.
     pub fn objects_within(&self, p: Vec2, radius: f64) -> impl Iterator<Item = &SceneObject> {
@@ -281,11 +275,6 @@ impl Scene {
             }
         }
         total as f64 / rect.area().max(1e-9)
-    }
-
-    /// Sum of all object triangles.
-    pub fn total_triangles(&self) -> u64 {
-        self.objects.iter().map(|o| o.triangles as u64).sum()
     }
 
     /// The set of object ids within `radius` of `p`, hashed into a stable
