@@ -127,19 +127,28 @@ fn bench_render(c: &mut Criterion) {
 fn bench_terrain(c: &mut Criterion) {
     // Slope shading for one panorama row's worth of ground points: a ring
     // around the eye, tight (most blocks of four stay in one noise cell
-    // at every octave) and wide (many leave it at the finer octaves).
-    let terrain = Terrain::new(42, 8.0, 80.0);
+    // at every octave) and wide (many leave it at the finer octaves),
+    // and a 5 cm ring round a point that is a lattice corner at all four
+    // octaves (any multiple of the wavelength), where every cross
+    // straddles a cell edge — the nadir rows of an eye on a cell line.
+    let wavelength = 80.0;
+    let terrain = Terrain::new(42, 8.0, wavelength);
     let light = Vec3::new(0.35, 0.85, 0.40).normalized();
-    for radius in [2.0f64, 10.0] {
+    let rings = [
+        ("2m", 2.0, (120.0, 90.0)),
+        ("10m", 10.0, (120.0, 90.0)),
+        ("corner-5cm", 0.05, (2.0 * wavelength, wavelength)),
+    ];
+    for (name, radius, (cx, cz)) in rings {
         let ring = |f: fn(f64) -> f64, centre: f64| -> Vec<f64> {
             (0..256)
                 .map(|i| centre + radius * f(i as f64 / 256.0 * std::f64::consts::TAU))
                 .collect()
         };
-        let (xs, zs) = (ring(f64::sin, 120.0), ring(f64::cos, 90.0));
+        let (xs, zs) = (ring(f64::sin, cx), ring(f64::cos, cz));
         let mut out = vec![0.0; 256];
         let mut sampler = terrain.sampler();
-        c.bench_function(&format!("terrain_lambert_row_256/{radius}m"), |bench| {
+        c.bench_function(&format!("terrain_lambert_row_256/{name}"), |bench| {
             bench.iter(|| {
                 sampler.lambert_row(black_box(&xs), black_box(&zs), light, &mut out);
                 out[255]
@@ -297,23 +306,38 @@ fn bench_fleet_store(c: &mut Criterion) {
         })
     });
     assert_eq!(lap_store.stats().misses, 0, "every lap lookup hits");
-    let mut n = 0i32;
+    // Inserts into a store that stays one size however many iterations
+    // the harness runs: frames cycle over a fixed 64x64 square of grid
+    // points in 8x8-point leaves, and the budget holds half of them, so
+    // after a pre-fill each timed insert files a frame the store evicted
+    // a cycle ago and evicts the oldest one.
+    const SIDE: i32 = 64;
+    const FRAME_BYTES: u64 = 1024;
+    let cycle_store = LocalStore::new(StoreConfig {
+        capacity_bytes: (SIDE * SIDE / 2) as u64 * FRAME_BYTES,
+        ..StoreConfig::default()
+    });
+    let frame_at = |n: i32| {
+        let (ix, iz) = (n % SIDE, n / SIDE % SIDE);
+        FrameMeta {
+            grid: GridPoint::new(ix, iz),
+            pos: Vec2::new(ix as f64 * 0.37, iz as f64 * 0.37),
+            leaf: LeafId(((ix >> 3) as u32) << 16 | (iz >> 3) as u32),
+            near_hash: 2,
+        }
+    };
+    for n in 0..SIDE * SIDE {
+        cycle_store.insert(GameId::Fps, frame_at(n), FRAME_BYTES);
+    }
+    let mut n = 0;
     c.bench_function("fleet_store_insert", |bench| {
         bench.iter(|| {
-            n += 1;
-            let pos = Vec2::new((n % 500) as f64 * 0.37, (n / 500) as f64 * 0.37);
-            store.insert(
-                GameId::Fps,
-                FrameMeta {
-                    grid: GridPoint::new(n, -n),
-                    pos,
-                    leaf: LeafId((n % 16) as u32),
-                    near_hash: 2,
-                },
-                black_box(1024),
-            )
+            n = (n + 1) % (SIDE * SIDE);
+            let filed = cycle_store.insert(GameId::Fps, frame_at(n), black_box(FRAME_BYTES));
+            assert!(filed, "every timed insert files its frame");
         })
     });
+    assert_eq!(cycle_store.len(), (SIDE * SIDE / 2) as usize);
 }
 
 fn bench_store_scaling(c: &mut Criterion) {

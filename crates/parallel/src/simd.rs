@@ -589,6 +589,288 @@ fn masked_select_scalar(dst: &mut [f32], src: &[f32], mask: &[u8]) {
     }
 }
 
+// ---------------------------------------------------------------------
+// Terrain normals (value-noise crosses, f64)
+// ---------------------------------------------------------------------
+
+/// The constants of one unit cell of a bilinear value-noise lattice, as
+/// a memo holds them: its lower corner and the corner values the lerps
+/// read. `coterie_world::noise::NoiseCellCache` keeps one and the
+/// kernels below evaluate against it.
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
+pub struct NoiseCell {
+    /// Lower x edge of the cell (an integer).
+    pub cx: f64,
+    /// Lower z edge of the cell (an integer).
+    pub cz: f64,
+    /// Value at the lower corner.
+    pub v00: f64,
+    /// Value at `(cx, cz + 1)`.
+    pub v01: f64,
+    /// `v10 - v00`, the x-slope of the lower edge.
+    pub dx0: f64,
+    /// `v11 - v01`, the x-slope of the upper edge.
+    pub dx1: f64,
+}
+
+/// Smoothstep interpolation weight, `t·t·(3 − 2t)`.
+#[inline(always)]
+fn smooth(t: f64) -> f64 {
+    t * t * (3.0 - 2.0 * t)
+}
+
+/// Whether an offset from a cell's lower edge lies inside the cell.
+#[inline(always)]
+fn in_cell(t: f64) -> bool {
+    (0.0..1.0).contains(&t)
+}
+
+impl NoiseCell {
+    /// The lower edge that coordinate `k` of a cross
+    /// `[x1, x0, xc, z1, z0, zc]` is measured from.
+    #[inline(always)]
+    pub fn edge(&self, k: usize) -> f64 {
+        if k < 3 {
+            self.cx
+        } else {
+            self.cz
+        }
+    }
+
+    /// The cell's two x-interpolants at offset `tx` from its lower edge.
+    #[inline(always)]
+    fn lerp_x(&self, tx: f64) -> (f64, f64) {
+        let fx = smooth(tx);
+        (self.v00 + self.dx0 * fx, self.v01 + self.dx1 * fx)
+    }
+
+    /// The noise value at offsets `(tx, tz)` from the cell's lower edges.
+    #[inline(always)]
+    pub fn value(&self, tx: f64, tz: f64) -> f64 {
+        let (a, b) = self.lerp_x(tx);
+        a + (b - a) * smooth(tz)
+    }
+
+    /// The four values of a cross whose six coordinates lie at these
+    /// offsets from the cell's lower edges: the x-probes share their row
+    /// weight, the z-probes their column interpolants.
+    #[inline(always)]
+    pub fn cross(&self, [tx1, tx0, txc, tz1, tz0, tzc]: [f64; 6]) -> [f64; 4] {
+        let (a1, b1) = self.lerp_x(tx1);
+        let (a0, b0) = self.lerp_x(tx0);
+        let (ac, bc) = self.lerp_x(txc);
+        let fzc = smooth(tzc);
+        [
+            a1 + (b1 - a1) * fzc,
+            a0 + (b0 - a0) * fzc,
+            ac + (bc - ac) * smooth(tz1),
+            ac + (bc - ac) * smooth(tz0),
+        ]
+    }
+
+    /// The four crosses of a block at frequency `freq` — lane `j`'s
+    /// cross at `[probes[0][j] * freq, …, probes[5][j] * freq]` — as
+    /// `[probe][lane]`, or `None` unless the cell contains all 24
+    /// coordinates. Lanes are independent and Rust never contracts
+    /// `a * b + c` into a fused multiply-add, so however the compiler
+    /// vectorises this pass each lane performs [`NoiseCell::cross`]'s
+    /// IEEE operations in its order.
+    #[inline(always)]
+    fn crosses_x4(&self, freq: f64, probes: &[[f64; 4]; 6]) -> Option<[[f64; 4]; 4]> {
+        // `from_fn` over indices rather than `map` or `flatten`: those
+        // leave an out-of-line call or a scalar loop in the pass.
+        let t: [[f64; 4]; 6] =
+            std::array::from_fn(|k| std::array::from_fn(|j| probes[k][j] * freq - self.edge(k)));
+        let mut held = true;
+        for tk in &t {
+            for &tkj in tk {
+                held &= in_cell(tkj);
+            }
+        }
+        if !held {
+            return None;
+        }
+        let mut vals = [[0.0; 4]; 4];
+        for j in 0..4 {
+            let v = self.cross(std::array::from_fn(|k| t[k][j]));
+            for (probe, v) in vals.iter_mut().zip(v) {
+                probe[j] = v;
+            }
+        }
+        Some(vals)
+    }
+}
+
+/// The memos one octave of a batched cross evaluation reads: the cell of
+/// its shared memo and of each probe direction's memo (`(x1, zc)`,
+/// `(x0, zc)`, `(xc, z1)`, `(xc, z0)`), `None` where a memo holds no cell
+/// of the octave's lattice.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct OctaveCells<'a> {
+    /// The memo for crosses inside one cell.
+    pub shared: Option<&'a NoiseCell>,
+    /// The memo of each probe direction.
+    pub probes: [Option<&'a NoiseCell>; 4],
+}
+
+/// The coordinates `[x1, x0, xc, z1, z0, zc]` each probe of a cross reads.
+const PROBE_AXES: [(usize, usize); 4] = [(0, 5), (1, 5), (2, 3), (2, 4)];
+
+impl NoiseCell {
+    /// One probe's four lanes at `(xs[j] * freq, zs[j] * freq)`, or
+    /// `None` unless the cell contains all eight coordinates.
+    #[inline(always)]
+    fn values_x4(&self, freq: f64, xs: &[f64; 4], zs: &[f64; 4]) -> Option<[f64; 4]> {
+        let tx: [f64; 4] = std::array::from_fn(|j| xs[j] * freq - self.cx);
+        let tz: [f64; 4] = std::array::from_fn(|j| zs[j] * freq - self.cz);
+        let mut held = true;
+        for j in 0..4 {
+            held &= in_cell(tx[j]) & in_cell(tz[j]);
+        }
+        held.then(|| std::array::from_fn(|j| self.value(tx[j], tz[j])))
+    }
+}
+
+/// The held-block pass of a batched fBm over central-difference
+/// crosses. Octave `o` reads lane `j`'s cross at the 24 coordinates
+/// `probes[k][j] * freqs[o]` (a cross `[x1, x0, xc, z1, z0, zc]` per
+/// lane). When its shared memo contains all 24, or each probe
+/// direction's memo contains that probe's eight, the octave's values
+/// `(x1, zc)`, `(x0, zc)`, `(xc, z1)`, `(xc, z0)` land in
+/// `vals[o][probe][lane]` and bit `o` of the returned mask is set;
+/// every other octave's `vals` are left as they were, for the caller
+/// to fill from the lattice.
+///
+/// Containment is decided as [`NoiseCell`]'s memo decides it: both
+/// offsets `x − cx`, `z − cz` in `[0, 1)`, so NaN is never held.
+pub fn noise_crosses_x4<const N: usize>(
+    octaves: &[OctaveCells<'_>; N],
+    freqs: &[f64; N],
+    probes: &[[f64; 4]; 6],
+    vals: &mut [[[f64; 4]; 4]; N],
+    level: SimdLevel,
+) -> u32 {
+    match clamp_level(level) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level clamped to CPU capability; every access is to a
+        // fixed-size array.
+        SimdLevel::Avx2 => unsafe { x86::noise_crosses_x4_avx2(octaves, freqs, probes, vals) },
+        _ => noise_crosses_x4_scalar(octaves, freqs, probes, vals),
+    }
+}
+
+fn noise_crosses_x4_scalar<const N: usize>(
+    octaves: &[OctaveCells<'_>; N],
+    freqs: &[f64; N],
+    probes: &[[f64; 4]; 6],
+    vals: &mut [[[f64; 4]; 4]; N],
+) -> u32 {
+    let mut held = 0;
+    for (o, (cells, &freq)) in octaves.iter().zip(freqs).enumerate() {
+        let by_probe = || -> Option<[[f64; 4]; 4]> {
+            let mut out = [[0.0; 4]; 4];
+            for (p, &(kx, kz)) in PROBE_AXES.iter().enumerate() {
+                out[p] = cells.probes[p]?.values_x4(freq, &probes[kx], &probes[kz])?;
+            }
+            Some(out)
+        };
+        let got = cells
+            .shared
+            .and_then(|cell| cell.crosses_x4(freq, probes))
+            .or_else(by_probe);
+        if let Some(v) = got {
+            vals[o] = v;
+            held |= 1 << o;
+        }
+    }
+    held
+}
+
+/// Four value-noise lookups against one memo cell: lane `j` at
+/// `(xs[j] * scale, zs[j] * scale)`, as `value_noise_cached` evaluates a
+/// point its memo holds, or `None` unless the cell contains all eight
+/// coordinates.
+pub fn noise_values_x4(
+    cell: &NoiseCell,
+    scale: f64,
+    xs: &[f64; 4],
+    zs: &[f64; 4],
+    level: SimdLevel,
+) -> Option<[f64; 4]> {
+    match clamp_level(level) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level clamped to CPU capability; every access is to a
+        // fixed-size array.
+        SimdLevel::Avx2 => unsafe { x86::noise_values_x4_avx2(cell, scale, xs, zs) },
+        _ => cell.values_x4(scale, xs, zs),
+    }
+}
+
+/// The per-block finish of a batched terrain normal: for each lane `j`
+/// of four points, the fBm heights of the four probes,
+/// `h[probe] = scale * (Σₒ amps[o] * vals[o][probe][j] / norm)` summed
+/// from `0.0` in octave order, then
+/// `Vec3(-(h[0] − h[1]) / (2·eps), 1, -(h[2] − h[3]) / (2·eps))`
+/// normalised (to zero when its length is at most `f64::EPSILON`),
+/// dotted with `light` and clamped below at `0.0`. The terrain's
+/// `Terrain::normal(p).dot(light).max(0.0)`, operation for operation.
+pub fn fbm_lambert_x4<const N: usize>(
+    vals: &[[[f64; 4]; 4]; N],
+    amps: &[f64; N],
+    norm: f64,
+    scale: f64,
+    eps: f64,
+    light: [f64; 3],
+    level: SimdLevel,
+) -> [f64; 4] {
+    match clamp_level(level) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level clamped to CPU capability; every access is to a
+        // fixed-size array.
+        SimdLevel::Avx2 => unsafe { x86::fbm_lambert_x4_avx2(vals, amps, norm, scale, eps, light) },
+        _ => fbm_lambert_x4_scalar(vals, amps, norm, scale, eps, light),
+    }
+}
+
+fn fbm_lambert_x4_scalar<const N: usize>(
+    vals: &[[[f64; 4]; 4]; N],
+    amps: &[f64; N],
+    norm: f64,
+    scale: f64,
+    eps: f64,
+    light: [f64; 3],
+) -> [f64; 4] {
+    let mut heights = [[0.0f64; 4]; 4];
+    for (octave, &amp) in vals.iter().zip(amps) {
+        for (totals, v) in heights.iter_mut().zip(octave) {
+            for (total, v) in totals.iter_mut().zip(v) {
+                *total += amp * v;
+            }
+        }
+    }
+    for totals in &mut heights {
+        for total in totals {
+            *total = scale * (*total / norm);
+        }
+    }
+    let [hx1, hx0, hz1, hz0] = heights;
+    std::array::from_fn(|j| {
+        // `Vec3::new(nx, 1.0, nz).normalized().dot(light)`, spelled out.
+        let (nx, ny, nz) = (
+            -(hx1[j] - hx0[j]) / (2.0 * eps),
+            1.0,
+            -(hz1[j] - hz0[j]) / (2.0 * eps),
+        );
+        let len = (nx * nx + ny * ny + nz * nz).sqrt();
+        let (x, y, z) = if len <= f64::EPSILON {
+            (0.0, 0.0, 0.0)
+        } else {
+            (nx / len, ny / len, nz / len)
+        };
+        (x * light[0] + y * light[1] + z * light[2]).max(0.0)
+    })
+}
+
 /// The `std::arch` kernel bodies. Everything here is `pub(super)`,
 /// reachable only through the clamped dispatchers above; each fn's
 /// `#[target_feature]` matches the `SimdLevel` arm that calls it.
@@ -609,7 +891,7 @@ mod x86 {
     // schedule the bit-identity argument depends on.
     #![allow(clippy::needless_range_loop)]
 
-    use super::{MomentRows, MomentRowsMut};
+    use super::{MomentRows, MomentRowsMut, NoiseCell, OctaveCells, PROBE_AXES};
     use std::arch::x86_64::*;
 
     // ---- 8×8 DCT ----------------------------------------------------
@@ -958,6 +1240,217 @@ mod x86 {
         }
         super::masked_select_scalar(&mut dst[n..], &src[n..], &mask[n..]);
     }
+
+    // ---- terrain normals ---------------------------------------------
+
+    /// `t·t·(3 − 2t)` per lane, in the scalar association.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn smooth_avx2(t: __m256d) -> __m256d {
+        let w = _mm256_sub_pd(_mm256_set1_pd(3.0), _mm256_mul_pd(_mm256_set1_pd(2.0), t));
+        _mm256_mul_pd(_mm256_mul_pd(t, t), w)
+    }
+
+    /// `a + (b − a)·f` per lane.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn lerp_avx2(a: __m256d, b: __m256d, f: __m256d) -> __m256d {
+        _mm256_add_pd(a, _mm256_mul_pd(_mm256_sub_pd(b, a), f))
+    }
+
+    /// Whether every lane of every offset lies in `[0, 1)`: two
+    /// ordered-quiet compares per offset (`0 <= t`, `t < 1`; NaN fails
+    /// both, as it fails `contains`).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn all_in_cell_avx2(ts: &[__m256d]) -> bool {
+        let (zero, one) = (_mm256_setzero_pd(), _mm256_set1_pd(1.0));
+        let mut inside = _mm256_cmp_pd::<_CMP_EQ_OQ>(zero, zero);
+        for &t in ts {
+            let lane_in = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_GE_OQ>(t, zero),
+                _mm256_cmp_pd::<_CMP_LT_OQ>(t, one),
+            );
+            inside = _mm256_and_pd(inside, lane_in);
+        }
+        _mm256_movemask_pd(inside) == 0b1111
+    }
+
+    /// A cell's constants, broadcast.
+    struct CellLanes {
+        v00: __m256d,
+        v01: __m256d,
+        dx0: __m256d,
+        dx1: __m256d,
+    }
+
+    impl CellLanes {
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn new(cell: &NoiseCell) -> Self {
+            CellLanes {
+                v00: _mm256_set1_pd(cell.v00),
+                v01: _mm256_set1_pd(cell.v01),
+                dx0: _mm256_set1_pd(cell.dx0),
+                dx1: _mm256_set1_pd(cell.dx1),
+            }
+        }
+
+        /// `lerp_x`: `(v00 + dx0·fx, v01 + dx1·fx)` with `fx = smooth(tx)`.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn lerp_x(&self, tx: __m256d) -> (__m256d, __m256d) {
+            let fx = smooth_avx2(tx);
+            (
+                _mm256_add_pd(self.v00, _mm256_mul_pd(self.dx0, fx)),
+                _mm256_add_pd(self.v01, _mm256_mul_pd(self.dx1, fx)),
+            )
+        }
+    }
+
+    /// `NoiseCell::crosses_x4` on the scaled coordinates `at`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn crosses_avx2(cell: &NoiseCell, at: &[__m256d; 6]) -> Option<[__m256d; 4]> {
+        let (ex, ez) = (_mm256_set1_pd(cell.cx), _mm256_set1_pd(cell.cz));
+        let t: [__m256d; 6] =
+            std::array::from_fn(|k| _mm256_sub_pd(at[k], if k < 3 { ex } else { ez }));
+        if !all_in_cell_avx2(&t) {
+            return None;
+        }
+        let c = CellLanes::new(cell);
+        let (a1, b1) = c.lerp_x(t[0]);
+        let (a0, b0) = c.lerp_x(t[1]);
+        let (ac, bc) = c.lerp_x(t[2]);
+        let fzc = smooth_avx2(t[5]);
+        Some([
+            lerp_avx2(a1, b1, fzc),
+            lerp_avx2(a0, b0, fzc),
+            lerp_avx2(ac, bc, smooth_avx2(t[3])),
+            lerp_avx2(ac, bc, smooth_avx2(t[4])),
+        ])
+    }
+
+    /// `NoiseCell::values_x4` on the scaled coordinates `(x, z)`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn values_avx2(cell: &NoiseCell, x: __m256d, z: __m256d) -> Option<__m256d> {
+        let tx = _mm256_sub_pd(x, _mm256_set1_pd(cell.cx));
+        let tz = _mm256_sub_pd(z, _mm256_set1_pd(cell.cz));
+        if !all_in_cell_avx2(&[tx, tz]) {
+            return None;
+        }
+        let (a, b) = CellLanes::new(cell).lerp_x(tx);
+        Some(lerp_avx2(a, b, smooth_avx2(tz)))
+    }
+
+    /// Each probe through `NoiseCell::values_x4` against its own memo.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn probe_values_avx2(cells: &OctaveCells<'_>, at: &[__m256d; 6]) -> Option<[__m256d; 4]> {
+        let mut out = [_mm256_setzero_pd(); 4];
+        for (v, (cell, &(kx, kz))) in out.iter_mut().zip(cells.probes.iter().zip(&PROBE_AXES)) {
+            *v = values_avx2((*cell)?, at[kx], at[kz])?;
+        }
+        Some(out)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn noise_values_x4_avx2(
+        cell: &NoiseCell,
+        scale: f64,
+        xs: &[f64; 4],
+        zs: &[f64; 4],
+    ) -> Option<[f64; 4]> {
+        let f = _mm256_set1_pd(scale);
+        let x = _mm256_mul_pd(_mm256_loadu_pd(xs.as_ptr()), f);
+        let z = _mm256_mul_pd(_mm256_loadu_pd(zs.as_ptr()), f);
+        let v = values_avx2(cell, x, z)?;
+        let mut out = [0.0; 4];
+        _mm256_storeu_pd(out.as_mut_ptr(), v);
+        Some(out)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn noise_crosses_x4_avx2<const N: usize>(
+        octaves: &[OctaveCells<'_>; N],
+        freqs: &[f64; N],
+        probes: &[[f64; 4]; 6],
+        vals: &mut [[[f64; 4]; 4]; N],
+    ) -> u32 {
+        // Lanes are the block's four points. Per octave: the scale and
+        // the edge subtraction as the scalar `p * freq - edge`, the
+        // containment test, then the lerps of `NoiseCell::cross` (or of
+        // `NoiseCell::value` per probe) with each mul/add/sub its own
+        // intrinsic.
+        let p: [__m256d; 6] = std::array::from_fn(|k| _mm256_loadu_pd(probes[k].as_ptr()));
+        let mut held = 0;
+        for (o, (cells, &freq)) in octaves.iter().zip(freqs).enumerate() {
+            let f = _mm256_set1_pd(freq);
+            let at: [__m256d; 6] = std::array::from_fn(|k| _mm256_mul_pd(p[k], f));
+            let out = cells
+                .shared
+                .and_then(|cell| crosses_avx2(cell, &at))
+                .or_else(|| probe_values_avx2(cells, &at));
+            let Some(out) = out else { continue };
+            for (dst, v) in vals[o].iter_mut().zip(out) {
+                _mm256_storeu_pd(dst.as_mut_ptr(), v);
+            }
+            held |= 1 << o;
+        }
+        held
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fbm_lambert_x4_avx2<const N: usize>(
+        vals: &[[[f64; 4]; 4]; N],
+        amps: &[f64; N],
+        norm: f64,
+        scale: f64,
+        eps: f64,
+        light: [f64; 3],
+    ) -> [f64; 4] {
+        // Lanes are the block's four points, each through the scalar
+        // reference's operations in its order: the octave sum from +0.0,
+        // `scale * (total / norm)`, the negated differences over
+        // `2.0 * eps` (negation is a sign flip, exact either way), the
+        // length with `ny * ny` and the scalar association, the
+        // degenerate test as an ordered `<=` (NaN is not degenerate) and
+        // the clamp as a compare-and-select (GT against +0.0, matching
+        // `f64::max(0.0)`: negatives and NaN go to +0.0).
+        let mut h = [_mm256_setzero_pd(); 4];
+        for (octave, &amp) in vals.iter().zip(amps) {
+            let a = _mm256_set1_pd(amp);
+            for (total, v) in h.iter_mut().zip(octave) {
+                *total = _mm256_add_pd(*total, _mm256_mul_pd(a, _mm256_loadu_pd(v.as_ptr())));
+            }
+        }
+        let (s, n) = (_mm256_set1_pd(scale), _mm256_set1_pd(norm));
+        let h = h.map(|total| _mm256_mul_pd(s, _mm256_div_pd(total, n)));
+        let sign = _mm256_set1_pd(-0.0);
+        let two_eps = _mm256_set1_pd(2.0 * eps);
+        let nx = _mm256_div_pd(_mm256_xor_pd(_mm256_sub_pd(h[0], h[1]), sign), two_eps);
+        let nz = _mm256_div_pd(_mm256_xor_pd(_mm256_sub_pd(h[2], h[3]), sign), two_eps);
+        let ny = _mm256_set1_pd(1.0);
+        let len = _mm256_sqrt_pd(_mm256_add_pd(
+            _mm256_add_pd(_mm256_mul_pd(nx, nx), _mm256_mul_pd(ny, ny)),
+            _mm256_mul_pd(nz, nz),
+        ));
+        let degenerate = _mm256_cmp_pd::<_CMP_LE_OQ>(len, _mm256_set1_pd(f64::EPSILON));
+        let unit = |c: __m256d| _mm256_andnot_pd(degenerate, _mm256_div_pd(c, len));
+        let (x, y, z) = (unit(nx), unit(ny), unit(nz));
+        let dot = _mm256_add_pd(
+            _mm256_add_pd(
+                _mm256_mul_pd(x, _mm256_set1_pd(light[0])),
+                _mm256_mul_pd(y, _mm256_set1_pd(light[1])),
+            ),
+            _mm256_mul_pd(z, _mm256_set1_pd(light[2])),
+        );
+        let lit = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(dot, _mm256_setzero_pd()), dot);
+        let mut out = [0.0; 4];
+        _mm256_storeu_pd(out.as_mut_ptr(), lit);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -1290,6 +1783,148 @@ mod tests {
             let got = run(level);
             for i in 0..n {
                 assert_eq!(want[i].to_bits(), got[i].to_bits(), "{level:?} center {i}");
+            }
+        }
+    }
+
+    /// Bit patterns, with every NaN as one value: the language does not
+    /// pin a NaN's sign or payload.
+    fn bits64<const N: usize>(v: [f64; N]) -> [u64; N] {
+        v.map(|f| if f.is_nan() { u64::MAX } else { f.to_bits() })
+    }
+
+    /// A lattice cell with corner values from `noise64`, around `(x, z)`.
+    fn cell_at(x: f64, z: f64, corners: &[f64]) -> NoiseCell {
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| corners[i].abs());
+        NoiseCell {
+            cx: x.floor(),
+            cz: z.floor(),
+            v00: a,
+            v01: b,
+            dx0: c - a,
+            dx1: d - b,
+        }
+    }
+
+    #[test]
+    fn noise_crosses_levels_are_bit_identical() {
+        // Blocks of four crosses of arm `eps` around points that drift
+        // over cell edges, so blocks are held, straddle between lanes,
+        // straddle within a cross, or are not given a memo.
+        let freqs = [1.0, 2.0, 4.0, 8.0];
+        let jitter = noise64(20, 4 * 4 * 600);
+        let corners = noise64(21, 4 * 600);
+        // Per octave, blocks held by the shared memo and by the probes'.
+        let mut held_seen = [[0usize; 2]; 4];
+        for block in 0..600 {
+            let eps = [0.0, 1e-3, 0.013, 0.4][block % 4];
+            let r = &jitter[block * 16..block * 16 + 16];
+            let (bx, bz) = (block as f64 * 0.0123 - 3.7, r[0] * 2.0 + 0.25);
+            let xs: [f64; 4] = std::array::from_fn(|j| bx + r[j + 1] * 0.02);
+            let mut zs: [f64; 4] = std::array::from_fn(|j| bz + r[j + 5] * 0.02);
+            if block % 97 == 5 {
+                zs[2] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][block % 3];
+            }
+            let probes = [
+                xs.map(|x| x + eps),
+                xs.map(|x| x - eps),
+                xs,
+                zs.map(|z| z + eps),
+                zs.map(|z| z - eps),
+                zs,
+            ];
+            let c = &corners[block * 4..block * 4 + 4];
+            // Octave `o`'s shared memo on the block's first centre, and
+            // each probe direction's on that probe's first lane; some
+            // memos hold no cell of the lattice.
+            let shared: [NoiseCell; 4] =
+                std::array::from_fn(|o| cell_at(xs[0] * freqs[o], zs[0] * freqs[o], c));
+            let by_probe: [[NoiseCell; 4]; 4] = std::array::from_fn(|o| {
+                std::array::from_fn(|p| {
+                    let (kx, kz) = PROBE_AXES[p];
+                    cell_at(probes[kx][0] * freqs[o], probes[kz][0] * freqs[o], c)
+                })
+            });
+            let given: [OctaveCells<'_>; 4] = std::array::from_fn(|o| OctaveCells {
+                shared: (block % 7 != o && block % 3 != 0).then_some(&shared[o]),
+                probes: std::array::from_fn(|p| (block % 5 != p).then_some(&by_probe[o][p])),
+            });
+            let mut want = [[[0.5; 4]; 4]; 4];
+            let want_held = noise_crosses_x4_scalar(&given, &freqs, &probes, &mut want);
+            for (o, seen) in held_seen.iter_mut().enumerate() {
+                if want_held >> o & 1 == 1 {
+                    seen[usize::from(given[o].shared.is_none())] += 1;
+                }
+            }
+            for level in simd_levels() {
+                let mut got = [[[0.5; 4]; 4]; 4];
+                let got_held = noise_crosses_x4(&given, &freqs, &probes, &mut got, level);
+                assert_eq!(got_held, want_held, "{level:?} block {block}");
+                for o in 0..4 {
+                    for p in 0..4 {
+                        assert_eq!(
+                            bits64(got[o][p]),
+                            bits64(want[o][p]),
+                            "{level:?} block {block} octave {o} probe {p}"
+                        );
+                    }
+                }
+            }
+        }
+        // Both paths, and blocks held by neither, at every octave.
+        assert!(
+            held_seen
+                .iter()
+                .all(|&[a, b]| a > 20 && b > 20 && a + b < 570),
+            "{held_seen:?}"
+        );
+    }
+
+    #[test]
+    fn noise_values_levels_are_bit_identical() {
+        let r = noise64(23, 8 * 500);
+        let corners = noise64(24, 4);
+        let mut held = 0;
+        for block in 0..500 {
+            let r = &r[block * 8..block * 8 + 8];
+            let xs: [f64; 4] = std::array::from_fn(|j| 4.1 + block as f64 * 0.03 + r[j] * 0.2);
+            let mut zs: [f64; 4] = std::array::from_fn(|j| -2.6 + r[j + 4] * 0.2);
+            if block % 61 == 7 {
+                zs[1] = [f64::NAN, f64::INFINITY, -0.0][block % 3];
+            }
+            let scale = [0.15, 3.0, 1.0][block % 3];
+            let cell = cell_at(xs[0] * scale, zs[0] * scale, &corners);
+            let want = cell.values_x4(scale, &xs, &zs);
+            held += usize::from(want.is_some());
+            for level in simd_levels() {
+                let got = noise_values_x4(&cell, scale, &xs, &zs, level);
+                assert_eq!(got.map(bits64), want.map(bits64), "{level:?} block {block}");
+            }
+        }
+        assert!(held > 50 && held < 450, "{held}");
+    }
+
+    #[test]
+    fn fbm_lambert_levels_are_bit_identical() {
+        let amps = [0.5, 0.25, 0.125, 0.0625];
+        let v = noise64(22, 64 * 400);
+        let lights = [[0.35, 0.85, 0.40], [0.3, -0.9, 0.1], [0.0, 1.0, 0.0]];
+        for block in 0..400 {
+            let mut vals: [[[f64; 4]; 4]; 4] = std::array::from_fn(|o| {
+                std::array::from_fn(|p| {
+                    std::array::from_fn(|j| v[block * 64 + o * 16 + p * 4 + j].abs())
+                })
+            });
+            if block % 50 == 3 {
+                vals[1][2][block % 4] = [f64::NAN, f64::INFINITY, -1e300][block % 3];
+            }
+            let scale = [0.0, 8.0, 1e-3, 24.0, 1e200][block % 5];
+            let eps = [0.1, 1e-6][block % 2];
+            let light = lights[block % 3];
+            let want = fbm_lambert_x4_scalar(&vals, &amps, 0.9375, scale, eps, light);
+            for level in simd_levels() {
+                let got = fbm_lambert_x4(&vals, &amps, 0.9375, scale, eps, light, level);
+                assert_eq!(bits64(got), bits64(want), "{level:?} block {block}");
             }
         }
     }

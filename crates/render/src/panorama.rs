@@ -18,13 +18,20 @@
 //!   ray length, the fog attenuation `exp` and — but for a row the
 //!   cutoff circle passes through within a part in 10⁹ — the near/far
 //!   decision are lifted out of the column loop, and a row's surviving
-//!   ground pixels are slope-shaded in one call
-//!   ([`coterie_world::TerrainSampler::lambert_row`]).
+//!   ground pixels are slope-shaded and textured in two calls
+//!   ([`coterie_world::TerrainSampler::lambert_row_with_simd`] and
+//!   [`coterie_world::TerrainSampler::albedo_row`], four points to a
+//!   block at the process's SIMD level). A row the filter kept no ground
+//!   pixel of is not scanned again.
 //! * **Object binning.** Scene/FI objects are projected to their angular
 //!   row/column spans once per frame ([`coterie_world::AngularExtent`])
 //!   and only rasterized over the rows they can touch; a candidate pixel
 //!   already owned by something nearer is dropped on the depth compare
-//!   alone, before its hit test.
+//!   alone, before its hit test. A near-BE frame asks the scene's index
+//!   for the cutoff's disc only, not the render distance's. What only a
+//!   shaded pixel reads (fog, texture scale) is computed at an object's
+//!   first shaded pixel, and neighbouring pixels of a large object share
+//!   a texture-noise memo.
 //! * **Band parallelism.** The panorama splits into horizontal bands
 //!   that own disjoint `frame`/`mask`/`depth` slices; bands run on the
 //!   shared [`coterie_parallel`] substrate. Every band runs the whole
@@ -35,7 +42,7 @@
 //! # Paint order: every pixel is shaded once
 //!
 //! Shading is the cost (four fBm octaves of normal probes per ground
-//! pixel, a `value_noise` per object pixel), so a band settles each
+//! pixel, a value-noise lookup per object pixel), so a band settles each
 //! pixel's winner before shading it: (1) sky rows are copied from the
 //! tables and fog rows filled; (2) ground rows write only their depth,
 //! where the filter includes them; (3) objects are painted nearest
@@ -53,10 +60,10 @@
 //! in the test, and an `f64` key would paint the later object first.
 
 use coterie_frame::LumaFrame;
-use coterie_parallel::par_for_each;
+use coterie_parallel::{par_for_each, simd};
 use coterie_telemetry::{Stage, TelemetrySink, TrackId, KERNEL_PID};
 use coterie_world::noise::{value_noise, value_noise_cached, NoiseCellCache};
-use coterie_world::{ObjectKind, Scene, SceneObject, Vec2, Vec3};
+use coterie_world::{ObjectKind, Scene, SceneObject, Vec3};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
@@ -321,8 +328,8 @@ impl TrigTables {
 }
 
 /// One frame-binned paint job: an object plus its projected pixel spans
-/// and every per-object quantity the scalar inner loop recomputed per
-/// pixel (hit-test cosine, fog attenuation, texture normalization).
+/// and the per-object quantities its candidate pixels' tests read (the
+/// hit test, the depth); [`Shading`] holds the ones a shaded pixel adds.
 struct ObjectJob<'a> {
     obj: &'a SceneObject,
     /// Eye-to-center vector.
@@ -342,11 +349,25 @@ struct ObjectJob<'a> {
     /// Candidate row span (unclamped; bands clip it).
     py_top: i64,
     py_bot: i64,
-    /// `exp(-dist / fog_distance) as f32`, hoisted out of the pixel loop.
+}
+
+/// The per-object constants only a shaded pixel reads, hoisted out of
+/// the pixel loop but computed when a band shades the object's first
+/// pixel: most jobs of a far-BE frame shade none (an `exp` and a `hypot`
+/// saved per job).
+struct Shading {
+    /// `exp(-dist / fog_distance) as f32`.
     fog_k: f32,
     /// `bounding_radius().max(1e-6)` — texture-space normalization.
     bounding: f64,
+    /// Whether a texture cell spans at least two pixels, so that the
+    /// band's texture memo hits at least every other pixel: far objects
+    /// step several cells a pixel and would only refill it.
+    texture_memo: bool,
 }
+
+/// Texture cells per `bounding` of an object's surface.
+const TEX_SCALE: f64 = 14.0;
 
 /// How a job decides whether a pixel's ray hits its object.
 enum HitTest {
@@ -356,6 +377,18 @@ enum HitTest {
     /// Cylinders and boxes: elevation within `[base, top]` (one decision
     /// per row) and azimuth within `half_width` of the center.
     Slab,
+}
+
+/// An unsigned key that orders `f32`s as [`f32::total_cmp`] does: a
+/// negative value's magnitude bits are flipped, then the sign bit.
+#[inline]
+fn total_order_key(x: f32) -> u32 {
+    let bits = x.to_bits();
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    }
 }
 
 /// Whether `azimuth` lies within `half_width` of `center_azimuth`, the
@@ -373,16 +406,18 @@ fn slab_hit(azimuth: f64, center_azimuth: f64, half_width: f64) -> bool {
 }
 
 /// Scratch for shading one ground row: the surviving pixels' columns and
-/// hit points, and the slope shading [`TerrainSampler::lambert_row`]
-/// returns for them.
+/// hit points, and the slope shading [`TerrainSampler::lambert_row`] and
+/// albedo [`TerrainSampler::albedo_row`] return for them.
 ///
 /// [`TerrainSampler::lambert_row`]: coterie_world::TerrainSampler::lambert_row
+/// [`TerrainSampler::albedo_row`]: coterie_world::TerrainSampler::albedo_row
 #[derive(Default)]
 struct GroundRow {
     cols: Vec<usize>,
     xs: Vec<f64>,
     zs: Vec<f64>,
     lambert: Vec<f64>,
+    albedo: Vec<f64>,
 }
 
 /// A horizontal band owning disjoint slices of the output buffers.
@@ -394,6 +429,12 @@ struct Band<'a> {
     mask: &'a mut [u8],
     depth: &'a mut [f32],
     ground: GroundRow,
+    /// Object texture memo: neighbouring pixels of one object mostly
+    /// sample one noise cell.
+    texture: NoiseCellCache,
+    /// Per row of the band, whether step 2 let any ground pixel in: the
+    /// rows of the other side of the cutoff have nothing to shade.
+    ground_rows: Vec<bool>,
 }
 
 /// The software panoramic renderer.
@@ -487,6 +528,33 @@ impl Renderer {
         filter: RenderFilter,
         fi_objects: &[SceneObject],
     ) -> Panorama {
+        // A near-BE frame draws no BE object at or past its cutoff, so it
+        // asks the index for that disc rather than the render distance's.
+        // The query's buckets are a sub-range of the wider query's, walked
+        // in the same row-major order, and it keeps every object the
+        // filter would (an object whose rounded ground distance is below
+        // the cutoff lies inside the smaller disc's bucket range, rounding
+        // being monotone), so the candidates that pass the filter arrive
+        // in the same relative order and the stable paint order holds.
+        let radius = match filter {
+            RenderFilter::NearOnly { cutoff } => cutoff.min(self.opts.render_distance),
+            RenderFilter::All | RenderFilter::FarOnly { .. } => self.opts.render_distance,
+        };
+        let be_objects = scene.objects_within(eye.ground(), radius);
+        self.render_objects(scene, eye, filter, be_objects, fi_objects)
+    }
+
+    /// [`Renderer::render_panorama_with`] over the BE candidates
+    /// `be_objects` (objects within the render distance, in the order they
+    /// come): every one the filter includes is drawn.
+    fn render_objects<'s>(
+        &self,
+        scene: &'s Scene,
+        eye: Vec3,
+        filter: RenderFilter,
+        be_objects: impl Iterator<Item = &'s SceneObject>,
+        fi_objects: &'s [SceneObject],
+    ) -> Panorama {
         let w = self.opts.width;
         let h = self.opts.height;
         let tables = self.tables();
@@ -498,7 +566,7 @@ impl Renderer {
         // first, FI last; the stable front-to-back sort below keeps that
         // order among objects at one depth (see the module docs).
         let mut jobs: Vec<ObjectJob<'_>> = Vec::new();
-        for obj in scene.objects_within(eye.ground(), self.opts.render_distance) {
+        for obj in be_objects {
             let d = obj.ground_distance(eye);
             if !filter.includes(d) {
                 continue;
@@ -514,9 +582,16 @@ impl Renderer {
                 }
             }
         }
-        // Front to back; sorting indices keeps the ~150-byte jobs still.
-        let mut paint_order: Vec<u32> = (0..jobs.len() as u32).collect();
-        paint_order.sort_by(|&a, &b| jobs[a as usize].depth.total_cmp(&jobs[b as usize].depth));
+        // Front to back, stably: each job's key is its depth in
+        // `total_cmp` order above its index, so an unstable sort of the
+        // keys is the stable sort by depth, and the ~150-byte jobs stay
+        // still.
+        let mut paint_order: Vec<u64> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| u64::from(total_order_key(job.depth)) << 32 | i as u64)
+            .collect();
+        paint_order.sort_unstable();
         let eye_above = (eye.y - scene.terrain().height(eye.ground())).max(0.2);
 
         // Split the output buffers into per-band row ranges; every band
@@ -546,6 +621,8 @@ impl Renderer {
                     mask: m_head,
                     depth: d_head,
                     ground: GroundRow::default(),
+                    texture: NoiseCellCache::new(),
+                    ground_rows: Vec::new(),
                 });
                 y0 += rows;
             }
@@ -554,7 +631,7 @@ impl Renderer {
             let started = self.telemetry.is_enabled().then(std::time::Instant::now);
             self.paint_sky_and_ground_depth(eye_above, filter, tables, &mut band);
             let band_end = (band.y0 + band.rows) as i64;
-            for job in paint_order.iter().map(|&i| &jobs[i as usize]) {
+            for job in paint_order.iter().map(|&key| &jobs[key as u32 as usize]) {
                 if job.py_bot < band.y0 as i64 || job.py_top >= band_end {
                     continue;
                 }
@@ -651,9 +728,18 @@ impl Renderer {
             half_w_px,
             py_top: py_top.max(0),
             py_bot: py_bot.min(self.opts.height as i64 - 1),
-            fog_k: self.fog_k(ext.distance),
-            bounding: obj.bounding_radius().max(1e-6),
         })
+    }
+
+    /// The shading constants of a job (see [`Shading`]).
+    fn shading(&self, job: &ObjectJob<'_>) -> Shading {
+        let bounding = job.obj.bounding_radius().max(1e-6);
+        let px_per_rad = self.opts.width as f64 / std::f64::consts::TAU;
+        Shading {
+            fog_k: self.fog_k(job.dist),
+            bounding,
+            texture_memo: 2.0 * TEX_SCALE * job.dist / px_per_rad < bounding,
+        }
     }
 
     /// Steps 1 and 2 of the paint order: sky and fog rows are final;
@@ -667,10 +753,11 @@ impl Renderer {
     ) {
         let w = self.opts.width as usize;
         let include_sky = filter.includes_sky();
+        band.ground_rows.clear();
         for row in 0..band.rows {
             let py = band.y0 + row;
             let span = row * w..(row + 1) * w;
-            match tables.ground_ray(py, eye_above) {
+            let ground = match tables.ground_ray(py, eye_above) {
                 // Sky and mountain silhouette, both at infinite distance
                 // and part of the far BE; `depth` is already infinite.
                 None => {
@@ -678,6 +765,7 @@ impl Renderer {
                         band.frame[span.clone()].copy_from_slice(&tables.sky[py * w..(py + 1) * w]);
                         band.mask[span].fill(1);
                     }
+                    false
                 }
                 // Beyond the render distance the ground fades into fog
                 // (treated as far BE).
@@ -687,6 +775,7 @@ impl Renderer {
                         band.mask[span.clone()].fill(1);
                         band.depth[span].fill(self.opts.render_distance as f32);
                     }
+                    false
                 }
                 // The cutoff radius is horizontal (Figure 4), so the
                 // filter tests the ground-plane distance of the hit. With
@@ -694,6 +783,7 @@ impl Renderer {
                 // skip computing it (a sqrt per pixel).
                 Some(t) if matches!(filter, RenderFilter::All) => {
                     band.depth[span].fill(t as f32);
+                    true
                 }
                 // A row's pixels all lie `t · hypot(cs·ce, cc·ce)` from the
                 // eye on the ground, which is `t · ce` to a few ulp: when
@@ -709,11 +799,16 @@ impl Renderer {
                                 *depth = t as f32;
                             }
                         }
-                    } else if included {
-                        band.depth[span].fill(t as f32);
+                        true
+                    } else {
+                        if included {
+                            band.depth[span].fill(t as f32);
+                        }
+                        included
                     }
                 }
-            }
+            };
+            band.ground_rows.push(ground);
         }
     }
 
@@ -733,6 +828,7 @@ impl Renderer {
         let light = Vec3::new(0.35, 0.85, 0.40).normalized();
         // Cell-cached noise, as for the sky plane.
         let mut sampler = scene.terrain().sampler();
+        let level = simd::detected_level();
         for row in 0..band.rows {
             let py = band.y0 + row;
             // Intersect the local ground plane, then shade from the
@@ -740,10 +836,10 @@ impl Renderer {
             // parallax — the near ground texture streams past a moving
             // viewpoint, far ground barely moves. The ray length `t` is
             // shared by the whole row.
-            let Some(t) = tables
-                .ground_ray(py, eye_above)
-                .filter(|&t| t <= self.opts.render_distance)
-            else {
+            if !band.ground_rows[row] {
+                continue;
+            }
+            let Some(t) = tables.ground_ray(py, eye_above) else {
                 continue;
             };
             let fog_k = self.fog_k(t);
@@ -761,12 +857,21 @@ impl Renderer {
                 ground.xs.push(hit.x);
                 ground.zs.push(hit.z);
             }
-            // Slope shading from the terrain normal, the row at once.
+            // Slope shading from the terrain normal and the albedo, the
+            // row at once.
             ground.lambert.resize(ground.cols.len(), 0.0);
-            sampler.lambert_row(&ground.xs, &ground.zs, light, &mut ground.lambert);
+            ground.albedo.resize(ground.cols.len(), 0.0);
+            sampler.lambert_row_with_simd(
+                &ground.xs,
+                &ground.zs,
+                light,
+                &mut ground.lambert,
+                level,
+            );
+            sampler.albedo_row(&ground.xs, &ground.zs, &mut ground.albedo, level);
             for (i, &px) in ground.cols.iter().enumerate() {
                 let idx = row * w + px;
-                let albedo = sampler.albedo(Vec2::new(ground.xs[i], ground.zs[i])) as f32;
+                let albedo = ground.albedo[i] as f32;
                 let lambert = ground.lambert[i] as f32;
                 let v = self.fog_apply(albedo * (0.45 + 0.55 * lambert), fog_k);
                 band.frame[idx] = v.clamp(0.0, 1.0);
@@ -785,6 +890,7 @@ impl Renderer {
         let span_len = ((2 * job.half_w_px + 1) as usize).min(wu);
         let start = (job.cx as i64 - job.half_w_px).rem_euclid(w) as usize;
         let seg1 = span_len.min(wu - start);
+        let mut shading = None;
         for py in job.py_top.max(band.y0 as i64)..=job.py_bot.min(band_end - 1) {
             let pyu = py as usize;
             // The slab hit test's elevation half is row-constant; rows in
@@ -797,20 +903,28 @@ impl Renderer {
                 }
             }
             let row_off = (pyu - band.y0) * wu;
-            for px in (start..start + seg1).chain(0..span_len - seg1) {
-                self.paint_object_pixel(job, tables, band, row_off, px, pyu);
+            for run in [start..start + seg1, 0..span_len - seg1] {
+                for px in run {
+                    // The depth test first: painting is front to back, so
+                    // most candidates of the later jobs fail it without
+                    // paying the hit test's division.
+                    if band.depth[row_off + px] <= job.depth {
+                        continue;
+                    }
+                    self.paint_object_pixel(job, &mut shading, tables, band, row_off, px, pyu);
+                }
             }
         }
     }
 
-    /// Paints one candidate pixel: depth test, hit test, then the
-    /// viewpoint-relative texture and fog. The depth test goes first —
-    /// painting is front to back, so most candidates of the later jobs
-    /// fail it without paying the hit test's division.
+    /// Paints one candidate pixel that passed the depth test: hit test,
+    /// then the viewpoint-relative texture and fog.
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     fn paint_object_pixel(
         &self,
         job: &ObjectJob<'_>,
+        shading: &mut Option<Shading>,
         tables: &TrigTables,
         band: &mut Band<'_>,
         row_off: usize,
@@ -818,9 +932,6 @@ impl Renderer {
         pyu: usize,
     ) {
         let idx = row_off + px;
-        if band.depth[idx] <= job.depth {
-            return;
-        }
         let dir = tables.dir(px, pyu);
         let hit = match job.hit_test {
             HitTest::Sphere { cos_half_width } => dir.dot(job.v) / job.dist >= cos_half_width,
@@ -839,15 +950,19 @@ impl Renderer {
         // a stable parameterization; near objects' texture slides
         // quickly with viewpoint — amplifying the near-object
         // effect exactly as real parallax does.
-        let tex_scale = 14.0;
-        let rel = (dir * job.dist - job.v) / job.bounding;
-        let tex = value_noise(
-            job.obj.texture_seed,
-            (rel.x + rel.y * 0.7) * tex_scale,
-            (rel.z - rel.y * 0.4) * tex_scale,
+        let shading = shading.get_or_insert_with(|| self.shading(job));
+        let rel = (dir * job.dist - job.v) / shading.bounding;
+        let (u, v) = (
+            (rel.x + rel.y * 0.7) * TEX_SCALE,
+            (rel.z - rel.y * 0.4) * TEX_SCALE,
         );
+        let tex = if shading.texture_memo {
+            value_noise_cached(&mut band.texture, job.obj.texture_seed, u, v)
+        } else {
+            value_noise(job.obj.texture_seed, u, v)
+        };
         let shade = (job.obj.albedo * (0.55 + 0.45 * tex)) as f32;
-        band.frame[idx] = self.fog_apply(shade, job.fog_k).clamp(0.0, 1.0);
+        band.frame[idx] = self.fog_apply(shade, shading.fog_k).clamp(0.0, 1.0);
         band.mask[idx] = 1;
         band.depth[idx] = job.depth;
     }
@@ -856,7 +971,7 @@ impl Renderer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coterie_world::{GameCatalog, GameId, GameSpec};
+    use coterie_world::{GameCatalog, GameId, GameSpec, Vec2};
 
     fn fps_scene() -> (Scene, GameSpec) {
         let spec = GameSpec::for_game(GameId::Fps);
@@ -1162,6 +1277,8 @@ mod tests {
                         mask: &mut mask,
                         depth: &mut depth,
                         ground: GroundRow::default(),
+                        texture: NoiseCellCache::new(),
+                        ground_rows: Vec::new(),
                     };
                     r.paint_sky_and_ground_depth(eye_above, filter, tables, &mut band);
                     let want = ground_depth_asking_every_pixel(&r, eye_above, filter);
@@ -1181,6 +1298,50 @@ mod tests {
         // `hypot` lands either side of `t · row_cos` within a row, so some
         // of these rows really are part near and part far.
         assert!(rows_split_by_the_loop > 0);
+    }
+
+    #[test]
+    fn near_only_query_matches_walking_every_object() {
+        // A near-BE frame asks the index for the cutoff's disc; the
+        // reference hands the painter every object within the render
+        // distance, in the order the wider query yields them, and lets
+        // the filter drop the rest.
+        let spec = GameSpec::for_game(GameId::VikingVillage);
+        let scene = spec.build_scene(7);
+        let r = Renderer::new(RenderOptions::fast());
+        let rd = r.opts.render_distance;
+        let mut near_objects = 0;
+        for (i, p) in [
+            scene.bounds().center(),
+            Vec2::new(40.0, 55.0),
+            Vec2::new(97.3, 21.9),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let eye = scene.eye(p);
+            let avatar = SceneObject {
+                id: coterie_world::ObjectId(u32::MAX),
+                position: (eye.ground() + Vec2::new(1.5, -2.0)).with_y(0.0),
+                radius: 0.4,
+                height: 1.8,
+                triangles: 5000,
+                albedo: 0.9,
+                kind: ObjectKind::Cylinder,
+                texture_seed: 3,
+            };
+            let fi = [avatar];
+            let fi: &[SceneObject] = if i == 1 { &fi } else { &[] };
+            for cutoff in [0.0, 10.0, rd, 2.0 * rd] {
+                let filter = RenderFilter::NearOnly { cutoff };
+                let got = r.render_panorama_with(&scene, eye, filter, fi);
+                let every = scene.objects_within(eye.ground(), rd);
+                let want = r.render_objects(&scene, eye, filter, every, fi);
+                assert_eq!(got, want, "cutoff {cutoff} at {p:?}");
+                near_objects += scene.objects_within(eye.ground(), cutoff.min(rd)).count();
+            }
+        }
+        assert!(near_objects > 0);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! detail, and per-game object-density fields. Everything is seeded so each
 //! experiment is exactly reproducible.
 
+use coterie_parallel::simd::{self, NoiseCell, OctaveCells, SimdLevel};
+
 /// Fast deterministic integer hash (SplitMix64 finalizer).
 #[inline]
 pub fn hash64(mut x: u64) -> u64 {
@@ -20,7 +22,8 @@ pub fn lattice(seed: u64, ix: i64, iz: i64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Smoothstep interpolation weight.
+/// Smoothstep interpolation weight ([`NoiseCell`]'s memo lerps use the
+/// same expression).
 #[inline(always)]
 fn smooth(t: f64) -> f64 {
     t * t * (3.0 - 2.0 * t)
@@ -90,7 +93,7 @@ pub fn value_noise(seed: u64, x: f64, z: f64) -> f64 {
 ///
 /// The memo keeps its cell's lower corner as `cx = ix as f64`,
 /// `cz = iz as f64`, and a point is in the cell when its offsets
-/// `x - cx` and `z - cz` both land in `[0, 1)` (`in_cell`). Rounding a
+/// `x - cx` and `z - cz` both land in `[0, 1)`. Rounding a
 /// difference is monotone and never turns a nonzero difference into
 /// zero, so a rounded offset in `[0, 1)` means `cx <= x < cx + 1`; `cx`
 /// is an integer, so `fast_floor(x) == cx` and the offset *is* the
@@ -105,13 +108,9 @@ pub struct NoiseCellCache {
     seed: u64,
     ix: i64,
     iz: i64,
-    cx: f64,
-    cz: f64,
-    v00: f64,
-    v01: f64,
-    /// `v10 - v00` and `v11 - v01`, the x-lerp slopes.
-    dx0: f64,
-    dx1: f64,
+    /// The lattice values at `(ix + a, iz + b)`, as `corners[a][b]`.
+    corners: [[f64; 2]; 2],
+    cell: NoiseCell,
 }
 
 /// Whether an offset from a cell's lower edge lies inside the cell.
@@ -132,62 +131,53 @@ impl NoiseCellCache {
         self.valid && self.seed == seed
     }
 
-    /// Makes the memo hold cell `(ix, iz)` of `seed`.
+    /// The held cell, if it is one of `seed`'s lattice.
+    #[inline(always)]
+    pub(crate) fn cell_for(&self, seed: u64) -> Option<&NoiseCell> {
+        self.is_for(seed).then_some(&self.cell)
+    }
+
+    /// Makes the memo hold cell `(ix, iz)` of `seed`. Corners it shares
+    /// with the held cell are copied, not hashed again: a coherent sweep
+    /// leaves a cell for a neighbour, which shares two of them.
     #[inline(always)]
     fn seek(&mut self, seed: u64, ix: i64, iz: i64) {
-        if self.is_for(seed) && self.ix == ix && self.iz == iz {
+        let held = self.is_for(seed);
+        if held && self.ix == ix && self.iz == iz {
             return;
         }
+        let corner = |cx: i64, cz: i64| {
+            let (dx, dz) = (
+                cx.wrapping_sub(self.ix) as u64,
+                cz.wrapping_sub(self.iz) as u64,
+            );
+            if held && dx <= 1 && dz <= 1 {
+                self.corners[dx as usize][dz as usize]
+            } else {
+                lattice(seed, cx, cz)
+            }
+        };
         let (ix1, iz1) = (ix.wrapping_add(1), iz.wrapping_add(1));
-        let v00 = lattice(seed, ix, iz);
-        let v01 = lattice(seed, ix, iz1);
+        let corners = [
+            [corner(ix, iz), corner(ix, iz1)],
+            [corner(ix1, iz), corner(ix1, iz1)],
+        ];
+        let [[v00, v01], [v10, v11]] = corners;
         *self = NoiseCellCache {
             valid: true,
             seed,
             ix,
             iz,
-            cx: ix as f64,
-            cz: iz as f64,
-            v00,
-            v01,
-            dx0: lattice(seed, ix1, iz) - v00,
-            dx1: lattice(seed, ix1, iz1) - v01,
+            corners,
+            cell: NoiseCell {
+                cx: ix as f64,
+                cz: iz as f64,
+                v00,
+                v01,
+                dx0: v10 - v00,
+                dx1: v11 - v01,
+            },
         };
-    }
-
-    /// The lower edge that coordinate `k` of a cross
-    /// `[x1, x0, xc, z1, z0, zc]` is measured from.
-    #[inline(always)]
-    fn edge(&self, k: usize) -> f64 {
-        if k < 3 {
-            self.cx
-        } else {
-            self.cz
-        }
-    }
-
-    /// The cell's two x-interpolants at offset `tx` from its lower edge.
-    #[inline(always)]
-    fn lerp_x(&self, tx: f64) -> (f64, f64) {
-        let fx = smooth(tx);
-        (self.v00 + self.dx0 * fx, self.v01 + self.dx1 * fx)
-    }
-
-    /// The four values of a cross whose six coordinates lie at these
-    /// offsets from the cell's lower edges: the x-probes share their row
-    /// weight, the z-probes their column interpolants.
-    #[inline(always)]
-    fn cross(&self, [tx1, tx0, txc, tz1, tz0, tzc]: [f64; 6]) -> [f64; 4] {
-        let (a1, b1) = self.lerp_x(tx1);
-        let (a0, b0) = self.lerp_x(tx0);
-        let (ac, bc) = self.lerp_x(txc);
-        let fzc = smooth(tzc);
-        [
-            a1 + (b1 - a1) * fzc,
-            a0 + (b0 - a0) * fzc,
-            ac + (bc - ac) * smooth(tz1),
-            ac + (bc - ac) * smooth(tz0),
-        ]
     }
 }
 
@@ -203,109 +193,135 @@ impl NoiseCellCache {
 /// ```
 #[inline(always)]
 pub fn value_noise_cached(cache: &mut NoiseCellCache, seed: u64, x: f64, z: f64) -> f64 {
-    let (mut tx, mut tz) = (x - cache.cx, z - cache.cz);
+    let (mut tx, mut tz) = (x - cache.cell.cx, z - cache.cell.cz);
     if !(cache.is_for(seed) && in_cell(tx) & in_cell(tz)) {
         let x0 = fast_floor(x);
         let z0 = fast_floor(z);
         cache.seek(seed, x0 as i64, z0 as i64);
         (tx, tz) = (x - x0, z - z0);
     }
-    let (a, b) = cache.lerp_x(tx);
-    a + (b - a) * smooth(tz)
+    cache.cell.value(tx, tz)
+}
+
+/// The memos of one lattice for central-difference crosses: a shared
+/// one for crosses inside one cell, and one per probe direction for a
+/// cross that straddles a cell edge.
+///
+/// Where the eye stands near a cell line, a ring of ground points has
+/// crosses on both sides of it and crosses across it. With one memo the
+/// straddling crosses' probes fetched the two cells in turn, hashing
+/// both again for every point (a 5 cm ring round a lattice corner cost
+/// ~8× a 2 m ring); each probe direction keeps to one side of the line
+/// for most of a ring, so its own memo refills a few times a ring.
+#[derive(Debug, Clone, Default)]
+pub struct CrossCache {
+    shared: NoiseCellCache,
+    /// `(x1, zc)`, `(x0, zc)`, `(xc, z1)`, `(xc, z0)`.
+    probes: [NoiseCellCache; 4],
+}
+
+impl CrossCache {
+    /// Empty memos (the first lookups miss).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The cells the memos hold of `seed`'s lattice.
+    #[inline(always)]
+    fn cells_for(&self, seed: u64) -> OctaveCells<'_> {
+        OctaveCells {
+            shared: self.shared.cell_for(seed),
+            probes: std::array::from_fn(|p| self.probes[p].cell_for(seed)),
+        }
+    }
 }
 
 /// Evaluates the four points of a central-difference cross — `(x1, zc)`,
 /// `(x0, zc)`, `(xc, z1)`, `(xc, z0)`, the argument being
-/// `[x1, x0, xc, z1, z0, zc]` — against one cache, in that order.
-/// Bit-identical to four [`value_noise_cached`] calls.
+/// `[x1, x0, xc, z1, z0, zc]` — in that order. Bit-identical to four
+/// [`value_noise`] calls.
 ///
 /// The terrain normal's probes sit `2·eps` apart, so almost always in
-/// one lattice cell: the cell is then checked and filled once, the two
-/// x-probes share their column weight, and the two z-probes share their
-/// row interpolants. Probes straddling a cell edge fall back to
-/// independent cached evaluation (same values, by [`value_noise_cached`]'s
-/// own guarantee).
+/// one lattice cell: the shared memo is then checked and filled once, the
+/// two x-probes share their column weight, and the two z-probes share
+/// their row interpolants. A cross straddling a cell edge evaluates each
+/// probe against that probe's own memo (same values, by
+/// [`value_noise_cached`]'s own guarantee), and leaves the shared one on
+/// its cell.
 #[inline(always)]
-pub fn value_noise_cached_cross(cache: &mut NoiseCellCache, seed: u64, at: [f64; 6]) -> [f64; 4] {
-    let t: [f64; 6] = std::array::from_fn(|k| at[k] - cache.edge(k));
-    if cache.is_for(seed) && t.iter().fold(true, |all, &t| all & in_cell(t)) {
-        return cache.cross(t);
+pub fn value_noise_cached_cross(cache: &mut CrossCache, seed: u64, at: [f64; 6]) -> [f64; 4] {
+    let shared = &mut cache.shared;
+    let t: [f64; 6] = std::array::from_fn(|k| at[k] - shared.cell.edge(k));
+    if shared.is_for(seed) && t.iter().fold(true, |all, &t| all & in_cell(t)) {
+        return shared.cell.cross(t);
     }
     let floors = at.map(fast_floor);
     let [ix1, ix0, ixc, iz1, iz0, izc] = floors.map(|f| f as i64);
     if ix1 == ixc && ix0 == ixc && iz1 == izc && iz0 == izc {
-        cache.seek(seed, ixc, izc);
-        cache.cross(std::array::from_fn(|k| at[k] - floors[k]))
+        shared.seek(seed, ixc, izc);
+        shared
+            .cell
+            .cross(std::array::from_fn(|k| at[k] - floors[k]))
     } else {
         let [x1, x0, xc, z1, z0, zc] = at;
+        let [p0, p1, p2, p3] = &mut cache.probes;
         [
-            value_noise_cached(cache, seed, x1, zc),
-            value_noise_cached(cache, seed, x0, zc),
-            value_noise_cached(cache, seed, xc, z1),
-            value_noise_cached(cache, seed, xc, z0),
+            value_noise_cached(p0, seed, x1, zc),
+            value_noise_cached(p1, seed, x0, zc),
+            value_noise_cached(p2, seed, xc, z1),
+            value_noise_cached(p3, seed, xc, z0),
         ]
     }
 }
 
-/// One fBm octave of four crosses at once: with lane `j`'s cross at
-/// `[probes[0][j] * freq, …, probes[5][j] * freq]`,
-/// `totals[probe][j] += amp * value_noise_cached_cross(cache, seed, cross)[probe]`
-/// over lanes 0 to 3 in order. Bit-identical to those four calls and
-/// sixteen scalar updates.
+/// The octaves of an fBm of four crosses at once, before they are
+/// summed: octave `o` (lattice `seed + o`, frequency `2^o`) of lane
+/// `j`'s cross `[probes[0][j], …, probes[5][j]]` lands in
+/// `vals[o][probe][j]`, bit-identical to
+/// `value_noise_cached_cross(&mut caches[o], seed + o, [probes[0][j] * 2^o, …])`.
 ///
-/// When the memo already contains all 24 coordinates the four crosses
-/// are evaluated in one pass over `[f64; 4]`s against its constants.
-/// Lanes are independent and Rust never contracts `a * b + c` into a
-/// fused multiply-add, so however the compiler vectorises that pass
-/// each lane performs the scalar path's IEEE operations in the scalar
-/// path's order. Otherwise the lanes go through the scalar cross one by
-/// one, which leaves the memo on the last lane's cell for the next block.
+/// Octaves whose shared memo already contains all 24 of their
+/// coordinates, or whose probe memos each contain their probe's eight,
+/// are evaluated in lanes by [`simd::noise_crosses_x4`] at `level`; the
+/// others go lane by lane through [`value_noise_cached_cross`], which
+/// leaves the memos on the last lane's cells for the next block.
 #[inline(always)]
-pub fn accumulate_cross_x4(
-    cache: &mut NoiseCellCache,
+pub fn fbm_crosses_x4<const N: usize>(
+    caches: &mut [CrossCache; N],
     seed: u64,
-    amp: f64,
-    freq: f64,
     probes: &[[f64; 4]; 6],
-    totals: &mut [[f64; 4]; 4],
+    vals: &mut [[[f64; 4]; 4]; N],
+    level: SimdLevel,
 ) {
-    // `from_fn` over indices rather than `map` or `flatten`: those leave
-    // an out-of-line call or a scalar loop in the pass.
-    let at: [[f64; 4]; 6] = std::array::from_fn(|k| std::array::from_fn(|j| probes[k][j] * freq));
-    let t: [[f64; 4]; 6] =
-        std::array::from_fn(|k| std::array::from_fn(|j| at[k][j] - cache.edge(k)));
-    let mut held = cache.is_for(seed);
-    for tk in &t {
-        for &tkj in tk {
-            held &= in_cell(tkj);
-        }
+    let seeds: [u64; N] = std::array::from_fn(|o| seed.wrapping_add(o as u64));
+    let mut freqs = [1.0; N];
+    for o in 1..N {
+        freqs[o] = freqs[o - 1] * 2.0;
     }
-    if !held {
-        return accumulate_cross_x4_by_lane(cache, seed, amp, &at, totals);
-    }
-    for j in 0..4 {
-        let vals = cache.cross(std::array::from_fn(|k| t[k][j]));
-        for (total, v) in totals.iter_mut().zip(vals) {
-            total[j] += amp * v;
+    let cells = std::array::from_fn(|o| caches[o].cells_for(seeds[o]));
+    let held = simd::noise_crosses_x4(&cells, &freqs, probes, vals, level);
+    for o in 0..N {
+        if held >> o & 1 == 0 {
+            crosses_x4_by_lane(&mut caches[o], seeds[o], freqs[o], probes, &mut vals[o]);
         }
     }
 }
 
-/// [`accumulate_cross_x4`] when the memo does not hold the block. Kept
-/// out of line: inlined, its floors and refills crowd the in-cell pass
-/// out of the vectoriser's reach.
+/// One octave of [`fbm_crosses_x4`] when its memo does not hold the
+/// block. Kept out of line: its floors and refills are the rare path.
 #[inline(never)]
-fn accumulate_cross_x4_by_lane(
-    cache: &mut NoiseCellCache,
+fn crosses_x4_by_lane(
+    cache: &mut CrossCache,
     seed: u64,
-    amp: f64,
-    at: &[[f64; 4]; 6],
-    totals: &mut [[f64; 4]; 4],
+    freq: f64,
+    probes: &[[f64; 4]; 6],
+    vals: &mut [[f64; 4]; 4],
 ) {
     for j in 0..4 {
-        let vals = value_noise_cached_cross(cache, seed, std::array::from_fn(|k| at[k][j]));
-        for (total, v) in totals.iter_mut().zip(vals) {
-            total[j] += amp * v;
+        let cross =
+            value_noise_cached_cross(cache, seed, std::array::from_fn(|k| probes[k][j] * freq));
+        for (probe, v) in vals.iter_mut().zip(cross) {
+            probe[j] = v;
         }
     }
 }
@@ -475,7 +491,7 @@ mod tests {
 
     #[test]
     fn cross_matches_independent_evaluation() {
-        let mut cache = NoiseCellCache::new();
+        let mut cache = CrossCache::new();
         let eps = 0.04;
         // Sweep the cross straight through lattice lines so both the
         // shared-cell fast path and the straddling fallback are hit.
@@ -559,7 +575,7 @@ mod tests {
             (1e300, -1e300),
         ] {
             let mut cache = NoiseCellCache::new();
-            let mut cross_cache = NoiseCellCache::new();
+            let mut cross_cache = CrossCache::new();
             for (x, z) in edge_and_corner_sweeps(cx, cz) {
                 assert_eq!(
                     bits([value_noise_cached(&mut cache, 5, x, z)]),
@@ -580,6 +596,7 @@ mod tests {
         }
         for odd in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0] {
             let mut cache = NoiseCellCache::new();
+            let mut cross_cache = CrossCache::new();
             for (x, z) in [(0.5, 0.5), (odd, 0.5), (0.5, odd), (odd, odd), (0.25, 0.75)] {
                 assert_eq!(
                     bits([value_noise_cached(&mut cache, 5, x, z)]),
@@ -588,7 +605,7 @@ mod tests {
                 );
                 let at = cross_at(x, z, 0.1);
                 assert_eq!(
-                    bits(value_noise_cached_cross(&mut cache, 5, at)),
+                    bits(value_noise_cached_cross(&mut cross_cache, 5, at)),
                     bits(uncached_cross(at, 5)),
                     "cross diverged at ({x}, {z})"
                 );
@@ -599,30 +616,40 @@ mod tests {
     #[test]
     fn four_lane_cross_matches_lane_by_lane() {
         // Blocks that sit inside one cell, straddle an edge between
-        // lanes, and straddle one within a lane's cross; the memo is
-        // carried from block to block as a ground row carries it.
-        let mut cache = NoiseCellCache::new();
-        let mut reference = NoiseCellCache::new();
-        let (amp, freq, eps) = (0.25, 2.0, 0.013);
-        for block in 0..400 {
-            let probes: [[f64; 4]; 6] = std::array::from_fn(|k| {
-                std::array::from_fn(|j| {
-                    let x = -1.7 + (block * 4 + j) as f64 * 0.0041;
-                    let z = 0.93 + ((block * 4 + j) as f64 * 0.0013).sin() * 0.2;
-                    cross_at(x, z, eps)[k]
-                })
-            });
-            let mut got = [[0.125; 4]; 4];
-            accumulate_cross_x4(&mut cache, 11, amp, freq, &probes, &mut got);
-            let mut want = [[0.125; 4]; 4];
-            for j in 0..4 {
-                let at = std::array::from_fn(|k| probes[k][j] * freq);
-                let vals = value_noise_cached_cross(&mut reference, 11, at);
-                for (total, v) in want.iter_mut().zip(vals) {
-                    total[j] += amp * v;
+        // lanes, and straddle one within a lane's cross; the memos are
+        // carried from block to block as a ground row carries them.
+        let eps = 0.013;
+        for level in coterie_parallel::simd::available_levels() {
+            let mut caches: [CrossCache; 3] = Default::default();
+            let mut reference: [CrossCache; 3] = Default::default();
+            for block in 0..400 {
+                let probes: [[f64; 4]; 6] = std::array::from_fn(|k| {
+                    std::array::from_fn(|j| {
+                        let x = -1.7 + (block * 4 + j) as f64 * 0.0041;
+                        let z = 0.93 + ((block * 4 + j) as f64 * 0.0013).sin() * 0.2;
+                        cross_at(x, z, eps)[k]
+                    })
+                });
+                let mut got = [[[0.125; 4]; 4]; 3];
+                fbm_crosses_x4(&mut caches, 11, &probes, &mut got, level);
+                let mut want = [[[0.125; 4]; 4]; 3];
+                for (o, cache) in reference.iter_mut().enumerate() {
+                    let freq = f64::from(1u32 << o);
+                    for j in 0..4 {
+                        let at = std::array::from_fn(|k| probes[k][j] * freq);
+                        let vals = value_noise_cached_cross(cache, 11 + o as u64, at);
+                        for (probe, v) in want[o].iter_mut().zip(vals) {
+                            probe[j] = v;
+                        }
+                        assert_eq!(bits(vals), bits(uncached_cross(at, 11 + o as u64)));
+                    }
                 }
+                assert_eq!(
+                    got.map(|o| o.map(bits)),
+                    want.map(|o| o.map(bits)),
+                    "{level:?} block {block}"
+                );
             }
-            assert_eq!(got.map(bits), want.map(bits), "block {block}");
         }
     }
 

@@ -5,9 +5,20 @@
 //! terrain is an analytic fBm heightfield, so the "foothold" is a direct
 //! evaluation, and the renderer ray-marches the same function for ground
 //! pixels.
+//!
+//! [`TerrainSampler::lambert_row`] is the renderer's ground-shading
+//! kernel: the terrain normal of four points at a time, through
+//! per-octave noise memos and the `coterie_parallel::simd` block kernels,
+//! bit-identical to [`Terrain::normal`] at every SIMD level. Each octave
+//! keeps a memo for crosses inside one cell and one per probe direction
+//! for crosses that straddle a cell edge (an eye on a cell line puts
+//! every cross of its nadir rows across one).
 
-use crate::noise::{accumulate_cross_x4, fbm, value_noise, value_noise_cached, NoiseCellCache};
+use crate::noise::{
+    fbm, fbm_crosses_x4, value_noise, value_noise_cached, CrossCache, NoiseCellCache,
+};
 use crate::vec::{Vec2, Vec3};
+use coterie_parallel::simd::{self, SimdLevel};
 use serde::{Deserialize, Serialize};
 
 /// Analytic heightfield terrain with deterministic albedo texture.
@@ -113,11 +124,13 @@ impl Terrain {
 /// Cell-cached view of a [`Terrain`] (see [`Terrain::sampler`]).
 ///
 /// Each noise call site gets its own [`NoiseCellCache`] so interleaved
-/// queries (albedo then slope shading) never evict each other.
+/// queries (albedo then slope shading) never evict each other; each
+/// octave of the normal's fBm gets a [`CrossCache`] (a shared memo and
+/// one per probe direction).
 #[derive(Debug, Clone)]
 pub struct TerrainSampler<'t> {
     terrain: &'t Terrain,
-    normal_octaves: [NoiseCellCache; 4],
+    normal_octaves: [CrossCache; 4],
     albedo_broad: NoiseCellCache,
     albedo_fine: NoiseCellCache,
 }
@@ -141,27 +154,74 @@ impl TerrainSampler<'_> {
         0.22 + 0.42 * broad + 0.28 * fine
     }
 
+    /// [`TerrainSampler::albedo`] of a row of ground points,
+    /// `out[i] = albedo((xs[i], zs[i]))`, bit for bit; four points to a
+    /// block, each noise scale evaluated in lanes when its memo holds
+    /// the block and point by point when it does not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn albedo_row(&mut self, xs: &[f64], zs: &[f64], out: &mut [f64], level: SimdLevel) {
+        assert_eq!(xs.len(), zs.len(), "coordinate rows differ in length");
+        assert_eq!(xs.len(), out.len(), "output row differs in length");
+        let seed = self.terrain.seed;
+        let blocks = xs.as_chunks::<4>().0.iter().zip(zs.as_chunks::<4>().0);
+        for ((px, pz), out) in blocks.zip(out.as_chunks_mut::<4>().0) {
+            let broad = noise_x4(&mut self.albedo_broad, seed ^ 0xA1B2, 0.15, px, pz, level);
+            let fine = noise_x4(&mut self.albedo_fine, seed ^ 0xC3D4, 3.0, px, pz, level);
+            *out = std::array::from_fn(|j| 0.22 + 0.42 * broad[j] + 0.28 * fine[j]);
+        }
+        let done = xs.len() - xs.len() % 4;
+        for i in done..xs.len() {
+            out[i] = self.albedo(Vec2::new(xs[i], zs[i]));
+        }
+    }
+
     /// Slope shading for a row of ground points:
     /// `out[i] = normal(pᵢ).dot(light).max(0.0)` with `pᵢ = (xs[i], zs[i])`
-    /// and `normal` as [`Terrain::normal`], bit for bit.
+    /// and `normal` as [`Terrain::normal`], bit for bit; the process-wide
+    /// [`simd::detected_level`] picks the kernels.
     ///
-    /// Points are taken four to a block. Per octave a block's four
-    /// central-difference crosses go through [`accumulate_cross_x4`],
-    /// which evaluates them in lanes when the octave's memo already
-    /// holds all of them and one by one when it does not; the fBm
-    /// scaling, the differences, the normalisation and the dot product
-    /// then run lane by lane in the order [`Terrain::height`] and
-    /// [`Vec3`]'s operators use.
+    /// Points are taken four to a block. Per block the four octaves'
+    /// central-difference crosses go through [`fbm_crosses_x4`], which
+    /// evaluates an octave in lanes when its memo already holds all of
+    /// that octave's crosses and lane by lane when it does not; then
+    /// [`simd::fbm_lambert_x4`] sums the octaves, scales the fBm, takes
+    /// the differences, normalises and dots, lane by lane in the order
+    /// [`Terrain::height`] and [`Vec3`]'s operators use.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length.
     pub fn lambert_row(&mut self, xs: &[f64], zs: &[f64], light: Vec3, out: &mut [f64]) {
+        self.lambert_row_with_simd(xs, zs, light, out, simd::detected_level());
+    }
+
+    /// [`TerrainSampler::lambert_row`] at an explicit SIMD level; every
+    /// level returns the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn lambert_row_with_simd(
+        &mut self,
+        xs: &[f64],
+        zs: &[f64],
+        light: Vec3,
+        out: &mut [f64],
+        level: SimdLevel,
+    ) {
         assert_eq!(xs.len(), zs.len(), "coordinate rows differ in length");
         assert_eq!(xs.len(), out.len(), "output row differs in length");
+        // The octaves at `(x±eps, z)` and `(x, z±eps)`,
+        // `[octave][probe][lane]`: every block overwrites all of them, and
+        // a flat terrain reads none, leaving the zeros that sum and scale
+        // to the `+0.0` heights `Terrain::height` returns.
+        let mut vals = [[[0.0f64; 4]; 4]; 4];
         let blocks = xs.as_chunks::<4>().0.iter().zip(zs.as_chunks::<4>().0);
         for ((px, pz), out) in blocks.zip(out.as_chunks_mut::<4>().0) {
-            *out = self.lambert_x4(px, pz, light);
+            *out = self.lambert_x4(px, pz, light, &mut vals, level);
         }
         // A short last block re-reads the row's last point into its spare
         // lanes.
@@ -171,56 +231,63 @@ impl TerrainSampler<'_> {
             let lane = |j: usize| (done + j).min(n - 1);
             let px = std::array::from_fn(|j| xs[lane(j)]);
             let pz = std::array::from_fn(|j| zs[lane(j)]);
-            out[done..].copy_from_slice(&self.lambert_x4(&px, &pz, light)[..n - done]);
+            let last = self.lambert_x4(&px, &pz, light, &mut vals, level);
+            out[done..].copy_from_slice(&last[..n - done]);
         }
     }
 
+    /// One block of [`TerrainSampler::lambert_row_with_simd`], the
+    /// octaves going through `vals`.
     #[inline]
-    fn lambert_x4(&mut self, px: &[f64; 4], pz: &[f64; 4], light: Vec3) -> [f64; 4] {
+    fn lambert_x4(
+        &mut self,
+        px: &[f64; 4],
+        pz: &[f64; 4],
+        light: Vec3,
+        vals: &mut [[[f64; 4]; 4]; 4],
+        level: SimdLevel,
+    ) -> [f64; 4] {
         let eps = 0.1;
         let t = self.terrain;
-        // Heights at `(x±eps, z)` and `(x, z±eps)`, `[probe][lane]` — the
-        // fBm each probe would compute through `Terrain::height`,
-        // batched per octave.
-        let mut heights = [[0.0f64; 4]; 4];
         if t.amplitude != 0.0 {
-            let probes = [
-                px.map(|x| (x + eps) / t.wavelength),
-                px.map(|x| (x - eps) / t.wavelength),
-                px.map(|x| x / t.wavelength),
-                pz.map(|z| (z + eps) / t.wavelength),
-                pz.map(|z| (z - eps) / t.wavelength),
-                pz.map(|z| z / t.wavelength),
+            // `from_fn` over indices: `map` left 24 scalar divisions a
+            // block where these are packed.
+            let wl = t.wavelength;
+            let probes: [[f64; 4]; 6] = [
+                std::array::from_fn(|j| (px[j] + eps) / wl),
+                std::array::from_fn(|j| (px[j] - eps) / wl),
+                std::array::from_fn(|j| px[j] / wl),
+                std::array::from_fn(|j| (pz[j] + eps) / wl),
+                std::array::from_fn(|j| (pz[j] - eps) / wl),
+                std::array::from_fn(|j| pz[j] / wl),
             ];
-            let mut amp = 0.5;
-            let mut freq = 1.0;
-            let mut norm = 0.0;
-            for (octave, cache) in self.normal_octaves.iter_mut().enumerate() {
-                let seed = t.seed.wrapping_add(octave as u64);
-                accumulate_cross_x4(cache, seed, amp, freq, &probes, &mut heights);
-                norm += amp;
-                amp *= 0.5;
-                freq *= 2.0;
-            }
-            // Four octaves: `norm` is 0.9375, so `fbm`'s zero-octave
-            // branch has nothing to decide.
-            for totals in &mut heights {
-                for total in totals {
-                    *total = t.amplitude * (*total / norm);
-                }
-            }
+            fbm_crosses_x4(&mut self.normal_octaves, t.seed, &probes, vals, level);
         }
-        let [hx1, hx0, hz1, hz0] = heights;
-        std::array::from_fn(|j| {
-            let n = Vec3::new(
-                -(hx1[j] - hx0[j]) / (2.0 * eps),
-                1.0,
-                -(hz1[j] - hz0[j]) / (2.0 * eps),
-            )
-            .normalized();
-            n.dot(light).max(0.0)
-        })
+        // `fbm`'s amplitudes halve from 0.5 and sum exactly to
+        // `norm` = 0.9375, so its zero-octave branch has nothing to decide.
+        let amps = [0.5, 0.25, 0.125, 0.0625];
+        let light = [light.x, light.y, light.z];
+        simd::fbm_lambert_x4(vals, &amps, 0.9375, t.amplitude, eps, light, level)
     }
+}
+
+/// `value_noise_cached(cache, seed, x * scale, z * scale)` of four
+/// points, in lanes when the memo holds all four.
+#[inline]
+fn noise_x4(
+    cache: &mut NoiseCellCache,
+    seed: u64,
+    scale: f64,
+    px: &[f64; 4],
+    pz: &[f64; 4],
+    level: SimdLevel,
+) -> [f64; 4] {
+    cache
+        .cell_for(seed)
+        .and_then(|cell| simd::noise_values_x4(cell, scale, px, pz, level))
+        .unwrap_or_else(|| {
+            std::array::from_fn(|j| value_noise_cached(cache, seed, px[j] * scale, pz[j] * scale))
+        })
 }
 
 #[cfg(test)]
@@ -287,16 +354,68 @@ mod tests {
         assert_eq!(a.albedo(p), b.albedo(p));
     }
 
-    /// `lambert_row` over `points` against the uncached reference.
+    /// `lambert_row` over `points` against the uncached reference, at
+    /// every SIMD level the CPU runs.
     fn assert_row_matches(t: &Terrain, s: &mut TerrainSampler<'_>, points: &[Vec2], light: Vec3) {
         let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
         let zs: Vec<f64> = points.iter().map(|p| p.z).collect();
-        let mut got = vec![f64::NAN; points.len()];
-        s.lambert_row(&xs, &zs, light, &mut got);
-        for (p, got) in points.iter().zip(got) {
-            let want = t.normal(*p).dot(light).max(0.0);
-            assert_eq!(got.to_bits(), want.to_bits(), "lambert diverged at {p:?}");
-            assert_eq!(s.albedo(*p), t.albedo(*p), "albedo diverged at {p:?}");
+        for level in simd::available_levels() {
+            let mut got = vec![f64::NAN; points.len()];
+            s.lambert_row_with_simd(&xs, &zs, light, &mut got, level);
+            let mut albedo = vec![f64::NAN; points.len()];
+            s.albedo_row(&xs, &zs, &mut albedo, level);
+            for ((p, got), albedo) in points.iter().zip(got).zip(albedo) {
+                assert_eq!(
+                    albedo,
+                    t.albedo(*p),
+                    "{level:?} albedo row diverged at {p:?}"
+                );
+                let want = t.normal(*p).dot(light).max(0.0);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{level:?} lambert diverged at {p:?}"
+                );
+                assert_eq!(s.albedo(*p), t.albedo(*p), "albedo diverged at {p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn rings_round_lattice_corners_and_lines_match_bit_for_bit() {
+        // A nadir row of an eye standing on a cell line: rings of
+        // 1 cm to 50 cm, each a renderer row's worth of points, centred
+        // on a point that is a lattice corner at all four octaves (a
+        // multiple of the wavelength), on one that is a cell line of
+        // every octave in x only, and one ulp either side of both. Every
+        // cross of the smallest rings straddles a cell edge at every
+        // octave, and the rings' blocks fall to each memo in turn.
+        let wavelength = 80.0;
+        let t = Terrain::new(42, 8.0, wavelength);
+        let light = Vec3::new(0.35, 0.85, 0.40).normalized();
+        let corner = Vec2::new(2.0 * wavelength, -wavelength);
+        let line = Vec2::new(3.0 * wavelength, 37.3);
+        let centres = [
+            corner,
+            Vec2::new(corner.x.next_up(), corner.z.next_down()),
+            Vec2::new(corner.x.next_down(), corner.z.next_up()),
+            line,
+            Vec2::new(line.x.next_up(), line.z),
+            Vec2::new(line.x.next_down(), line.z),
+        ];
+        let mut s = t.sampler();
+        for centre in centres {
+            for radius in [0.01, 0.02, 0.05, 0.1, 0.2, 0.5] {
+                for n in [256, 61] {
+                    let ring: Vec<Vec2> = (0..n)
+                        .map(|i| {
+                            let a = i as f64 / n as f64 * std::f64::consts::TAU;
+                            Vec2::new(centre.x + radius * a.sin(), centre.z + radius * a.cos())
+                        })
+                        .collect();
+                    assert_row_matches(&t, &mut s, &ring, light);
+                }
+            }
         }
     }
 

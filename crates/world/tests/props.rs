@@ -1,5 +1,6 @@
 //! Property-based tests for world geometry, grids and quadtrees.
 
+use coterie_parallel::simd;
 use coterie_world::quadtree::Partition;
 use coterie_world::{GridSpec, Quadtree, Rect, Terrain, Vec2, Vec3};
 use proptest::prelude::*;
@@ -147,18 +148,27 @@ proptest! {
                 .collect();
             let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
             let zs: Vec<f64> = points.iter().map(|p| p.z).collect();
-            let mut got = vec![f64::NAN; points.len()];
-            sampler.lambert_row(&xs, &zs, light, &mut got);
-            for (p, got) in points.iter().zip(got) {
+            // Every SIMD level, each carrying the memos the last one left.
+            let mut by_level = Vec::new();
+            for level in simd::available_levels() {
+                let mut got = vec![f64::NAN; points.len()];
+                sampler.lambert_row_with_simd(&xs, &zs, light, &mut got, level);
+                let mut albedo = vec![f64::NAN; points.len()];
+                sampler.albedo_row(&xs, &zs, &mut albedo, level);
+                by_level.push((got, albedo));
+            }
+            for (i, p) in points.iter().enumerate() {
                 let want = terrain.normal(*p).dot(light).max(0.0);
-                prop_assert_eq!(got.to_bits(), want.to_bits(), "lambert {} vs {} at {:?}", got, want, p);
                 // A NaN's sign and payload are not pinned down by the
                 // language, so NaN albedos compare as NaN, the rest by bits.
-                let (albedo, reference) = (sampler.albedo(*p), terrain.albedo(*p));
-                prop_assert!(
-                    albedo.to_bits() == reference.to_bits() || (albedo.is_nan() && reference.is_nan()),
-                    "albedo {} vs {} at {:?}", albedo, reference, p
-                );
+                let reference = terrain.albedo(*p);
+                let same = |a: f64| a.to_bits() == reference.to_bits() || (a.is_nan() && reference.is_nan());
+                for (got, albedo) in by_level.iter().map(|(l, a)| (l[i], a[i])) {
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "lambert {} vs {} at {:?}", got, want, p);
+                    prop_assert!(same(albedo), "albedo row {} vs {} at {:?}", albedo, reference, p);
+                }
+                let albedo = sampler.albedo(*p);
+                prop_assert!(same(albedo), "albedo {} vs {} at {:?}", albedo, reference, p);
             }
         }
     }
