@@ -25,7 +25,6 @@ pub mod system_exp;
 pub use report::Report;
 
 use coterie_telemetry::{chrome_trace_json_full, TelemetrySink};
-use serde::{Deserialize, Serialize};
 
 /// The Chrome `trace_event` JSON export (slices plus counter tracks) of
 /// everything `sink` recorded.
@@ -39,7 +38,7 @@ pub fn chrome_trace(sink: &TelemetrySink) -> String {
 }
 
 /// Global experiment scaling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpConfig {
     /// Shrinks durations/samples for smoke runs.
     pub quick: bool,

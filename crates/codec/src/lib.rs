@@ -50,11 +50,10 @@ pub use entropy::CodecError;
 use bytes::Bytes;
 use coterie_frame::LumaFrame;
 use coterie_parallel::simd::{self, SimdLevel};
-use serde::{Deserialize, Serialize};
 
 /// Encoding quality, named after x264's Constant Rate Factor scale
 /// (lower CRF = higher quality and larger frames).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Quality {
     /// Visually lossless-ish (CRF ≈ 18).
     CRF18,
@@ -239,59 +238,6 @@ impl Encoder {
         self.quality
     }
 
-    /// [`Encoder::encode`] wrapped in a telemetry span on the caller's
-    /// lane (wall-clock duration — encoding is real compute). A
-    /// disabled sink adds one branch.
-    pub fn encode_traced(
-        &self,
-        frame: &LumaFrame,
-        sink: &coterie_telemetry::TelemetrySink,
-        track: coterie_telemetry::TrackId,
-        frame_no: u64,
-    ) -> EncodedFrame {
-        let started = sink.is_enabled().then(std::time::Instant::now);
-        let encoded = self.encode(frame);
-        if let Some(t0) = started {
-            sink.span(
-                track,
-                coterie_telemetry::Stage::Encode,
-                "encode",
-                sink.now_ms(),
-                t0.elapsed().as_secs_f64() * 1000.0,
-                frame_no,
-            );
-        }
-        encoded
-    }
-
-    /// [`Encoder::decode`] wrapped in a telemetry span on the caller's
-    /// lane (wall-clock duration).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError`] if the payload is truncated or malformed.
-    pub fn decode_traced(
-        &self,
-        encoded: &EncodedFrame,
-        sink: &coterie_telemetry::TelemetrySink,
-        track: coterie_telemetry::TrackId,
-        frame_no: u64,
-    ) -> Result<LumaFrame, CodecError> {
-        let started = sink.is_enabled().then(std::time::Instant::now);
-        let decoded = self.decode(encoded);
-        if let Some(t0) = started {
-            sink.span(
-                track,
-                coterie_telemetry::Stage::Decode,
-                "decode",
-                sink.now_ms(),
-                t0.elapsed().as_secs_f64() * 1000.0,
-                frame_no,
-            );
-        }
-        decoded
-    }
-
     /// Encodes a luma frame.
     ///
     /// Each block is centred as it is read (pixel - 0.5), transformed
@@ -405,7 +351,7 @@ impl Encoder {
 /// codec (motion-compensated prediction, CABAC, deblocking). The default
 /// is calibrated so whole-BE frames land in the paper's 440–680 KB range
 /// and far-BE frames in 150–280 KB (Tables 1 and 8).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeModel {
     /// Target ("paper") resolution width.
     pub target_width: u32,

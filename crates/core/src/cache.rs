@@ -20,11 +20,10 @@
 //! used for the inter-player-similarity study (§4.6).
 
 use coterie_world::{GridPoint, LeafId, Vec2};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// How a candidate cached frame may match a lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatchMode {
     /// Only the identical grid point matches.
     Exact,
@@ -33,7 +32,7 @@ pub enum MatchMode {
 }
 
 /// Where a cached frame came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameSource {
     /// Prefetched by this client for itself.
     SelfPrefetch,
@@ -48,7 +47,7 @@ pub enum FrameSource {
 }
 
 /// One of the paper's five cache configurations (Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheVersion {
     /// Matching allowed against self-prefetched (intra-player) frames.
     pub intra: Option<MatchMode>,
@@ -141,7 +140,7 @@ impl CacheVersion {
 }
 
 /// Eviction policy (§5.3 "Cache replacement policy").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvictionPolicy {
     /// Least recently used.
     Lru,
@@ -151,7 +150,7 @@ pub enum EvictionPolicy {
 }
 
 /// Cache configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Capacity in bytes; `u64::MAX` emulates the infinite cache of the
     /// §4.6 trace study.
@@ -186,7 +185,7 @@ impl CacheConfig {
 }
 
 /// Metadata stored alongside each cached frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameMeta {
     /// Grid point the frame was rendered for.
     pub grid: GridPoint,
@@ -199,7 +198,7 @@ pub struct FrameMeta {
 }
 
 /// A cache lookup request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheQuery {
     /// Grid point being rendered.
     pub grid: GridPoint,
@@ -214,7 +213,7 @@ pub struct CacheQuery {
 }
 
 /// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that returned a frame.
     pub hits: u64,

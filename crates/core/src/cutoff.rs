@@ -18,10 +18,9 @@ use coterie_device::DeviceProfile;
 use coterie_world::noise::SmallRng;
 use coterie_world::quadtree::Partition;
 use coterie_world::{GameSpec, LeafId, Quadtree, QuadtreeStats, Rect, Scene, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the cutoff computation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CutoffConfig {
     /// Total per-frame latency budget (60 FPS ⇒ 16.7 ms).
     pub frame_budget_ms: f64,
@@ -106,7 +105,7 @@ pub fn max_cutoff_radius(
 
 /// Payload of a leaf region: its cutoff radius and (once calibrated) the
 /// cache-lookup distance threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeafCutoff {
     /// The region's near/far cutoff radius, meters (the minimum over the
     /// K sampled locations, per the paper).

@@ -12,11 +12,10 @@
 use crate::cache::{CacheQuery, FrameCache};
 use crate::cutoff::CutoffMap;
 use coterie_world::{GridPoint, GridSpec, Scene, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// The set of grid points to have resident before the player reaches the
 /// anchor point.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefetchPlan {
     /// The anchor grid point (Figure 10's point 4): the reuse horizon of
     /// the currently cached frame along the movement direction.
@@ -27,7 +26,7 @@ pub struct PrefetchPlan {
 }
 
 /// Computes prefetch plans from position, movement and cache state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prefetcher {
     /// How many `dist_thresh` radii ahead the anchor is placed. 1.0
     /// places it exactly at the reuse horizon.

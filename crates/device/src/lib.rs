@@ -1,7 +1,7 @@
 //! # coterie-device
 //!
 //! Analytic mobile-device model: render timing, CPU costs, thermals and
-//! battery power.
+//! power draw.
 //!
 //! The paper's evaluation platform is a Google Pixel 2 (Snapdragon 835,
 //! Adreno 540). We model it with a handful of calibrated constants:
@@ -35,19 +35,15 @@
 
 pub mod power;
 pub mod thermal;
-pub mod throttle;
 
 pub use power::PowerModel;
 pub use thermal::ThermalModel;
-pub use throttle::ThrottleGovernor;
-
-use serde::{Deserialize, Serialize};
 
 /// The 60 FPS QoE deadline: 16.7 ms per frame (§1, §4.3).
 pub const FRAME_BUDGET_MS: f64 = 16.7;
 
 /// Rendering-performance profile of a device (phone or server GPU).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable name.
     pub name: String,
@@ -89,21 +85,6 @@ impl DeviceProfile {
             cpu_base_ms_per_frame: 12.0,
             cpu_cores: 4.0,
             merge_ms: 0.8,
-        }
-    }
-
-    /// The render server (GTX 1080 Ti class): ~25× phone GPU throughput.
-    pub fn render_server() -> Self {
-        DeviceProfile {
-            name: "GTX 1080 Ti server".to_string(),
-            gpu_triangles_per_ms: 600_000.0,
-            gpu_frame_overhead_ms: 0.4,
-            decode_ms_per_mb: 1.0,
-            decode_overhead_ms: 0.2,
-            net_cpu_ms_per_mb: 1.0,
-            cpu_base_ms_per_frame: 2.0,
-            cpu_cores: 12.0,
-            merge_ms: 0.1,
         }
     }
 
@@ -195,14 +176,6 @@ mod tests {
             (22.0..30.0).contains(&fps),
             "whole-scene mobile rendering should land near 24-27 FPS, got {fps:.1}"
         );
-    }
-
-    #[test]
-    fn server_much_faster_than_phone() {
-        let phone = DeviceProfile::pixel2();
-        let server = DeviceProfile::render_server();
-        assert!(server.gpu_triangles_per_ms > phone.gpu_triangles_per_ms * 10.0);
-        assert!(server.render_ms(1_000_000) < phone.render_ms(1_000_000) / 10.0);
     }
 
     #[test]

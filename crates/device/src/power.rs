@@ -1,4 +1,4 @@
-//! Battery power model.
+//! Power-draw model.
 //!
 //! The paper logs current and voltage from
 //! `/sys/class/power_supply/battery` and observes a steady ≈4 W draw
@@ -7,16 +7,8 @@
 //! GPU and radio activity — the standard utilization-based smartphone
 //! power model.
 
-use serde::{Deserialize, Serialize};
-
-/// Pixel 2 battery capacity in milliamp-hours (§7.3).
-pub const PIXEL2_BATTERY_MAH: f64 = 2770.0;
-
-/// Nominal battery voltage, volts.
-pub const BATTERY_VOLTAGE_V: f64 = 3.85;
-
 /// Linear utilization-based power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Idle platform power (SoC idle, sensors, Android), watts.
     pub base_w: f64,
@@ -54,15 +46,6 @@ impl PowerModel {
             + self.gpu_full_w * gpu_util.clamp(0.0, 1.0)
             + self.wifi_j_per_mb * net_mbps.max(0.0)
     }
-
-    /// Battery lifetime in hours at a sustained draw, for a battery of
-    /// `capacity_mah` at the nominal voltage.
-    pub fn battery_hours(&self, sustained_w: f64, capacity_mah: f64) -> f64 {
-        if sustained_w <= 0.0 {
-            return f64::INFINITY;
-        }
-        capacity_mah / 1000.0 * BATTERY_VOLTAGE_V / sustained_w
-    }
 }
 
 #[cfg(test)]
@@ -98,21 +81,5 @@ mod tests {
         let m = PowerModel::pixel2();
         assert_eq!(m.draw_w(5.0, 0.0, 0.0), m.draw_w(1.0, 0.0, 0.0));
         assert_eq!(m.draw_w(-1.0, 0.0, 0.0), m.draw_w(0.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn battery_life_exceeds_2_5_hours() {
-        // "all three high-quality multiplayer VR apps can last for more
-        // than 2.5 hours" at ~4 W on a 2770 mAh battery (§7.3).
-        let m = PowerModel::pixel2();
-        let hours = m.battery_hours(4.0, PIXEL2_BATTERY_MAH);
-        assert!(hours > 2.5, "battery life {hours:.2} h");
-        assert!(hours < 3.5, "battery life {hours:.2} h suspiciously long");
-    }
-
-    #[test]
-    fn zero_draw_lasts_forever() {
-        let m = PowerModel::pixel2();
-        assert_eq!(m.battery_hours(0.0, PIXEL2_BATTERY_MAH), f64::INFINITY);
     }
 }

@@ -7,13 +7,11 @@
 //!
 //! `dT/dt = (T_ambient + R·P − T) / τ`
 
-use serde::{Deserialize, Serialize};
-
 /// Pixel 2 thermal throttling threshold, °C (§7.3).
 pub const PIXEL2_THERMAL_LIMIT_C: f64 = 52.0;
 
 /// RC thermal model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     /// Ambient temperature, °C.
     pub ambient_c: f64,

@@ -31,73 +31,9 @@ pub fn save_pgm<P: AsRef<Path>>(frame: &LumaFrame, path: P) -> io::Result<()> {
     write_pgm(frame, io::BufWriter::new(file))
 }
 
-/// Parses a binary PGM (P5, maxval 255) back into a frame.
-///
-/// # Errors
-///
-/// Returns `InvalidData` if the header or payload is malformed.
-pub fn read_pgm(data: &[u8]) -> io::Result<LumaFrame> {
-    let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    // Header: three whitespace-separated tokens after "P5".
-    let mut pos = 0usize;
-    let token = move |data: &[u8], pos: &mut usize| -> io::Result<String> {
-        while *pos < data.len() && data[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-        let start = *pos;
-        while *pos < data.len() && !data[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-        if start == *pos {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "truncated header",
-            ));
-        }
-        Ok(String::from_utf8_lossy(&data[start..*pos]).into_owned())
-    };
-    if token(data, &mut pos)? != "P5" {
-        return Err(bad("not a binary PGM"));
-    }
-    let width: u32 = token(data, &mut pos)?
-        .parse()
-        .map_err(|_| bad("bad width"))?;
-    let height: u32 = token(data, &mut pos)?
-        .parse()
-        .map_err(|_| bad("bad height"))?;
-    let maxval: u32 = token(data, &mut pos)?
-        .parse()
-        .map_err(|_| bad("bad maxval"))?;
-    if maxval != 255 {
-        return Err(bad("only maxval 255 supported"));
-    }
-    if width == 0 || height == 0 {
-        return Err(bad("zero dimension"));
-    }
-    pos += 1; // single whitespace after maxval
-    let need = (width * height) as usize;
-    let payload = data
-        .get(pos..pos + need)
-        .ok_or_else(|| bad("truncated payload"))?;
-    Ok(LumaFrame::from_u8(width, height, payload))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_via_pgm() {
-        let f = LumaFrame::from_fn(32, 20, |x, y| ((x + 2 * y) % 17) as f32 / 16.0);
-        let mut buf = Vec::new();
-        write_pgm(&f, &mut buf).unwrap();
-        let g = read_pgm(&buf).unwrap();
-        assert_eq!(g.width(), 32);
-        assert_eq!(g.height(), 20);
-        for (a, b) in f.data().iter().zip(g.data()) {
-            assert!((a - b).abs() < 1.0 / 255.0 + 1e-6);
-        }
-    }
 
     #[test]
     fn header_is_standard() {
@@ -107,6 +43,7 @@ mod tests {
         let text = String::from_utf8_lossy(&buf[..12]);
         assert!(text.starts_with("P5\n4 2\n255"));
         assert_eq!(buf.len(), "P5\n4 2\n255\n".len() + 8);
+        assert_eq!(buf["P5\n4 2\n255\n".len()..], f.to_u8()[..]);
     }
 
     #[test]
@@ -117,16 +54,9 @@ mod tests {
         let f = LumaFrame::from_fn(16, 16, |x, _| x as f32 / 15.0);
         save_pgm(&f, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        let g = read_pgm(&bytes).unwrap();
-        assert_eq!(g.width(), 16);
+        let mut written = Vec::new();
+        write_pgm(&f, &mut written).unwrap();
+        assert_eq!(bytes, written);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(read_pgm(b"hello world").is_err());
-        assert!(read_pgm(b"P5\n4 4\n255\nxx").is_err()); // truncated
-        assert!(read_pgm(b"P5\n0 4\n255\n").is_err()); // zero dim
-        assert!(read_pgm(b"P5\n2 2\n65535\nxxxxxxxx").is_err()); // 16-bit
     }
 }

@@ -35,7 +35,7 @@ pub mod luma;
 pub mod similarity;
 pub mod stats;
 
-pub use image_io::{read_pgm, save_pgm, write_pgm};
+pub use image_io::{save_pgm, write_pgm};
 pub use luma::LumaFrame;
 pub use similarity::{mse, psnr, ssim, ssim_map, ssim_with, ssim_with_simd, SsimOptions};
 pub use stats::{Cdf, Summary};

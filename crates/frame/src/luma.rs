@@ -5,11 +5,10 @@
 //! similarity experiments tractable while preserving every structural
 //! property the paper's metrics depend on.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A `width × height` luma image with values in `[0, 1]`, row-major.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct LumaFrame {
     width: u32,
     height: u32,

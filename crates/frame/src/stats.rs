@@ -4,7 +4,6 @@
 //! values (Figures 1, 2, 7) or the fraction exceeding the 0.9 quality
 //! threshold. [`Cdf`] provides both views.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An empirical cumulative distribution over a sample of values.
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert_eq!(cdf.fraction_at_least(0.9), 0.5);
 /// assert_eq!(cdf.quantile(0.5), 0.9); // nearest-rank median
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -81,27 +80,6 @@ impl Cdf {
         self.sorted[idx]
     }
 
-    /// Evenly spaced `(value, cumulative_fraction)` points for plotting,
-    /// at most `max_points` of them.
-    pub fn plot_points(&self, max_points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || max_points == 0 {
-            return Vec::new();
-        }
-        let n = self.sorted.len();
-        let step = (n as f64 / max_points as f64).max(1.0);
-        let mut pts = Vec::new();
-        let mut i = 0.0;
-        while (i as usize) < n {
-            let idx = i as usize;
-            pts.push((self.sorted[idx], (idx + 1) as f64 / n as f64));
-            i += step;
-        }
-        if pts.last().map(|p| p.1) != Some(1.0) {
-            pts.push((self.sorted[n - 1], 1.0));
-        }
-        pts
-    }
-
     /// Summary statistics of the sample.
     pub fn summary(&self) -> Summary {
         Summary::from_sorted(&self.sorted)
@@ -115,7 +93,7 @@ impl FromIterator<f64> for Cdf {
 }
 
 /// Summary statistics (count, mean, min/median/max, standard deviation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample count.
     pub count: usize,
@@ -199,7 +177,6 @@ mod tests {
         assert_eq!(cdf.fraction_above(0.5), 1.0 - 0.0);
         assert_eq!(cdf.fraction_at_most(0.5), 0.0);
         assert_eq!(cdf.quantile(0.5), 0.0);
-        assert!(cdf.plot_points(10).is_empty());
         assert_eq!(cdf.summary().count, 0);
     }
 
@@ -207,18 +184,6 @@ mod tests {
     fn non_finite_samples_dropped() {
         let cdf = Cdf::from_samples(vec![f64::NAN, 0.5, f64::INFINITY, 0.7]);
         assert_eq!(cdf.len(), 2);
-    }
-
-    #[test]
-    fn plot_points_monotone_and_complete() {
-        let cdf: Cdf = (0..100).map(|i| i as f64 / 100.0).collect();
-        let pts = cdf.plot_points(20);
-        assert!(pts.len() <= 22);
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert_eq!(pts.last().unwrap().1, 1.0);
     }
 
     #[test]

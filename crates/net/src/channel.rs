@@ -7,10 +7,9 @@
 //! seeded, so sessions stay reproducible.
 
 use self::noise_free_rng::DeterministicRng;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of sending one datagram.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Delivery {
     /// Delivered after the given one-way latency, ms.
     Delivered {
@@ -31,20 +30,8 @@ impl Delivery {
     }
 }
 
-/// Error returned when the network dropped a datagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PacketLost;
-
-impl std::fmt::Display for PacketLost {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "datagram lost by the network")
-    }
-}
-
-impl std::error::Error for PacketLost {}
-
 /// A lossy, jittery datagram channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatagramChannel {
     /// Median one-way latency, ms.
     pub base_latency_ms: f64,
@@ -102,27 +89,6 @@ impl DatagramChannel {
         }
     }
 
-    /// Sends one datagram and returns its one-way latency.
-    ///
-    /// A channel constructed with `loss_rate == 0.0` never loses
-    /// packets, so lossless callers can rely on `Ok`; a loss on such a
-    /// channel would indicate broken channel state and trips a debug
-    /// assertion rather than a runtime panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PacketLost`] when the network drops the datagram,
-    /// which happens with probability `loss_rate` per packet.
-    pub fn send_latency(&mut self) -> Result<f64, PacketLost> {
-        match self.send() {
-            Delivery::Delivered { latency_ms } => Ok(latency_ms),
-            Delivery::Lost => {
-                debug_assert!(self.loss_rate > 0.0, "zero-loss channel dropped a packet");
-                Err(PacketLost)
-            }
-        }
-    }
-
     /// Packets sent so far.
     pub fn sent(&self) -> u64 {
         self.sent
@@ -141,25 +107,14 @@ impl DatagramChannel {
             self.lost as f64 / self.sent as f64
         }
     }
-
-    /// Round-trip sync latency of a state update relayed through the
-    /// server: two hops plus relay processing. This is the quantity the
-    /// paper footnotes at 2–3 ms.
-    pub fn relay_sync_ms(&mut self) -> Option<f64> {
-        const RELAY_PROCESS_MS: f64 = 0.3;
-        let up = self.send().latency_ms()?;
-        let down = self.send().latency_ms()?;
-        Some(up + RELAY_PROCESS_MS + down)
-    }
 }
 
 /// A tiny deterministic PRNG kept private to the crate so it has no
 /// dependency on the world crate's RNG (also used by the fault layer).
 pub(crate) mod noise_free_rng {
-    use serde::{Deserialize, Serialize};
 
     /// xorshift* generator.
-    #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct DeterministicRng {
         state: u64,
     }
@@ -192,24 +147,20 @@ mod tests {
     fn latency_within_jitter_band() {
         let mut ch = DatagramChannel::new(2.0, 0.5, 0.0, 7);
         for _ in 0..1000 {
-            // A zero-loss channel must always deliver; `send_latency`
-            // encodes that contract (debug_assert inside) so the test
-            // needs no panic arm for the impossible case.
-            let latency_ms = ch.send_latency().expect("lossless channel");
+            let latency_ms = ch.send().latency_ms().expect("lossless channel");
             assert!((1.5..=2.5).contains(&latency_ms), "{latency_ms}");
         }
     }
 
     #[test]
     fn lossy_mode_returns_error_not_panic() {
-        // Certain loss: every send reports PacketLost as a value.
+        // Certain loss: every send reports the loss as a value.
         let mut ch = DatagramChannel::new(1.0, 0.0, 1.0, 9);
         for _ in 0..50 {
-            assert_eq!(ch.send_latency(), Err(PacketLost));
+            assert_eq!(ch.send(), Delivery::Lost);
         }
         assert_eq!(ch.lost(), 50);
         assert_eq!(ch.loss_ratio(), 1.0);
-        assert_eq!(PacketLost.to_string(), "datagram lost by the network");
     }
 
     #[test]
@@ -218,12 +169,12 @@ mod tests {
         let mut delivered = 0u32;
         let mut lost = 0u32;
         for _ in 0..2000 {
-            match ch.send_latency() {
-                Ok(latency_ms) => {
+            match ch.send() {
+                Delivery::Delivered { latency_ms } => {
                     delivered += 1;
                     assert!((1.5..=2.5).contains(&latency_ms), "{latency_ms}");
                 }
-                Err(PacketLost) => lost += 1,
+                Delivery::Lost => lost += 1,
             }
         }
         assert!(
@@ -236,14 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn relay_sync_fails_under_loss() {
-        // With both hops lossy, some relayed syncs must fail outright.
-        let mut ch = DatagramChannel::new(1.2, 0.3, 0.5, 4);
-        let failed = (0..500).filter(|_| ch.relay_sync_ms().is_none()).count();
-        assert!(failed > 100, "only {failed}/500 syncs failed at 50% loss");
-    }
-
-    #[test]
     fn loss_rate_converges() {
         let mut ch = DatagramChannel::new(1.0, 0.0, 0.10, 3);
         for _ in 0..20_000 {
@@ -252,22 +195,6 @@ mod tests {
         let observed = ch.loss_ratio();
         assert!((0.08..0.12).contains(&observed), "loss {observed}");
         assert_eq!(ch.sent(), 20_000);
-    }
-
-    #[test]
-    fn relay_sync_in_paper_band() {
-        // Footnote 1: "It takes 2-3ms for each client to sync its FI".
-        let mut ch = DatagramChannel::wifi_fi(11);
-        let mut total = 0.0;
-        let mut n = 0;
-        for _ in 0..2000 {
-            if let Some(ms) = ch.relay_sync_ms() {
-                total += ms;
-                n += 1;
-            }
-        }
-        let mean = total / n as f64;
-        assert!((2.0..3.2).contains(&mean), "mean sync {mean:.2} ms");
     }
 
     #[test]

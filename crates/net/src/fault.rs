@@ -26,7 +26,6 @@
 
 use crate::channel::noise_free_rng::DeterministicRng;
 use crate::channel::{DatagramChannel, Delivery};
-use serde::{Deserialize, Serialize};
 
 /// Relay processing time charged between the two hops of a state sync,
 /// ms (matches the base channel's relay model).
@@ -52,7 +51,7 @@ const OUTAGE_START_MS: f64 = 1_500.0;
 const OUTAGE_LEN_MS: f64 = 150.0;
 
 /// Selectable network fault scenario for the FI path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetScenario {
     /// No fault plane: the lossless constant-latency model.
     None,
@@ -113,7 +112,7 @@ impl std::fmt::Display for NetScenario {
 /// fault process on top. Fully deterministic: the same `(scenario,
 /// seed)` pair and the same sequence of `send_at` times reproduce the
 /// same deliveries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FiChannel {
     scenario: NetScenario,
     inner: DatagramChannel,

@@ -34,18 +34,16 @@ pub mod fault;
 pub mod token;
 pub mod wire;
 
-pub use channel::{DatagramChannel, Delivery, PacketLost};
+pub use channel::{DatagramChannel, Delivery};
 pub use fault::{FiChannel, NetScenario};
 pub use token::{ResumeToken, TokenKey};
 pub use wire::{FrameAssembler, WireError, WireMessage};
-
-use serde::{Deserialize, Serialize};
 
 /// Measured 802.11ac TCP goodput from the paper's testbed, Mbps (§3).
 pub const WIFI_80211AC_GOODPUT_MBPS: f64 = 500.0;
 
 /// Result of scheduling one transfer on the shared link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transfer {
     /// When transmission actually started (after queueing), ms.
     pub started_at_ms: f64,
@@ -63,7 +61,7 @@ impl Transfer {
 }
 
 /// A shared wireless downlink with FIFO service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SharedLink {
     /// Nominal single-station TCP goodput, Mbps.
     capacity_mbps: f64,
@@ -139,83 +137,6 @@ impl SharedLink {
             bytes,
         }
     }
-
-    /// [`SharedLink::transfer`] plus a telemetry span covering the
-    /// whole wait (queueing, transmission, base latency) on the
-    /// caller's lane, in simulated time. The link itself cannot own a
-    /// sink — it is part of the serialized, comparable session state —
-    /// so the sink rides in per call. A disabled sink adds one branch.
-    pub fn transfer_traced(
-        &mut self,
-        now_ms: f64,
-        bytes: u64,
-        sink: &coterie_telemetry::TelemetrySink,
-        track: coterie_telemetry::TrackId,
-        frame_no: u64,
-    ) -> Transfer {
-        let t = self.transfer(now_ms, bytes);
-        sink.span(
-            track,
-            coterie_telemetry::Stage::Net,
-            "transfer",
-            now_ms,
-            t.latency_ms(now_ms),
-            frame_no,
-        );
-        t
-    }
-
-    /// When the medium next becomes free, ms.
-    pub fn busy_until_ms(&self) -> f64 {
-        self.busy_until_ms
-    }
-
-    /// Resets queue state (bandwidth accounting is kept).
-    pub fn reset_queue(&mut self) {
-        self.busy_until_ms = 0.0;
-    }
-}
-
-/// Accumulates byte counts over simulated time to report throughput.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputMeter {
-    bytes: u64,
-    window_start_ms: f64,
-    window_end_ms: f64,
-}
-
-impl ThroughputMeter {
-    /// An empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `bytes` observed at `now_ms`.
-    pub fn record(&mut self, now_ms: f64, bytes: u64) {
-        if self.bytes == 0 && self.window_end_ms == 0.0 {
-            self.window_start_ms = now_ms;
-        }
-        self.bytes += bytes;
-        self.window_end_ms = self.window_end_ms.max(now_ms);
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Average throughput in Mbps over an explicit duration.
-    pub fn mbps_over(&self, duration_ms: f64) -> f64 {
-        if duration_ms <= 0.0 {
-            return 0.0;
-        }
-        self.bytes as f64 * 8.0 / 1000.0 / duration_ms
-    }
-
-    /// Average throughput in Kbps over an explicit duration.
-    pub fn kbps_over(&self, duration_ms: f64) -> f64 {
-        self.mbps_over(duration_ms) * 1000.0
-    }
 }
 
 /// Fleet-wide egress budget for admission control.
@@ -227,7 +148,7 @@ impl ThroughputMeter {
 /// the room degrades (lower quality scale) instead of oversubscribing
 /// the medium. Accounting uses tumbling windows of simulated time, so
 /// identical request sequences always produce identical decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetEgress {
     budget_mbps: f64,
     window_ms: f64,
@@ -417,31 +338,9 @@ mod tests {
     }
 
     #[test]
-    fn throughput_meter_computes_mbps() {
-        let mut m = ThroughputMeter::new();
-        m.record(0.0, 625_000); // 5 Mbit
-        m.record(500.0, 625_000); // 5 Mbit
-                                  // 10 Mbit over 1 s = 10 Mbps.
-        assert!((m.mbps_over(1000.0) - 10.0).abs() < 1e-9);
-        assert!((m.kbps_over(1000.0) - 10_000.0).abs() < 1e-6);
-        assert_eq!(m.bytes(), 1_250_000);
-        assert_eq!(m.mbps_over(0.0), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn invalid_capacity_rejected() {
         let _ = SharedLink::new(0.0, 1.0, 1);
-    }
-
-    #[test]
-    fn reset_queue_clears_busy_state() {
-        let mut link = SharedLink::wifi_80211ac(1);
-        link.transfer(0.0, 10_000_000);
-        assert!(link.busy_until_ms() > 0.0);
-        link.reset_queue();
-        assert_eq!(link.busy_until_ms(), 0.0);
-        assert!(link.total_bytes() > 0, "accounting preserved");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # coterie-parallel
 //!
-//! Minimal data-parallel substrate built on crossbeam's scoped threads,
+//! Minimal data-parallel substrate built on `std::thread::scope`,
 //! shared by the renderer (band-parallel panoramas), the frame crate
 //! (separable SSIM on large frames), the simulator (similarity sweeps,
 //! pre-render batches) and the serve fleet (room boot, farm batches).
@@ -52,20 +52,20 @@ where
     let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
 
-    crossbeam::thread::scope(|scope| {
+    // A worker's panic propagates out of `scope` once every thread joined.
+    std::thread::scope(|scope| {
         let mut rest = results.as_mut_slice();
         for chunk_items in items.chunks(chunk) {
             let (head, tail) = rest.split_at_mut(chunk_items.len().min(rest.len()));
             rest = tail;
             let f = &f;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (slot, item) in head.iter_mut().zip(chunk_items) {
                     *slot = Some(f(item));
                 }
             });
         }
-    })
-    .expect("parallel workers must not panic");
+    });
 
     results
         .into_iter()
@@ -107,13 +107,12 @@ where
         }
         return;
     }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for item in items {
             let f = &f;
-            scope.spawn(move |_| f(item));
+            scope.spawn(move || f(item));
         }
-    })
-    .expect("parallel workers must not panic");
+    });
 }
 
 #[cfg(test)]
@@ -177,6 +176,12 @@ mod tests {
         });
         let expect: Vec<u32> = (0..64).collect();
         assert_eq!(buf, expect);
+    }
+
+    #[test]
+    #[should_panic]
+    fn worker_panic_propagates() {
+        par_for_each(vec![1u8, 2], |v| assert_ne!(v, 2, "worker failed"));
     }
 
     #[test]

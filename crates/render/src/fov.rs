@@ -22,11 +22,10 @@
 
 use coterie_frame::LumaFrame;
 use coterie_world::Vec3;
-use serde::{Deserialize, Serialize};
 use std::f32::consts::{FRAC_PI_2, PI, TAU};
 
 /// Perspective-crop parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FovOptions {
     /// Output width in pixels.
     pub width: u32,
@@ -56,11 +55,6 @@ struct Camera {
 }
 
 impl FovOptions {
-    /// Vertical field of view implied by the aspect ratio.
-    pub fn vfov(&self) -> f64 {
-        2.0 * ((self.hfov / 2.0).tan() * self.height as f64 / self.width as f64).atan()
-    }
-
     fn camera(&self, yaw: f64, pitch: f64) -> Camera {
         assert!(
             self.hfov > 0.0 && self.hfov < std::f64::consts::PI,
@@ -348,12 +342,6 @@ mod tests {
                 assert!((0.0..=1.0).contains(&v));
             }
         }
-    }
-
-    #[test]
-    fn vfov_smaller_than_hfov_for_wide_aspect() {
-        let opts = FovOptions::default();
-        assert!(opts.vfov() < opts.hfov);
     }
 
     #[test]

@@ -64,7 +64,6 @@ use coterie_parallel::{par_for_each, simd};
 use coterie_telemetry::{Stage, TelemetrySink, TrackId, KERNEL_PID};
 use coterie_world::noise::{value_noise, value_noise_cached, NoiseCellCache};
 use coterie_world::{ObjectKind, Scene, SceneObject, Vec3};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// Restricts which part of the background environment is rendered.
@@ -110,7 +109,7 @@ impl RenderFilter {
 }
 
 /// Renderer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RenderOptions {
     /// Panorama width in pixels (one full turn of azimuth).
     pub width: u32,

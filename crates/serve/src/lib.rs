@@ -87,7 +87,7 @@ pub use churn::{generate_arrivals, Arrival, ChurnScenario};
 pub use farm::{render_cost_ms, PrerenderFarm, PrerenderJob};
 pub use fleet::{Fleet, FleetConfig, FleetReport};
 pub use matchmaker::{MatchPlan, MatchmakingMetrics, PlacementPolicy, RoomPlan};
-pub use metrics::{percentile, FleetMetrics};
+pub use metrics::FleetMetrics;
 pub use predict::{PosePredictor, PredictorKind};
 pub use room::{Room, RoomReport};
 pub use store::{Admission, FrameStore, LocalStore, StoreConfig, StoreStats};

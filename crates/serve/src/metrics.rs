@@ -10,6 +10,7 @@ use crate::matchmaker::MatchmakingMetrics;
 use crate::predict::PredictorKind;
 use crate::room::RoomReport;
 use crate::store::StoreStats;
+use coterie_sim::percentile;
 use coterie_telemetry::TelemetrySummary;
 use std::fmt;
 
@@ -82,14 +83,6 @@ pub struct FleetMetrics {
     /// keeping static-roster reports byte-identical to pre-matchmaker
     /// builds.
     pub matchmaking: Option<MatchmakingMetrics>,
-}
-
-/// `p`-th percentile (0–100) of `samples` under linear interpolation
-/// between closest ranks (delegates to [`coterie_sim::percentile`]).
-/// NaN samples sort last rather than panicking; deterministic for
-/// identical inputs.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    coterie_sim::percentile(samples, p)
 }
 
 impl FleetMetrics {
@@ -245,33 +238,6 @@ impl fmt::Display for FleetMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_interpolates_between_ranks() {
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        // Linear interpolation, not rounded nearest-rank: the median of
-        // 1..=100 is 50.5 (the old rounding returned 51).
-        assert_eq!(percentile(&samples, 50.0), 50.5);
-        assert_eq!(percentile(&samples, 0.0), 1.0);
-        assert_eq!(percentile(&samples, 100.0), 100.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[42.0], 99.0), 42.0);
-    }
-
-    #[test]
-    fn percentile_is_order_independent() {
-        let a = [5.0, 1.0, 3.0, 2.0, 4.0];
-        let b = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&a, 50.0), percentile(&b, 50.0));
-        assert_eq!(percentile(&a, 50.0), 3.0);
-    }
-
-    #[test]
-    fn percentile_survives_nan_samples() {
-        // The old implementation panicked on NaN via partial_cmp.
-        let samples = [2.0, f64::NAN, 1.0];
-        assert_eq!(percentile(&samples, 0.0), 1.0);
-    }
 
     #[test]
     fn zero_room_fleet_yields_finite_sentinel() {

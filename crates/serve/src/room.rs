@@ -350,7 +350,16 @@ impl Room {
                 shrunk
             };
             shipped_bytes += bytes;
-            let tx = link.transfer_traced(req.now_ms + render_ms, bytes, &telemetry, track, 0);
+            let sent_at_ms = req.now_ms + render_ms;
+            let tx = link.transfer(sent_at_ms, bytes);
+            telemetry.span(
+                track,
+                Stage::Net,
+                "transfer",
+                sent_at_ms,
+                tx.latency_ms(sent_at_ms),
+                0,
+            );
             coterie_sim::FarResponse {
                 bytes,
                 completed_at_ms: tx.completed_at_ms,

@@ -11,7 +11,6 @@
 
 use coterie_net::FiChannel;
 use coterie_world::{ObjectId, ObjectKind, SceneObject, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// Per-interval FI synchronization latency, ms (paper footnote 1:
 /// "2-3 ms"). Never the critical path of Eq. 2.
@@ -46,7 +45,7 @@ const SYNC_MESSAGE_BYTES: f64 = 46.0;
 const SYNC_RATE_HZ: f64 = 60.0;
 
 /// The FI synchronization model for one session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FiSync {
     players: usize,
 }

@@ -37,7 +37,6 @@
 
 pub mod fi;
 pub mod metrics;
-pub mod prerender;
 pub mod quality;
 pub mod server;
 pub mod session;
@@ -48,7 +47,6 @@ pub use fi::{
     FI_RETRY_BACKOFF_MS, FI_RETRY_TIMEOUT_MS, FI_SYNC_LATENCY_MS,
 };
 pub use metrics::{percentile, FiReport, PlayerMetrics, ResourceSeries, SessionReport};
-pub use prerender::{prerender_patch, storage_estimate, PrerenderBatch, StorageEstimate};
 pub use server::RenderServer;
 pub use session::{
     FarRequest, FarResponse, Session, SessionConfig, SessionSim, StepEvent, SystemKind,

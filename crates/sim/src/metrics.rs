@@ -1,10 +1,9 @@
 //! Session metrics: the quantities the paper's tables and figures report.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Aggregated per-player results over a session — one row of Tables 1/7/8.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlayerMetrics {
     /// Average displayed frames per second (capped at the 60 Hz vsync).
     pub avg_fps: f64,
@@ -95,7 +94,7 @@ impl fmt::Display for PlayerMetrics {
 }
 
 /// Minute-resolution resource usage over a session (Figure 12's series).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResourceSeries {
     /// Sample timestamps, minutes from session start.
     pub minutes: Vec<f64>,
@@ -160,7 +159,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 /// All-zero when the session ran without a fault scenario (the lossless
 /// constant-latency model) — the fault plane then never touches the
 /// simulation, keeping lossless results bit-for-bit identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FiReport {
     /// FI sync rounds attempted on the lossy path (one per interval of
     /// every player of a multiplayer session).
@@ -187,7 +186,7 @@ pub struct FiReport {
 }
 
 /// Full result of one simulated session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// Per-player aggregates.
     pub players: Vec<PlayerMetrics>,
@@ -304,6 +303,14 @@ mod tests {
         assert_eq!(percentile(&[42.0], 99.0), 42.0);
         // A quartile landing between ranks interpolates.
         assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 50.0), 2.5);
+    }
+
+    #[test]
+    fn percentile_is_order_independent() {
+        let a = [5.0, 1.0, 3.0, 2.0, 4.0];
+        let b = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(percentile(&a, 50.0), percentile(&b, 50.0));
+        assert_eq!(percentile(&a, 50.0), 3.0);
     }
 
     #[test]

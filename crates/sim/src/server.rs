@@ -9,7 +9,7 @@
 use coterie_codec::{EncodedFrame, Encoder, Quality, SizeModel};
 use coterie_frame::LumaFrame;
 use coterie_render::{FovOptions, Panorama, RenderFilter, Renderer};
-use coterie_telemetry::{TelemetrySink, TrackId};
+use coterie_telemetry::{Stage, TelemetrySink, TrackId};
 use coterie_world::{Scene, SceneObject, Vec2};
 
 /// A rendered-and-encoded frame plus its 4K-equivalent transfer size.
@@ -126,9 +126,7 @@ impl<'a> RenderServer<'a> {
             avatars,
         );
         let view = self.fov.crop(&pano.frame, yaw, 0.0);
-        let encoded = self
-            .encoder
-            .encode_traced(&view, &self.telemetry, self.telemetry_track, 0);
+        let encoded = self.timed(Stage::Encode, "encode", || self.encoder.encode(&view));
         let transfer_bytes = self.fov_size_model.scaled_bytes(&encoded);
         ServedFrame {
             encoded,
@@ -143,20 +141,38 @@ impl<'a> RenderServer<'a> {
     /// Panics if the frame does not round-trip — impossible for frames
     /// produced by this server.
     pub fn decode(&self, frame: &ServedFrame) -> LumaFrame {
-        self.encoder
-            .decode_traced(&frame.encoded, &self.telemetry, self.telemetry_track, 0)
-            .expect("server-encoded frames always decode")
+        self.timed(Stage::Decode, "decode", || {
+            self.encoder.decode(&frame.encoded)
+        })
+        .expect("server-encoded frames always decode")
     }
 
     fn encode_pano(&self, pano: &Panorama, model: &SizeModel) -> ServedFrame {
-        let encoded =
-            self.encoder
-                .encode_traced(&pano.frame, &self.telemetry, self.telemetry_track, 0);
+        let encoded = self.timed(Stage::Encode, "encode", || self.encoder.encode(&pano.frame));
         let transfer_bytes = model.scaled_bytes(&encoded);
         ServedFrame {
             encoded,
             transfer_bytes,
         }
+    }
+
+    /// Runs `work` and, when the sink is enabled, records it as a span
+    /// on the server's lane with its wall-clock duration (encoding and
+    /// decoding are real compute).
+    fn timed<R>(&self, stage: Stage, name: &'static str, work: impl FnOnce() -> R) -> R {
+        let started = self.telemetry.is_enabled().then(std::time::Instant::now);
+        let out = work();
+        if let Some(t0) = started {
+            self.telemetry.span(
+                self.telemetry_track,
+                stage,
+                name,
+                self.telemetry.now_ms(),
+                t0.elapsed().as_secs_f64() * 1000.0,
+                0,
+            );
+        }
+        out
     }
 }
 
@@ -232,5 +248,41 @@ mod tests {
         );
         let decoded = server.decode(&f);
         assert_eq!(decoded.width(), FovOptions::default().width);
+    }
+
+    #[test]
+    fn codec_spans_land_on_the_server_track() {
+        use coterie_telemetry::{TelemetryConfig, TelemetrySink};
+        let (scene, _) = server_for(GameId::Pool);
+        let renderer = Renderer::new(RenderOptions::fast());
+        let pos = scene.bounds().center();
+        let track = TrackId { pid: 3, tid: 5 };
+        let sink = TelemetrySink::recording(TelemetryConfig::default());
+        let server =
+            RenderServer::new(&scene, renderer.clone()).with_telemetry(sink.clone(), track);
+
+        let far = server.far_be(pos, 10.0);
+        let spans = sink.spans_snapshot();
+        assert_eq!(spans.len(), 1, "far_be records one span: {spans:?}");
+        assert_eq!(
+            (spans[0].track, spans[0].stage, spans[0].name),
+            (track, Stage::Encode, "encode")
+        );
+        assert!(spans[0].dur_ms >= 0.0);
+
+        server.decode(&far);
+        let spans = sink.spans_snapshot();
+        assert_eq!(spans.len(), 2, "decode records one span: {spans:?}");
+        let decode: Vec<_> = spans.iter().filter(|s| s.stage == Stage::Decode).collect();
+        assert_eq!(decode.len(), 1);
+        assert_eq!((decode[0].track, decode[0].name), (track, "decode"));
+
+        // The default server holds a disabled sink: nothing reaches the
+        // recording one, and the frames are the same bytes.
+        let untraced = RenderServer::new(&scene, renderer);
+        let plain = untraced.far_be(pos, 10.0);
+        untraced.decode(&plain);
+        assert_eq!(sink.spans_snapshot().len(), 2);
+        assert_eq!(plain.encoded, far.encoded);
     }
 }

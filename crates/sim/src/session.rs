@@ -38,10 +38,9 @@ use coterie_telemetry::{
     room_pid, AttributionModel, FrameRecord, FrameStats, Stage, TelemetrySink, TrackId, KERNEL_PID,
 };
 use coterie_world::{GameId, GameSpec, GridPoint, Scene, TraceSet, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// Which system design a session runs (§3, §7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// Everything rendered on the phone.
     Mobile,
@@ -86,7 +85,7 @@ impl SystemKind {
 }
 
 /// Configuration of one simulated session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionConfig {
     /// The game to play.
     pub game: GameId,

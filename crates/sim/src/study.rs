@@ -24,10 +24,9 @@ use coterie_frame::{ssim_with, SsimOptions};
 use coterie_render::{RenderFilter, RenderOptions, Renderer};
 use coterie_world::noise::SmallRng;
 use coterie_world::{GameId, GameSpec, Trajectory, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// Study configuration mirroring §7.4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyConfig {
     /// Number of simulated participants (paper: 12).
     pub participants: usize,
@@ -54,7 +53,7 @@ impl Default for StudyConfig {
 }
 
 /// Result of the simulated study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyOutcome {
     /// Number of (participant, trace) gradings per score 1..=5
     /// (`counts[0]` is score 1).

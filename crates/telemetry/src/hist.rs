@@ -118,15 +118,6 @@ impl LogHistogram {
         }
     }
 
-    /// Mean of all finite recorded values, ms (0.0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum_ms / self.total as f64
-        }
-    }
-
     /// Raw bucket counts (index-aligned with the edge functions).
     pub fn counts(&self) -> &[u64; BUCKETS] {
         &self.counts
@@ -179,7 +170,7 @@ mod tests {
         assert_eq!(h.quantile(0.5), 0.0);
         assert_eq!(h.min_ms(), 0.0);
         assert_eq!(h.max_ms(), 0.0);
-        assert_eq!(h.mean_ms(), 0.0);
+        assert_eq!(h.sum_ms(), 0.0);
     }
 
     #[test]
@@ -214,7 +205,7 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile(q), 7.3);
         }
-        assert_eq!(h.mean_ms(), 7.3);
+        assert_eq!(h.sum_ms(), 7.3);
     }
 
     #[test]

@@ -14,11 +14,10 @@ use crate::quadtree::Rect;
 use crate::scene::{ReachableArea, Scene};
 use crate::terrain::Terrain;
 use crate::vec::Vec2;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The nine games studied in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GameId {
     /// Racing Mountain — racing/chasing, outdoor (evaluated on testbed).
     RacingMountain,
@@ -80,7 +79,7 @@ impl fmt::Display for GameId {
 }
 
 /// Genre of a game (Table 2's "Genre" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GameGenre {
     /// Cars chase each other on a closed track.
     RacingChasing,
@@ -105,7 +104,7 @@ impl GameGenre {
 }
 
 /// Density-field shape driving procedural object placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum DensityProfile {
     /// Strong clustered hotspots over a sparse base (Viking).
     Village {
@@ -127,7 +126,7 @@ enum DensityProfile {
 }
 
 /// Full specification of one game's world.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GameSpec {
     /// Which game.
     pub id: GameId,

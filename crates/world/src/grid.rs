@@ -6,7 +6,6 @@
 //! the player position to the nearest grid point when requesting frames.
 
 use crate::vec::Vec2;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a grid point in the world lattice.
@@ -20,7 +19,7 @@ use std::fmt;
 /// let gp = spec.snap(Vec2::new(1.2, 3.4));
 /// assert_eq!(gp, GridPoint::new(2, 7));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GridPoint {
     /// Lattice index along x.
     pub ix: i32,
@@ -41,12 +40,6 @@ impl GridPoint {
         let dx = (self.ix - other.ix).unsigned_abs();
         let dz = (self.iz - other.iz).unsigned_abs();
         dx.max(dz)
-    }
-
-    /// Manhattan distance in lattice steps.
-    #[inline]
-    pub fn manhattan(self, other: GridPoint) -> u32 {
-        (self.ix - other.ix).unsigned_abs() + (self.iz - other.iz).unsigned_abs()
     }
 
     /// The 8 neighbouring lattice points (Moore neighbourhood).
@@ -81,7 +74,7 @@ impl fmt::Display for GridPoint {
 /// The paper's worlds use a very fine lattice — e.g. Viking Village packs
 /// 24.9 million grid points into 187 m × 130 m, i.e. one point every
 /// 1/32 m (Table 3). The spacing here is configurable per game.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSpec {
     origin: Vec2,
     spacing: f64,
@@ -235,11 +228,10 @@ mod tests {
     }
 
     #[test]
-    fn hops_and_manhattan() {
+    fn hops_is_chebyshev_distance() {
         let a = GridPoint::new(0, 0);
         let b = GridPoint::new(3, -4);
         assert_eq!(a.hops(b), 4);
-        assert_eq!(a.manhattan(b), 7);
     }
 
     #[test]

@@ -10,10 +10,9 @@
 
 use crate::noise::{fbm, SmallRng};
 use crate::trajectory::Trajectory;
-use serde::{Deserialize, Serialize};
 
 /// Head orientation sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeadPose {
     /// Yaw in radians (renderer azimuth convention).
     pub yaw: f64,
@@ -22,7 +21,7 @@ pub struct HeadPose {
 }
 
 /// Generates head orientation over a trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeadModel {
     seed: u64,
     /// RMS amplitude of slow gaze wandering around the heading, radians.

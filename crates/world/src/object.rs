@@ -6,11 +6,10 @@
 //! the panoramic software renderer.
 
 use crate::vec::Vec3;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable identifier of a scene object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(pub u32);
 
 impl fmt::Display for ObjectId {
@@ -22,7 +21,7 @@ impl fmt::Display for ObjectId {
 /// Geometric archetype of an object, chosen to give the renderer distinct
 /// silhouettes (spheres for rocks/props, cylinders for trees, boxes for
 /// buildings).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectKind {
     /// Roughly isotropic prop (rock, barrel, bush).
     Sphere,
@@ -33,7 +32,7 @@ pub enum ObjectKind {
 }
 
 /// An asset placed in the virtual world.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneObject {
     /// Stable identifier.
     pub id: ObjectId,

@@ -7,11 +7,10 @@
 //! cutoff-specific decision logic lives in `coterie-core`.
 
 use crate::vec::Vec2;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned rectangle on the ground plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Minimum corner (inclusive).
     pub min: Vec2,
@@ -102,7 +101,7 @@ impl fmt::Display for Rect {
 }
 
 /// Identifier of a quadtree leaf region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LeafId(pub u32);
 
 impl fmt::Display for LeafId {
@@ -114,7 +113,7 @@ impl fmt::Display for LeafId {
 /// A leaf region of the quadtree with its associated payload (for the
 /// adaptive cutoff scheme: the region's cutoff radius and distance
 /// threshold).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Leaf<T> {
     /// Leaf identifier (dense, 0-based).
     pub id: LeafId,
@@ -126,7 +125,7 @@ pub struct Leaf<T> {
     pub value: T,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Internal { children: [u32; 4] },
     Leaf { leaf: u32 },
@@ -154,7 +153,7 @@ pub enum Partition<T> {
 /// assert_eq!(qt.leaves().len(), 16);
 /// assert_eq!(qt.stats().max_depth, 2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Quadtree<T> {
     root_rect: Rect,
     nodes: Vec<Node>,
@@ -301,7 +300,7 @@ impl<T> Quadtree<T> {
 }
 
 /// Shape statistics of a built quadtree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuadtreeStats {
     /// Number of leaf regions.
     pub leaf_count: usize,

@@ -15,7 +15,6 @@ use crate::object::{ObjectId, SceneObject};
 use crate::quadtree::Rect;
 use crate::terrain::Terrain;
 use crate::vec::{Vec2, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Which part of the world players can actually reach.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// movement to the track, which is why the paper's Racing Mountain and DS
 /// have far fewer grid points than their world area would suggest
 /// (Table 3: ~6.5 points/m² instead of 1024/m²).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ReachableArea {
     /// The whole world rectangle is walkable.
     All,
@@ -65,26 +64,6 @@ impl ReachableArea {
             ReachableArea::Track { .. } => 1.0,
         }
     }
-
-    /// Fraction of the world covered by the drivable corridor itself.
-    pub fn corridor_fraction(&self, bounds: &Rect) -> f64 {
-        match self {
-            ReachableArea::All => 1.0,
-            ReachableArea::Track {
-                centerline,
-                half_width,
-            } => {
-                let mut length = 0.0;
-                for w in centerline.windows(2) {
-                    length += w[0].distance(w[1]);
-                }
-                if let (Some(first), Some(last)) = (centerline.first(), centerline.last()) {
-                    length += first.distance(*last);
-                }
-                ((length * 2.0 * half_width) / bounds.area()).min(1.0)
-            }
-        }
-    }
 }
 
 /// Distance from a point to a closed polyline.
@@ -116,7 +95,7 @@ fn distance_to_segment(a: Vec2, b: Vec2, p: Vec2) -> f64 {
 }
 
 /// A game's virtual world: bounds, terrain, objects, reachability, grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scene {
     bounds: Rect,
     terrain: Terrain,
@@ -293,7 +272,7 @@ impl Scene {
 }
 
 /// Uniform-bucket spatial hash over object centers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SpatialIndex {
     origin: Vec2,
     cell: f64,
@@ -456,8 +435,6 @@ mod tests {
         assert!(!track.contains(&bounds, Vec2::new(50.0, 50.0)));
         // The server pre-renders the full lattice even for track games.
         assert_eq!(track.area_fraction(&bounds), 1.0);
-        let frac = track.corridor_fraction(&bounds);
-        assert!(frac > 0.0 && frac < 0.5, "corridor fraction {frac}");
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::noise::{
 };
 use crate::vec::{Vec2, Vec3};
 use coterie_parallel::simd::{self, SimdLevel};
-use serde::{Deserialize, Serialize};
 
 /// Analytic heightfield terrain with deterministic albedo texture.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// let h = t.height(Vec2::new(10.0, 20.0));
 /// assert!(h >= 0.0 && h <= 8.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Terrain {
     seed: u64,
     amplitude: f64,

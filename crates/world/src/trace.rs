@@ -8,14 +8,12 @@
 //! players of one session.
 
 use crate::games::GameSpec;
-use crate::grid::{GridPoint, GridSpec};
 use crate::scene::Scene;
 use crate::trajectory::Trajectory;
 use crate::vec::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// One time-stamped sample of a player's pose.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePoint {
     /// Time since session start, seconds.
     pub time: f64,
@@ -26,7 +24,7 @@ pub struct TracePoint {
 }
 
 /// A sampled movement trace for one player.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     points: Vec<TracePoint>,
     /// Sampling interval, seconds.
@@ -82,32 +80,10 @@ impl Trace {
     pub fn duration(&self) -> f64 {
         self.points.last().map(|p| p.time).unwrap_or(0.0)
     }
-
-    /// The sequence of *distinct consecutive* grid points visited — the
-    /// paper's per-grid-point frame request stream. Consecutive samples
-    /// that snap to the same grid point are collapsed.
-    pub fn grid_path(&self, grid: &GridSpec) -> Vec<GridPoint> {
-        let mut path = Vec::new();
-        for p in &self.points {
-            let gp = grid.snap(p.position);
-            if path.last() != Some(&gp) {
-                path.push(gp);
-            }
-        }
-        path
-    }
-
-    /// Total ground distance travelled, meters.
-    pub fn distance_travelled(&self) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| w[0].position.distance(w[1].position))
-            .sum()
-    }
 }
 
 /// All players' traces for one multiplayer session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSet {
     traces: Vec<Trace>,
 }
@@ -176,43 +152,6 @@ mod tests {
         let trace = Trace::record(&traj, 10.0, 1.0 / 60.0);
         assert_eq!(trace.points().len(), 601);
         assert!((trace.duration() - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn grid_path_collapses_repeats() {
-        let (scene, spec) = session();
-        let traj = Trajectory::generate(&scene, &spec, 0, 1, 20.0, 1);
-        let trace = Trace::record(&traj, 20.0, 1.0 / 60.0);
-        let path = trace.grid_path(scene.grid());
-        assert!(!path.is_empty());
-        for w in path.windows(2) {
-            assert_ne!(w[0], w[1], "consecutive duplicates must collapse");
-        }
-        // Player at 2.5 m/s on a 1/32 m grid visits many grid points.
-        assert!(path.len() > 100, "path too short: {}", path.len());
-    }
-
-    #[test]
-    fn grid_path_steps_are_small() {
-        // Adjacent path entries should be spatially adjacent (few hops):
-        // the player moves continuously.
-        let (scene, spec) = session();
-        let traj = Trajectory::generate(&scene, &spec, 0, 1, 20.0, 2);
-        let trace = Trace::record(&traj, 20.0, 1.0 / 60.0);
-        let path = trace.grid_path(scene.grid());
-        for w in path.windows(2) {
-            assert!(w[0].hops(w[1]) <= 4, "jump of {} hops", w[0].hops(w[1]));
-        }
-    }
-
-    #[test]
-    fn distance_travelled_positive_and_bounded() {
-        let (scene, spec) = session();
-        let traj = Trajectory::generate(&scene, &spec, 0, 1, 30.0, 3);
-        let trace = Trace::record(&traj, 30.0, 1.0 / 60.0);
-        let d = trace.distance_travelled();
-        assert!(d > 5.0, "barely moved: {d} m");
-        assert!(d <= spec.player_speed * 30.0 * 1.7, "moved too far: {d} m");
     }
 
     #[test]

@@ -10,10 +10,9 @@ use crate::games::{GameGenre, GameSpec};
 use crate::noise::{fbm, SmallRng};
 use crate::scene::Scene;
 use crate::vec::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// The movement archetype used for a player.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrajectoryKind {
     /// Follow the closed racing track with lane jitter (racing games).
     Track,
@@ -70,7 +69,7 @@ impl std::error::Error for TrajectoryError {}
 /// assert!(scene.bounds().contains(p0));
 /// assert!(scene.bounds().contains(p1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     /// Knots as `(time_seconds, position)`; times strictly increasing.
     knots: Vec<(f64, Vec2)>,

@@ -4,7 +4,6 @@
 //! `y` pointing up; players move on the `x`–`z` ground plane (the paper's
 //! virtual worlds are 2-D for movement purposes, §4.3).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// let a = Vec2::new(3.0, 4.0);
 /// assert_eq!(a.length(), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// East-west component in meters.
     pub x: f64,
@@ -78,14 +77,6 @@ impl Vec2 {
     #[inline]
     pub fn lerp(self, other: Vec2, t: f64) -> Vec2 {
         self + (other - self) * t
-    }
-
-    /// Rotates the vector by `angle` radians (counter-clockwise when viewed
-    /// from above, i.e. from +y).
-    #[inline]
-    pub fn rotated(self, angle: f64) -> Vec2 {
-        let (s, c) = angle.sin_cos();
-        Vec2::new(self.x * c - self.z * s, self.x * s + self.z * c)
     }
 
     /// Heading angle in radians measured from the +z axis toward +x,
@@ -170,7 +161,7 @@ impl fmt::Display for Vec2 {
 /// let obj = Vec3::new(3.0, 1.7, 4.0);
 /// assert_eq!(eye.distance(obj), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// East-west component in meters.
     pub x: f64,
@@ -355,13 +346,6 @@ mod tests {
         let v = Vec2::new(10.0, -7.0).normalized();
         assert!((v.length() - 1.0).abs() < 1e-12);
         assert_eq!(Vec2::ZERO.normalized(), Vec2::ZERO);
-    }
-
-    #[test]
-    fn vec2_rotation_quarter_turn() {
-        let v = Vec2::new(0.0, 1.0).rotated(std::f64::consts::FRAC_PI_2);
-        assert!((v.x - (-1.0)).abs() < 1e-12);
-        assert!(v.z.abs() < 1e-12);
     }
 
     #[test]
